@@ -71,23 +71,6 @@ void Context::set_timer(std::uint64_t delay, std::uint64_t timer_id)
     net_->schedule_timer(vertex_, std::max<std::uint64_t>(delay, 1), timer_id);
 }
 
-bool Context::tracing() const
-{
-    return net_->trace_ != nullptr;
-}
-
-void Context::trace_begin(TracePhase phase, std::int64_t level)
-{
-    if (TraceRecorder* t = net_->trace_)
-        t->span_begin(vertex_, phase, level);
-}
-
-void Context::trace_end()
-{
-    if (TraceRecorder* t = net_->trace_)
-        t->span_end(vertex_);
-}
-
 void Context::trace_instant(TracePhase phase, std::int64_t level)
 {
     if (TraceRecorder* t = net_->trace_)

@@ -285,19 +285,15 @@ public:
     // reports the id it was armed with.
     void set_timer(std::uint64_t delay, std::uint64_t timer_id);
 
-    // ---- tracing hooks (src/dmst/obs/trace.h) --------------------------
-    // No-ops (one pointer test) unless NetConfig::trace.enabled. Drivers
-    // normally use the TraceScope RAII helper instead of begin/end pairs.
-    bool tracing() const;
-    // Opens span (phase, level) on this vertex; sends from nested calls
-    // are attributed to the innermost open span.
-    void trace_begin(TracePhase phase, std::int64_t level = 0);
-    void trace_end();
-    // Records a point event in (phase, level) — a protocol milestone.
+    // ---- tracing (src/dmst/obs/trace.h) --------------------------------
+    // Spans are opened with the TraceScope RAII helper. Records a point
+    // event in (phase, level) — a protocol milestone; a no-op (one pointer
+    // test) unless NetConfig::trace.enabled.
     void trace_instant(TracePhase phase, std::int64_t level = 0);
 
 private:
     friend class NetworkBase;
+    friend class TraceScope;  // reads net_->trace_ inline
     friend class MessageProcess;  // on_round adapter pops due timers
     Context(NetworkBase& net, VertexId vertex) : net_(&net), vertex_(vertex) {}
 
@@ -815,6 +811,7 @@ protected:
 private:
     friend class Context;
     friend class MessageProcess;
+    friend class TraceScope;
 };
 
 }  // namespace dmst

@@ -21,13 +21,15 @@ GhsSchedule::GhsSchedule(std::uint64_t n, std::uint64_t k, std::uint64_t start_r
     DMST_ASSERT(k >= 1);
     phases_ = k <= 1 ? 0 : ceil_log2(k);
     dct_iterations_ = cv_dct_iterations_bound(n);
-    phase_starts_.reserve(static_cast<std::size_t>(phases_) + 1);
+    stage_starts_.reserve(static_cast<std::size_t>(phases_) * kStages + 1);
     std::uint64_t at = 0;
     for (int i = 0; i < phases_; ++i) {
-        phase_starts_.push_back(at);
-        at += phase_len(i);
+        for (int s = 0; s < kStages; ++s) {
+            stage_starts_.push_back(at);
+            at += stage_len(i, static_cast<GhsStage>(s));
+        }
     }
-    phase_starts_.push_back(at);
+    stage_starts_.push_back(at);
     total_ = at;
 }
 
@@ -52,34 +54,23 @@ std::uint64_t GhsSchedule::stage_len(int phase, GhsStage stage) const
 
 std::uint64_t GhsSchedule::phase_len(int phase) const
 {
-    std::uint64_t total = 0;
-    for (GhsStage s : {GhsStage::Fid, GhsStage::Mwoe, GhsStage::Cand,
-                       GhsStage::Notify, GhsStage::Orient, GhsStage::Cv,
-                       GhsStage::Mm, GhsStage::Merge})
-        total += stage_len(phase, s);
-    return total;
+    DMST_ASSERT(phase >= 0 && phase < phases_);
+    const std::size_t i = static_cast<std::size_t>(phase) * kStages;
+    return stage_starts_[i + kStages] - stage_starts_[i];
 }
 
 std::optional<GhsSchedule::Pos> GhsSchedule::locate(std::uint64_t round) const
 {
     if (round < start_round_ || round >= end_round())
         return std::nullopt;
-    std::uint64_t r = round - start_round_;
-    // Find the phase: the last phase start <= r.
-    int phase = 0;
-    while (phase + 1 < phases_ && phase_starts_[phase + 1] <= r)
-        ++phase;
-    r -= phase_starts_[phase];
-    for (GhsStage s : {GhsStage::Fid, GhsStage::Mwoe, GhsStage::Cand,
-                       GhsStage::Notify, GhsStage::Orient, GhsStage::Cv,
-                       GhsStage::Mm, GhsStage::Merge}) {
-        std::uint64_t len = stage_len(phase, s);
-        if (r < len)
-            return Pos{phase, s, r, len};
-        r -= len;
-    }
-    DMST_ASSERT_MSG(false, "round not covered by any stage");
-    return std::nullopt;
+    const std::uint64_t r = round - start_round_;
+    // The last stage start <= r; the trailing total_ entry is > r, so the
+    // stage has a successor to measure its length against.
+    const auto it =
+        std::upper_bound(stage_starts_.begin(), stage_starts_.end(), r) - 1;
+    const auto i = static_cast<std::size_t>(it - stage_starts_.begin());
+    return Pos{static_cast<int>(i / kStages),
+               static_cast<GhsStage>(i % kStages), r - *it, *(it + 1) - *it};
 }
 
 // -------------------------------------------------------------- GhsVertex
@@ -139,24 +130,32 @@ void GhsVertex::begin_phase(Context& ctx, int phase)
 
 void GhsVertex::on_round(Context& ctx)
 {
-    auto pos = schedule_.locate(ctx.round());
-    if (!pos) {
-        if (ctx.round() >= schedule_.end_round())
+    // Almost every activation is the next round of the same stage: advance
+    // the cached position instead of searching the timetable.
+    const std::uint64_t round = ctx.round();
+    if (pos_ && round == pos_round_ + 1 && pos_->offset + 1 < pos_->stage_len)
+        ++pos_->offset;
+    else
+        pos_ = schedule_.locate(round);
+    pos_round_ = round;
+    if (!pos_) {
+        if (round >= schedule_.end_round())
             finished_ = true;
         return;
     }
+    const GhsSchedule::Pos& pos = *pos_;
     // Self-scoped: GHS phase i is the level axis of the Ghs trace phase,
     // so any embedding driver gets per-phase GHS traffic attribution for
     // free (elkin pumps this component without wrapping it).
-    TraceScope trace_span(ctx, TracePhase::Ghs, pos->phase);
-    if (pos->stage == GhsStage::Fid && pos->offset == 0 && pos->phase != phase_)
-        begin_phase(ctx, pos->phase);
+    TraceScope trace_span(ctx, TracePhase::Ghs, pos.phase);
+    if (pos.stage == GhsStage::Fid && pos.offset == 0 && pos.phase != phase_)
+        begin_phase(ctx, pos.phase);
 
     for (const Incoming& in : ctx.inbox()) {
         if (handles(in.msg.tag))
-            process_message(ctx, *pos, in);
+            process_message(ctx, pos, in);
     }
-    stage_actions(ctx, *pos);
+    stage_actions(ctx, pos);
 }
 
 void GhsVertex::act_as_gate(Context& ctx, const GhsSchedule::Pos& pos)

@@ -84,15 +84,20 @@ public:
     };
 
     // Position of an absolute round within the timetable; nullopt before
-    // start_round or at/after end_round.
+    // start_round or at/after end_round. A binary search over the stage
+    // table: no stage_len calls, no state, any call order.
     std::optional<Pos> locate(std::uint64_t round) const;
+
+    static constexpr int kStages = 8;  // GhsStage values per phase
 
 private:
     std::uint64_t start_round_;
     int phases_;
     int dct_iterations_;
     std::uint64_t total_ = 0;
-    std::vector<std::uint64_t> phase_starts_;  // offsets from start_round_
+    // Start of every (phase, stage) as an offset from start_round_, at
+    // index phase * kStages + stage, then one entry holding total_.
+    std::vector<std::uint64_t> stage_starts_;
 };
 
 // The per-vertex state machine. Embeddable component (like BfsBuilder):
@@ -170,6 +175,10 @@ private:
     std::uint32_t tag_base_;
     GhsSchedule schedule_;
     bool finished_ = false;
+    // Timetable position of the last activation: consecutive rounds within
+    // one stage advance it in place, anything else asks the schedule.
+    std::optional<GhsSchedule::Pos> pos_;
+    std::uint64_t pos_round_ = 0;
 
     // --- fragment state (persists across phases) -------------------------
     std::uint64_t fid_;

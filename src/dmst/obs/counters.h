@@ -45,10 +45,10 @@ private:
 // One span accumulation cell: the recorder's unit of attribution. Every
 // traced send/instant lands in exactly one cell (the sender's innermost
 // open span, or the Init cell), so summing cells reproduces the RunStats
-// totals — the conservation invariant TraceSink::validate() checks.
+// totals — the conservation invariant TraceRecorder::finalize() checks.
 //
 // Round/tick/virtual-time bounds are updated only on *activity* (a send
-// or an instant), never by span_begin/span_end alone: idle re-entries of
+// or an instant), never by opening or closing a span: idle re-entries of
 // a protocol pump must not widen a span, or the async engine's trailing
 // inert pulses would break tri-engine trace parity.
 struct SpanCell {

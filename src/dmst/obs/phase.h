@@ -12,8 +12,8 @@ namespace dmst {
 // Boruvka phase index j); single-shot phases use level 0.
 //
 // This header is deliberately leaf (no includes beyond <cstdint>): the
-// engine substrate (congest/network_base.h) needs the enum for the
-// Context trace hooks without pulling in the recorder.
+// engine substrate (congest/network_base.h) needs the enum for
+// Context::trace_instant without pulling in the recorder.
 enum class TracePhase : std::uint8_t {
     Init = 0,      // sends outside any driver span (default attribution)
     Bfs,           // BFS-tree construction (the tau tree / verify tau)

@@ -77,8 +77,8 @@ std::string TraceTable::parity_fingerprint() const
 // ---------------------------------------------------------- TraceRecorder
 
 TraceRecorder::TraceRecorder(std::size_t vertex_count)
+    : span_(vertex_count, span_key(TracePhase::Init, 0))
 {
-    stack_.resize(vertex_count);
     set_sharding(1, {});
 }
 
@@ -97,18 +97,8 @@ void TraceRecorder::set_sharding(int shards, const std::vector<int>& shard_of)
     }
 }
 
-std::uint64_t TraceRecorder::span_key(TracePhase phase, std::int64_t level)
+std::uint32_t TraceRecorder::cell_for(Shard& sh, std::uint64_t key)
 {
-    DMST_ASSERT_MSG(level >= 0 && level < (std::int64_t{1} << 48),
-                    "span level out of range");
-    return (static_cast<std::uint64_t>(phase) << 48) |
-           static_cast<std::uint64_t>(level);
-}
-
-std::uint32_t TraceRecorder::cell_for(Shard& sh, TracePhase phase,
-                                      std::int64_t level)
-{
-    const std::uint64_t key = span_key(phase, level);
     // find-then-insert: emplace would allocate its node even on a hit,
     // breaking the warm steady state's zero-allocation contract.
     auto it = sh.index.find(key);
@@ -122,22 +112,10 @@ std::uint32_t TraceRecorder::cell_for(Shard& sh, TracePhase phase,
     return it->second;
 }
 
-void TraceRecorder::span_begin(VertexId v, TracePhase phase, std::int64_t level)
-{
-    Shard& sh = shards_[shard_index(v)];
-    stack_[v].push_back(cell_for(sh, phase, level));
-}
-
-void TraceRecorder::span_end(VertexId v)
-{
-    DMST_ASSERT_MSG(!stack_[v].empty(), "span_end without span_begin");
-    stack_[v].pop_back();
-}
-
 void TraceRecorder::instant(VertexId v, TracePhase phase, std::int64_t level)
 {
     Shard& sh = shards_[shard_index(v)];
-    SpanCell& cell = sh.cells[cell_for(sh, phase, level)];
+    SpanCell& cell = sh.cells[cell_for(sh, span_key(phase, level))];
     ++cell.instants;
     cell.touch(sh.now_round, sh.now_tick, sh.now_vtime);
 }
@@ -195,11 +173,6 @@ std::shared_ptr<const TraceTable> TraceRecorder::finalize(
     // a bug in the instrumentation, not a report-time curiosity.
     table->validate();
     return table;
-}
-
-void TraceRecorder::validate(const RunStats& stats) const
-{
-    finalize(stats);  // finalize() validates and throws on violation
 }
 
 }  // namespace dmst

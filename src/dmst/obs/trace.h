@@ -10,21 +10,20 @@
 #include "dmst/congest/network_base.h"
 #include "dmst/obs/counters.h"
 #include "dmst/obs/phase.h"
+#include "dmst/util/assert.h"
 
 namespace dmst {
 
 // Span-based trace recorder for the CONGEST engines (ROADMAP: per-phase
 // observability). The model:
 //
-//   - Drivers open/close *spans* around their protocol stages via the
-//     Context trace hooks (usually through the TraceScope RAII helper).
-//     Spans are keyed by (TracePhase, level) — e.g. (Ghs, i) for
-//     Controlled-GHS phase i, (Boruvka, j) for Boruvka phase j — and
+//   - Drivers open spans around their protocol stages with the TraceScope
+//     RAII helper. Spans are keyed by (TracePhase, level) — e.g. (Ghs, i)
+//     for Controlled-GHS phase i, (Boruvka, j) for Boruvka phase j — and
 //     nest per vertex: every send is attributed to the sender's innermost
 //     open span (or the Init span when none is open), so span sums equal
-//     the RunStats totals by construction. TraceSink::validate() checks
-//     that conservation invariant, and finalize() enforces it on every
-//     traced run.
+//     the RunStats totals by construction. finalize() checks that
+//     conservation invariant on every traced run.
 //
 //   - Per span the recorder keeps messages, words, instants, and the
 //     first/last *logical round* of activity — the engine-invariant clock
@@ -38,12 +37,17 @@ namespace dmst {
 //   - A per-message-tag histogram (messages/words by codec tag) rides
 //     along; it must conserve too.
 //
-// Cost model: with tracing disabled (the default) the engines hold a null
-// recorder pointer and the send datapath pays one pointer test — no
-// allocation, no virtual call (the counting-allocator test and the exact
-// bench gates pin that down). Enabled, cells live in per-shard grow-only
-// arenas: the steady state allocates nothing once every live (span, tag)
-// cell exists.
+// Cost model. Disabled (the default), the engines hold a null recorder
+// pointer: a TraceScope and a send each pay one pointer test — no
+// allocation, no call (the counting-allocator test and the exact bench
+// gates pin that down). Enabled, spans are lazy:
+//   - one key swap per scope: entering a TraceScope swaps the vertex's
+//     current-span key, leaving it restores the saved key;
+//   - one memoised cell lookup per send: the sender's key resolves to its
+//     shard's cell through a one-entry memo in front of the key index;
+//   - zero allocations in the warm steady state: cells live in per-shard
+//     grow-only arenas, created on a span's first send, so nothing
+//     allocates once every live (span, tag) cell exists.
 
 // One aggregated span row of a finalized trace.
 struct TraceSpan {
@@ -106,42 +110,13 @@ struct TraceTable {
     std::string parity_fingerprint() const;
 };
 
-// Abstract sink for trace events. The engines drive the concrete
-// TraceRecorder below; the interface exists so tests and tools can
-// substitute their own collector.
-class TraceSink {
-public:
-    virtual ~TraceSink() = default;
-
-    virtual void span_begin(VertexId v, TracePhase phase,
-                            std::int64_t level) = 0;
-    virtual void span_end(VertexId v) = 0;
-    virtual void instant(VertexId v, TracePhase phase, std::int64_t level) = 0;
-    virtual void on_send(VertexId from, std::uint32_t tag,
-                         std::uint64_t words) = 0;
-
-    // Fault-shim traffic of one send (retransmissions and lost
-    // transmissions), reported right after its on_send so it lands in the
-    // same span. Default no-op: sinks predating the fault layer ignore it.
-    virtual void on_fault(VertexId from, std::uint64_t retransmissions,
-                          std::uint64_t drops)
-    {
-        (void)from;
-        (void)retransmissions;
-        (void)drops;
-    }
-
-    // Self-verification: the recorded attribution must conserve against
-    // the run's totals. Throws InvariantViolation on violation.
-    virtual void validate(const RunStats& stats) const = 0;
-};
-
-// Arena-backed recorder. Thread-safety contract mirrors the parallel
-// engine's sharding: per-vertex state (span stacks) is only touched by
-// the shard that owns the vertex, and every cell/tag table is per shard;
-// folding happens on the coordinator at finalize() only. The serial and
-// async engines run everything on shard 0.
-class TraceRecorder final : public TraceSink {
+// Arena-backed recorder with lazy spans (cost model above). Thread-safety
+// contract mirrors the parallel engine's sharding: a vertex's current-span
+// key is only touched by the shard that owns the vertex, and every
+// cell/tag table and memo is per shard; folding happens on the coordinator
+// at finalize() only. The serial and async engines run everything on
+// shard 0.
+class TraceRecorder {
 public:
     explicit TraceRecorder(std::size_t vertex_count);
 
@@ -176,27 +151,45 @@ public:
         sh.now_vtime = vtime;
     }
 
-    void span_begin(VertexId v, TracePhase phase, std::int64_t level) override;
-    void span_end(VertexId v) override;
-    void instant(VertexId v, TracePhase phase, std::int64_t level) override;
+    // Packs (phase, level) into the recorder's span key; Init/0 is key 0.
+    static std::uint64_t span_key(TracePhase phase, std::int64_t level)
+    {
+        DMST_ASSERT_MSG(level >= 0 && level < (std::int64_t{1} << 48),
+                        "span level out of range");
+        return (static_cast<std::uint64_t>(phase) << 48) |
+               static_cast<std::uint64_t>(level);
+    }
 
-    void on_send(VertexId from, std::uint32_t tag, std::uint64_t words) override
+    // Makes `key` the current span of `v` and returns the key it replaced;
+    // TraceScope hands that back to restore_span() on exit.
+    std::uint64_t swap_span(VertexId v, std::uint64_t key)
+    {
+        const std::uint64_t prev = span_[v];
+        span_[v] = key;
+        return prev;
+    }
+    void restore_span(VertexId v, std::uint64_t key) { span_[v] = key; }
+
+    void instant(VertexId v, TracePhase phase, std::int64_t level);
+
+    void on_send(VertexId from, std::uint32_t tag, std::uint64_t words)
     {
         Shard& sh = shards_[shard_index(from)];
-        const std::vector<std::uint32_t>& stack = stack_[from];
-        SpanCell& cell = sh.cells[stack.empty() ? kInitCell : stack.back()];
+        SpanCell& cell = current_cell(sh, from);
         ++cell.messages;
         cell.words += words;
         cell.touch(sh.now_round, sh.now_tick, sh.now_vtime);
         sh.tags.add(tag, words);
     }
 
+    // Fault-shim traffic of one send (retransmissions and lost
+    // transmissions), reported right after its on_send so it lands in the
+    // same span.
     void on_fault(VertexId from, std::uint64_t retransmissions,
-                  std::uint64_t drops) override
+                  std::uint64_t drops)
     {
         Shard& sh = shards_[shard_index(from)];
-        const std::vector<std::uint32_t>& stack = stack_[from];
-        SpanCell& cell = sh.cells[stack.empty() ? kInitCell : stack.back()];
+        SpanCell& cell = current_cell(sh, from);
         cell.retransmissions += retransmissions;
         cell.drops += drops;
         // No touch(): the accompanying on_send already stamped the clock.
@@ -208,8 +201,6 @@ public:
     // keeps accumulating in between.
     std::shared_ptr<const TraceTable> finalize(const RunStats& stats) const;
 
-    void validate(const RunStats& stats) const override;
-
 private:
     struct Shard {
         std::vector<SpanCell> cells;      // cell arena; index 0 = Init
@@ -220,11 +211,13 @@ private:
         std::uint64_t now_round = 0;
         std::uint64_t now_tick = 0;
         std::uint64_t now_vtime = 0;
+        // One-entry memo of the last key resolved through `index`; starts
+        // on the Init cell, whose key is 0.
+        std::uint64_t memo_key = 0;
+        std::uint32_t memo_cell = kInitCell;
     };
 
     static constexpr std::uint32_t kInitCell = 0;
-
-    static std::uint64_t span_key(TracePhase phase, std::int64_t level);
 
     std::size_t shard_index(VertexId v) const
     {
@@ -232,31 +225,50 @@ private:
                                  : static_cast<std::size_t>(shard_of_[v]);
     }
 
-    std::uint32_t cell_for(Shard& sh, TracePhase phase, std::int64_t level);
+    // Cell of `v`'s current span in its shard, created on first use.
+    SpanCell& current_cell(Shard& sh, VertexId v)
+    {
+        const std::uint64_t key = span_[v];
+        if (key != sh.memo_key) {
+            sh.memo_cell = cell_for(sh, key);
+            sh.memo_key = key;
+        }
+        return sh.cells[sh.memo_cell];
+    }
+
+    std::uint32_t cell_for(Shard& sh, std::uint64_t key);
 
     std::vector<Shard> shards_;
-    std::vector<int> shard_of_;  // empty = everything on shard 0
-    std::vector<std::vector<std::uint32_t>> stack_;  // per-vertex open spans
+    std::vector<int> shard_of_;       // empty = everything on shard 0
+    std::vector<std::uint64_t> span_;  // per-vertex current span key
 };
 
-// RAII span for driver code: opens (phase, level) on the context's vertex
-// for the enclosing scope. A no-op (one pointer test) when tracing is
-// disabled.
+// RAII span for driver code: makes (phase, level) the current span of the
+// context's vertex for the enclosing scope and restores the enclosing span
+// on exit, so scopes nest. Inline: one pointer test when tracing is
+// disabled, one key swap when enabled.
 class TraceScope {
 public:
     TraceScope(Context& ctx, TracePhase phase, std::int64_t level = 0)
-        : ctx_(&ctx)
+        : rec_(ctx.net_->trace_), v_(ctx.id())
     {
-        ctx_->trace_begin(phase, level);
+        if (rec_)
+            saved_ = rec_->swap_span(v_, TraceRecorder::span_key(phase, level));
     }
 
     TraceScope(const TraceScope&) = delete;
     TraceScope& operator=(const TraceScope&) = delete;
 
-    ~TraceScope() { ctx_->trace_end(); }
+    ~TraceScope()
+    {
+        if (rec_)
+            rec_->restore_span(v_, saved_);
+    }
 
 private:
-    Context* ctx_;
+    TraceRecorder* rec_;
+    VertexId v_;
+    std::uint64_t saved_ = 0;
 };
 
 }  // namespace dmst

@@ -27,6 +27,7 @@ void IntervalDowncast::route(const DownRecord& r)
     for (std::size_t i = 0; i < child_intervals_.size(); ++i) {
         if (child_intervals_[i].contains(r.target)) {
             queues_[i].push_back(r);
+            ++queued_;
             return;
         }
     }
@@ -48,7 +49,7 @@ void IntervalDowncast::on_round(Context& ctx)
         auto m = decode<DownRecordMsg>(in.msg);
         route(DownRecord{m.target, m.payload});
     }
-    if (!attached_)
+    if (queued_ == 0)
         return;
 
     for (std::size_t i = 0; i < queues_.size(); ++i) {
@@ -61,17 +62,10 @@ void IntervalDowncast::on_round(Context& ctx)
             ctx.send(children_ports_[i],
                      encode(tag_base_, DownRecordMsg{r.target, r.payload}));
             queues_[i].pop_front();
+            --queued_;
             ++sent;
         }
     }
-}
-
-bool IntervalDowncast::idle() const
-{
-    for (const auto& q : queues_)
-        if (!q.empty())
-            return false;
-    return true;
 }
 
 }  // namespace dmst

@@ -56,7 +56,7 @@ public:
 
     // No queued records at this vertex (global quiescence is the owner's
     // concern: receivers act on delivery, so no barrier is needed).
-    bool idle() const;
+    bool idle() const { return queued_ == 0; }
 
 private:
     void route(const DownRecord& r);
@@ -67,6 +67,8 @@ private:
     std::vector<std::size_t> children_ports_;
     std::vector<Interval> child_intervals_;
     std::vector<std::deque<DownRecord>> queues_;  // per child
+    // Records waiting in queues_, so an idle round skips the queue scan.
+    std::size_t queued_ = 0;
     std::vector<DownRecord> delivered_;
 };
 

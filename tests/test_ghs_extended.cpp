@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/forest_stats.h"
 #include "dmst/graph/generators.h"
@@ -45,6 +50,65 @@ TEST(GhsSchedule, LocateCoversEveryRoundExactlyOnce)
         prev = pos;
     }
     EXPECT_EQ(covered, sched.total_rounds());
+}
+
+// Reference lookup: walks every phase and stage from the start of the
+// schedule, recomputing each length from stage_len(). Independent of the
+// schedule's stage table, including where the timetable ends.
+std::optional<GhsSchedule::Pos> locate_by_scan(const GhsSchedule& sched,
+                                               std::uint64_t round)
+{
+    if (round < sched.start_round())
+        return std::nullopt;
+    std::uint64_t r = round - sched.start_round();
+    for (int phase = 0; phase < sched.phases(); ++phase) {
+        for (int s = 0; s < GhsSchedule::kStages; ++s) {
+            const auto stage = static_cast<GhsStage>(s);
+            const std::uint64_t len = sched.stage_len(phase, stage);
+            if (r < len)
+                return GhsSchedule::Pos{phase, stage, r, len};
+            r -= len;
+        }
+    }
+    return std::nullopt;
+}
+
+TEST(GhsSchedule, LocateMatchesLinearScanInAnyCallOrder)
+{
+    for (std::uint64_t k : {1ull, 2ull, 3ull, 16ull, 64ull, 1000ull}) {
+        for (std::uint64_t start : {0ull, 1ull, 7ull, 1000ull}) {
+            GhsSchedule sched(1000, k, start);
+            std::vector<std::uint64_t> rounds;
+            for (std::uint64_t r = start < 2 ? 0 : start - 2;
+                 r <= sched.end_round() + 2; ++r)
+                rounds.push_back(r);
+
+            auto check = [&](const char* order) {
+                for (std::uint64_t r : rounds) {
+                    const auto got = sched.locate(r);
+                    const auto want = locate_by_scan(sched, r);
+                    ASSERT_EQ(got.has_value(), want.has_value())
+                        << order << " k=" << k << " start=" << start
+                        << " round=" << r;
+                    if (!want)
+                        continue;
+                    SCOPED_TRACE(std::string(order) + " round " +
+                                 std::to_string(r));
+                    ASSERT_EQ(got->phase, want->phase);
+                    ASSERT_EQ(got->stage, want->stage);
+                    ASSERT_EQ(got->offset, want->offset);
+                    ASSERT_EQ(got->stage_len, want->stage_len);
+                }
+            };
+            check("forward");
+            std::reverse(rounds.begin(), rounds.end());
+            check("backward");
+            Rng rng(k * 7919 + start);
+            for (std::size_t i = rounds.size(); i > 1; --i)
+                std::swap(rounds[i - 1], rounds[rng.next_below(i)]);
+            check("shuffled");
+        }
+    }
 }
 
 TEST(GhsSchedule, PhaseLengthsGrowGeometrically)

@@ -1,14 +1,17 @@
 // Tests for the obs/ span-trace subsystem: conservation across all five
 // drivers, the tri-engine trace-parity invariant (same seed => identical
 // per-phase span table on the serial, parallel, and async engines), the
-// span-derived Elkin phase split, and the exporter round-trip.
+// span-derived Elkin phase split, nested-scope restore, and the exporter
+// round-trip.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmst/core/controlled_ghs.h"
@@ -20,6 +23,7 @@
 #include "dmst/obs/export.h"
 #include "dmst/obs/trace.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/engine.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -403,6 +407,142 @@ TEST(TraceParity, GhsSerialVsParallel)
     const std::string serial = fingerprint(Engine::Serial, 0);
     EXPECT_EQ(fingerprint(Engine::Parallel, 2), serial);
     EXPECT_EQ(fingerprint(Engine::Async, 0), serial);
+}
+
+// ------------------------------------------------ nested-scope restore
+
+// Sends in four places in each of its first kRounds rounds, on every port:
+// 1 message under an outer (Bfs, 1) scope, 2 under an inner (Ghs, 2) scope
+// nested in it, 4 back in the outer scope once the inner one closed, and 8
+// with no scope open (the Init span). The distinct counts make any
+// misattribution visible. The flat variant sends the same messages in the
+// same order from three sibling scopes, so both variants must produce the
+// same per-span table, fault-shim traffic included.
+class NestedScopeProcess : public Process {
+public:
+    static constexpr std::uint64_t kRounds = 3;
+
+    explicit NestedScopeProcess(bool nested) : nested_(nested) {}
+
+    void on_round(Context& ctx) override
+    {
+        if (ctx.round() > kRounds) {
+            done_ = true;
+            return;
+        }
+        if (nested_) {
+            TraceScope outer(ctx, TracePhase::Bfs, 1);
+            send_each_port(ctx, 1);
+            {
+                TraceScope inner(ctx, TracePhase::Ghs, 2);
+                send_each_port(ctx, 2);
+            }
+            send_each_port(ctx, 4);
+        } else {
+            {
+                TraceScope outer(ctx, TracePhase::Bfs, 1);
+                send_each_port(ctx, 1);
+            }
+            {
+                TraceScope inner(ctx, TracePhase::Ghs, 2);
+                send_each_port(ctx, 2);
+            }
+            {
+                TraceScope outer_again(ctx, TracePhase::Bfs, 1);
+                send_each_port(ctx, 4);
+            }
+        }
+        send_each_port(ctx, 8);  // no scope open: the Init span
+    }
+
+    bool done() const override { return done_; }
+
+private:
+    static void send_each_port(Context& ctx, int count)
+    {
+        for (std::size_t port = 0; port < ctx.degree(); ++port)
+            for (int i = 0; i < count; ++i)
+                ctx.send(port, Message{1, {}});
+    }
+
+    bool nested_;
+    bool done_ = false;
+};
+
+std::shared_ptr<const TraceTable> run_nested_scopes(const WeightedGraph& g,
+                                                    NetConfig config,
+                                                    bool nested)
+{
+    config.trace.enabled = true;
+    auto net = make_network(g, config);
+    net->init([&](VertexId) {
+        return std::make_unique<NestedScopeProcess>(nested);
+    });
+    RunStats stats = net->run();
+    expect_conserves(stats);
+    return stats.trace;
+}
+
+TEST(TraceScopeNesting, InnerScopeRestoresOuterSpan)
+{
+    Rng rng(7401);
+    auto g = gen_erdos_renyi(24, 60, rng);
+    // One send slot per (vertex, port, active round).
+    const std::uint64_t slots =
+        NestedScopeProcess::kRounds * 2 * g.edge_count();
+
+    std::vector<std::pair<std::string, NetConfig>> engines(3);
+    engines[0].first = "serial";
+    engines[1].first = "parallel";
+    engines[1].second.engine = Engine::Parallel;
+    engines[1].second.threads = 2;
+    engines[2].first = "async-alpha";
+    engines[2].second.engine = Engine::Async;
+    engines[2].second.async.sync = SyncMode::Alpha;
+
+    for (bool lossy : {false, true}) {
+        for (auto [name, config] : engines) {
+            if (lossy)
+                config.faults.drop_rate = 0.2;
+            SCOPED_TRACE(name + (lossy ? " lossy" : ""));
+            auto t = run_nested_scopes(g, config, /*nested=*/true);
+
+            ASSERT_EQ(t->spans.size(), 3u);
+            const TraceSpan* init = t->find(TracePhase::Init, 0);
+            const TraceSpan* outer = t->find(TracePhase::Bfs, 1);
+            const TraceSpan* inner = t->find(TracePhase::Ghs, 2);
+            ASSERT_NE(init, nullptr);
+            ASSERT_NE(outer, nullptr);
+            ASSERT_NE(inner, nullptr);
+            EXPECT_EQ(outer->messages, (1 + 4) * slots);
+            EXPECT_EQ(inner->messages, 2 * slots);
+            EXPECT_EQ(init->messages, 8 * slots);
+            for (const TraceSpan* s : {init, outer, inner}) {
+                EXPECT_EQ(s->first_round, 1u);
+                EXPECT_EQ(s->last_round, NestedScopeProcess::kRounds);
+            }
+
+            // The flat variant reaches the same spans through sibling
+            // scopes alone, with nothing to restore. The shim plans each
+            // send from its (vertex, port) attempt clock, which both
+            // variants advance in the same order, so their per-span
+            // retransmissions and drops must match exactly.
+            auto flat = run_nested_scopes(g, config, /*nested=*/false);
+            ASSERT_EQ(flat->spans.size(), t->spans.size());
+            for (std::size_t i = 0; i < t->spans.size(); ++i) {
+                EXPECT_EQ(t->spans[i].messages, flat->spans[i].messages);
+                EXPECT_EQ(t->spans[i].retransmissions,
+                          flat->spans[i].retransmissions);
+                EXPECT_EQ(t->spans[i].drops, flat->spans[i].drops);
+            }
+            if (lossy) {
+                EXPECT_GT(t->total_retransmissions, 0u);
+                for (const TraceSpan* s : {init, outer, inner})
+                    EXPECT_GT(s->retransmissions, 0u)
+                        << trace_phase_name(s->phase);
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- exporter round-trip
