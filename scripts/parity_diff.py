@@ -5,8 +5,8 @@ Groups rows by scenario point (algorithm, family, n, bandwidth, and the
 conditioner axes) and enforces the engines' equivalence contracts:
 
   - lock-step engines (serial, parallel at every thread count) must be
-    bit-identical per point: rounds, messages, words, mst_weight, the
-    oracle verdict, and the in-model verification block;
+    bit-identical per point: rounds, messages, words, activations,
+    mst_weight, the oracle verdict, and the in-model verification block;
   - async-engine rows behind a synchronizer (sync alpha or beta; the
     "sync" field defaults to alpha when absent, for pre-sync-axis JSONL)
     must match the point's serial row on mst_weight, verdicts, and the
@@ -14,7 +14,9 @@ conditioner axes) and enforces the engines' equivalence contracts:
     every max_delay x event_seed point. rounds are excluded: async pulse
     levels may exceed the serial count by the documented endgame skew,
     and the synchronizer metrics (events, virtual_time, sync_*) are
-    async-only;
+    async-only. activations are engine-specific (the lock-step engines
+    skip sleeping vertices, the async engine pulses every vertex) and
+    compared only within an engine;
   - natively-dispatched rows (sync == "none": a message-driven driver,
     no synchronizer) must match the serial row on mst_weight and the
     verdict block and carry exactly zero synchronizer traffic
@@ -23,8 +25,8 @@ conditioner axes) and enforces the engines' equivalence contracts:
     delay-dependent by design — only its output is invariant;
   - async rows at the same (max_delay, event_seed, sync) point but
     different worker counts must be bit-identical on EVERY counter,
-    including the async-only ones (rounds, events, virtual_time,
-    sync_messages, sync_words): the sharded engine's determinism
+    including the async-only ones (rounds, activations, events,
+    virtual_time, sync_messages, sync_words): the sharded engine's determinism
     contract says threading never changes the schedule, so any drift
     here is an engine bug even when the serial comparison above still
     passes;
@@ -36,7 +38,8 @@ conditioner axes) and enforces the engines' equivalence contracts:
     row; the sender-charged counters (messages, words, mst_weight,
     verify_messages, verify_words) must SUM across the ranks to exactly
     the serial value — each rank reports the slice it owns, and the
-    slices partition the run. malformed_frames is deliberately not
+    slices partition the run. activations are not compared: each rank
+    steps its whole slice every round. malformed_frames is deliberately not
     compared: it counts datagrams the receive path dropped (stray
     traffic from outside the run), an environment fact rather than a
     protocol counter.
@@ -52,7 +55,8 @@ import sys
 
 GROUP_KEYS = ("algorithm", "family", "n", "bandwidth",
               "latency", "hetero_b", "adversarial_order")
-LOCKSTEP_COMPARE = ("rounds", "messages", "words", "mst_weight", "verified",
+LOCKSTEP_COMPARE = ("rounds", "messages", "words", "activations",
+                    "mst_weight", "verified",
                     "model_verified", "mutations_passed", "mutations_run",
                     "verify_rounds", "verify_messages", "verify_words")
 ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
@@ -63,8 +67,8 @@ ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
 NATIVE_COMPARE = ("mst_weight", "verified", "model_verified",
                   "mutations_passed", "mutations_run")
 ASYNC_THREAD_COMPARE = ASYNC_COMPARE + (
-    "rounds", "events", "virtual_time", "sync_messages", "sync_words",
-    "verify_rounds")
+    "rounds", "activations", "events", "virtual_time", "sync_messages",
+    "sync_words", "verify_rounds")
 # Socket-rank merge: fields every rank must match the serial row on
 # exactly, and fields whose per-rank values must sum to the serial value.
 SOCKET_EQUAL = ("rounds", "verified", "model_verified", "mutations_passed",

@@ -14,6 +14,7 @@ Network::Network(const WeightedGraph& g, NetConfig config)
     // trace, never a bounds check.
     if (config_.record_per_round)
         arrive_hist_.assign(static_cast<std::size_t>(stride_), 0);
+    wake_range(active_, 0, static_cast<VertexId>(g.vertex_count()));
 }
 
 void Network::send_from(VertexId from, std::size_t port, Message&& msg)
@@ -48,7 +49,8 @@ void Network::send_from(VertexId from, std::size_t port, Message&& msg)
             arrive_hist_.resize(idx + 1, 0);
         ++arrive_hist_[idx];
     }
-    ++inbox_count_[target];  // consumed (and reset) by deliver_staged
+    if (inbox_count_[target]++ == 0)  // reset by deliver_staged
+        staged_targets_.push_back(target);
     staged_.emplace(target, static_cast<std::uint32_t>(arrival_port),
                     std::move(msg));
     ++in_flight_;
@@ -59,6 +61,7 @@ bool Network::step()
     DMST_ASSERT_MSG(!processes_.empty(), "init() must be called before stepping");
     if (stalled_ || quiescent())
         return false;
+    check_sleep_deadlock(active_.booked);
 
     ++round_;
     round_messages_ = 0;
@@ -68,14 +71,9 @@ bool Network::step()
             apply_crashes();
         if (trace_)
             trace_->set_now(logical_round_, round_, 0);
-        for (VertexId v = 0; v < graph_.vertex_count(); ++v)
-            reset_round_words(v);
-        for (VertexId v = 0; v < graph_.vertex_count(); ++v) {
-            if (has_crashes_ && crashed_[v])
-                continue;
-            Context ctx = context_for(v);
-            run_process_guarded(v, ctx, fault_delta_);
-        }
+        step_active(active_, fault_delta_);
+        stats_.activations += active_.activations;
+        active_.activations = 0;
         // The inbox was consumed this tick; the messages leave flight now
         // even though the arena is only rebuilt at the next deliver tick.
         DMST_ASSERT(live_ <= in_flight_);
@@ -108,8 +106,6 @@ void Network::deliver_staged()
     // The arena still holds messages already consumed (and struck from
     // in_flight_) at the last activation; rebuilding it from the staging
     // buffer drops them and delivers the new ones.
-    const std::size_t n = graph_.vertex_count();
-
     // Grow-only, with geometric headroom: per-round message volume often
     // ramps exponentially (e.g. a spreading wave), and each growth
     // relocates the whole arena, so overshooting halves the relocations.
@@ -121,9 +117,15 @@ void Network::deliver_staged()
     // send order) because vertices step in id order, so each target's span
     // ends up in exactly the order the seed's per-vertex push_backs did.
     // send_from counted per target as it staged; reset the counts here.
+    // Only targets get a span (laid out in first-send order); last
+    // delivery's targets go back to empty.
+    for (VertexId v : active_.inbox)
+        inbox_span_[v] = InboxSpan{};
+    active_.inbox.swap(staged_targets_);
+    staged_targets_.clear();
     Incoming* base = slab_.data();
     std::size_t cursor = 0;
-    for (VertexId v = 0; v < n; ++v) {
+    for (VertexId v : active_.inbox) {
         inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
         scatter_off_[v] = cursor;
         cursor += inbox_count_[v];
@@ -136,7 +138,7 @@ void Network::deliver_staged()
     });
     staged_.clear();
 
-    for (VertexId v = 0; v < n; ++v) {
+    for (VertexId v : active_.inbox) {
         const InboxSpan& span = inbox_span_[v];
         sort_span_by_port(span.data, span.len, sort_scratch_);
         maybe_permute_span(v, sort_scratch_);

@@ -13,8 +13,10 @@ namespace dmst {
 // Datapath: sends append to one flat staging vector; the deliver phase
 // counting-sorts it by target into the shared inbox arena (stable, so the
 // (sender id, send order) staging order is preserved per target) and then
-// stable-sorts each per-vertex span by arrival port. All buffers are reused
-// across rounds — no per-message allocation in steady state.
+// stable-sorts each target's span by arrival port. Only booked and
+// targeted vertices are stepped (NetworkBase::ActiveSet), so a round costs
+// O(active vertices + messages). All buffers are reused across rounds —
+// no per-message allocation in steady state.
 class Network : public NetworkBase {
 public:
     Network(const WeightedGraph& g, NetConfig config);
@@ -26,6 +28,10 @@ protected:
 
 private:
     void deliver_staged();
+
+    ActiveSet active_;
+    // This round's send targets, in first-send order.
+    std::vector<VertexId> staged_targets_;
 
     StagedBuffer staged_;  // this round's sends, in send order
     std::vector<Incoming> slab_;  // grow-only inbox arena

@@ -1,6 +1,7 @@
 #include "dmst/congest/network_base.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "dmst/obs/trace.h"
@@ -13,12 +14,6 @@ namespace dmst {
 std::size_t Context::n() const
 {
     return net_->graph_.vertex_count();
-}
-
-std::uint64_t Context::round() const
-{
-    return net_->round_by_vertex_ ? net_->round_by_vertex_[vertex_]
-                                  : net_->logical_round_;
 }
 
 std::uint64_t Context::virtual_time() const
@@ -98,6 +93,14 @@ void MessageProcess::on_round(Context& ctx)
     }
 }
 
+std::uint64_t MessageProcess::next_wakeup(const Context& ctx) const
+{
+    std::uint64_t due = kNever;
+    for (const NetworkBase::PendingTimer& t : ctx.net_->timers_[ctx.vertex_])
+        due = std::min(due, t.due);
+    return due;
+}
+
 // ------------------------------------------------------------ NetworkBase
 
 NetworkBase::~NetworkBase() = default;
@@ -134,6 +137,8 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
     }
     const std::size_t n = graph_.vertex_count();
     timers_.resize(n);
+    wake_.assign(n, Process::kNever);
+    stamp_.assign(n, 0);
     inbox_span_.resize(n);
     inbox_count_.assign(n, 0);
     scatter_off_.assign(n, 0);
@@ -360,12 +365,12 @@ std::uint64_t NetworkBase::fold_fault_delta(FaultDelta& delta)
     return horizon;
 }
 
-void NetworkBase::run_process_guarded(VertexId v, Context& ctx,
+bool NetworkBase::run_process_guarded(VertexId v, Context& ctx,
                                       FaultDelta& delta)
 {
     if (!has_crashes_ || !faults_.config().graceful) {
         processes_[v]->on_round(ctx);
-        return;
+        return true;
     }
     try {
         processes_[v]->on_round(ctx);
@@ -375,7 +380,89 @@ void NetworkBase::run_process_guarded(VertexId v, Context& ctx,
         // populated, etc.) — both mean the protocol wedged, not that the
         // engine broke. Runtime errors still propagate.
         delta.wedged.push_back(v);
+        return false;
     }
+    return true;
+}
+
+void NetworkBase::step_active(ActiveSet& act, FaultDelta& delta)
+{
+    using Wakeup = std::pair<std::uint64_t, VertexId>;
+    const std::uint64_t now = logical_round_;
+
+    // This round's vertices: the ones booked for it, plus (deduped by
+    // stamp) the ones with mail and the due calendar entries. Only those
+    // extras need sorting; `next` is ascending by construction.
+    act.extra.clear();
+    for (VertexId v : act.next)
+        stamp_[v] = now;
+    for (VertexId v : act.inbox) {
+        if (stamp_[v] != now) {
+            stamp_[v] = now;
+            act.extra.push_back(v);
+        }
+    }
+    while (!act.calendar.empty() && act.calendar.front().first <= now) {
+        std::pop_heap(act.calendar.begin(), act.calendar.end(),
+                      std::greater<Wakeup>());
+        const auto [at, v] = act.calendar.back();
+        act.calendar.pop_back();
+        if (wake_[v] == at && stamp_[v] != now) {
+            stamp_[v] = now;
+            act.extra.push_back(v);
+        }
+    }
+    act.run.clear();
+    if (act.extra.empty()) {
+        act.run.swap(act.next);
+    } else {
+        std::sort(act.extra.begin(), act.extra.end());
+        act.run.resize(act.next.size() + act.extra.size());
+        std::merge(act.next.begin(), act.next.end(), act.extra.begin(),
+                   act.extra.end(), act.run.begin());
+    }
+    act.next.clear();
+
+    for (VertexId v : act.run) {
+        if (has_crashes_ && crashed_[v])
+            continue;
+        reset_round_words(v);
+        Context ctx = context_for(v);
+        ++act.activations;
+        if (!run_process_guarded(v, ctx, delta))
+            continue;  // wedged: crashes at the next fold
+
+        // Book the wakeup. An unchanged booking keeps its live entry (in
+        // `next` or the calendar); a changed one orphans it.
+        std::uint64_t at = processes_[v]->next_wakeup(ctx);
+        if (at != Process::kNever)
+            at = std::max(at, now + 1);
+        std::uint64_t& booked = wake_[v];
+        if (at == booked)
+            continue;
+        if (booked == Process::kNever)
+            ++act.booked;
+        else if (at == Process::kNever)
+            --act.booked;
+        booked = at;
+        if (at == now + 1) {
+            act.next.push_back(v);
+        } else if (at != Process::kNever) {
+            act.calendar.emplace_back(at, v);
+            std::push_heap(act.calendar.begin(), act.calendar.end(),
+                           std::greater<Wakeup>());
+        }
+    }
+}
+
+void NetworkBase::wake_range(ActiveSet& act, VertexId lo, VertexId hi)
+{
+    act.next.clear();
+    for (VertexId v = lo; v < hi; ++v) {
+        act.next.push_back(v);
+        wake_[v] = logical_round_ + 1;
+    }
+    act.booked = hi - lo;
 }
 
 void NetworkBase::apply_crashes()
@@ -412,12 +499,16 @@ void NetworkBase::note_activation()
     }
 }
 
-void NetworkBase::throw_round_limit() const
+void NetworkBase::throw_round_limit(bool deadlock) const
 {
     std::ostringstream oss;
-    oss << "round limit exceeded: protocol appears stuck after " << round_
-        << " rounds (max_rounds=" << config_.max_rounds << "); " << in_flight_
-        << " messages in flight";
+    if (deadlock)
+        oss << "sleep deadlock: protocol stuck after " << round_
+            << " rounds with no messages in flight and no wakeup booked";
+    else
+        oss << "round limit exceeded: protocol appears stuck after " << round_
+            << " rounds (max_rounds=" << config_.max_rounds << "); "
+            << in_flight_ << " messages in flight";
     std::size_t not_done = 0;
     std::vector<VertexId> sample;
     for (VertexId v = 0; v < processes_.size(); ++v) {
@@ -430,7 +521,7 @@ void NetworkBase::throw_round_limit() const
     oss << "; " << not_done << " of " << processes_.size()
         << " processes not done";
     if (!sample.empty()) {
-        oss << " (first ids:";
+        oss << (deadlock ? " (sleeping ids:" : " (first ids:");
         for (VertexId v : sample)
             oss << " " << v;
         if (not_done > sample.size())

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dmst/congest/conditioner.h"
@@ -138,6 +139,12 @@ struct RunStats {
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;  // number of Message sends
     std::uint64_t words = 0;     // total 64-bit words sent (tags included)
+    // Process activations: on_round() calls, or handler calls (on_start,
+    // on_message, on_wakeup) under native async dispatch. Engine-specific:
+    // the lock-step engines skip sleeping vertices (Process::next_wakeup),
+    // the async and socket engines step every vertex each round or pulse.
+    // Identical between serial and parallel at every thread count.
+    std::uint64_t activations = 0;
     std::vector<std::uint64_t> messages_per_round;  // only if record_per_round
     // Physical arrivals per tick (index t-1 holds the messages arriving at
     // tick t, i.e. sent at tick t - 1 - link latency); only if
@@ -246,9 +253,11 @@ public:
     std::size_t n() const;
     // The current logical (protocol-visible) round. Under a conditioner
     // the substrate runs stride ticks per logical round and processes are
-    // only stepped on activation ticks, so round() advances by one per
-    // on_round() call either way — protocols schedule against it exactly
-    // as on the ideal substrate. RunStats::rounds counts ticks.
+    // only stepped on activation ticks, so round() counts activation
+    // ticks either way — protocols schedule against it exactly as on the
+    // ideal substrate. A sleeping process (Process::next_wakeup) sees
+    // round() jump over the rounds it slept through. RunStats::rounds
+    // counts ticks.
     std::uint64_t round() const;
     int bandwidth() const;
     // Bandwidth of the link behind `port`, in units: the conditioner's
@@ -301,14 +310,32 @@ private:
     VertexId vertex_;
 };
 
-// A per-vertex state machine. on_round() is called once per round for every
-// vertex (inbox may be empty). The run ends when every process reports
-// done() and no messages are in flight.
+// A per-vertex state machine. on_round() runs in every round in which the
+// vertex's inbox is non-empty or its requested wakeup falls (see
+// next_wakeup; by default that is every round). The run ends when every
+// process reports done() and no messages are in flight.
 class Process {
 public:
+    // next_wakeup() value asking for no self-wakeup: only a message wakes
+    // the process.
+    static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
     virtual ~Process() = default;
     virtual void on_round(Context& ctx) = 0;
     virtual bool done() const = 0;
+
+    // The sleep contract. The lock-step engines (serial, parallel) ask
+    // this after every on_round(): the logical round at which on_round()
+    // must run again even with an empty inbox, or kNever. A value at or
+    // below ctx.round() means the next round. Until then the vertex is
+    // stepped only in rounds whose inbox is non-empty, so a process may
+    // sleep only through rounds in which an on_round() with an empty
+    // inbox would be a no-op. The default never sleeps. The async and
+    // socket engines step every vertex anyway and never ask.
+    virtual std::uint64_t next_wakeup(const Context& ctx) const
+    {
+        return ctx.round() + 1;
+    }
 };
 
 // The message-driven driver surface: the second half of the two-surface
@@ -355,6 +382,10 @@ public:
     // message-driven driver has no per-round logic by definition.
     void on_round(Context& ctx) final;
 
+    // Sleeps until the earliest pending timer is due (kNever without
+    // one): between arrivals and timers the adapter has nothing to do.
+    std::uint64_t next_wakeup(const Context& ctx) const final;
+
 private:
     bool started_ = false;
     std::vector<std::uint64_t> due_scratch_;
@@ -365,7 +396,9 @@ private:
 // ParallelNetwork (sim/). The contract every engine must keep, because the
 // protocols and tests rely on it for determinism:
 //
-//   - vertices are stepped in id order (or observably so),
+//   - a vertex is stepped in a round iff its inbox is non-empty or its
+//     booked wakeup (Process::next_wakeup) is that round, and the
+//     stepped vertices run in id order (or observably so),
 //   - a vertex's inbox holds last logical round's messages sorted by
 //     arrival port, ties broken by (sender id, send order) — then, only
 //     under an adversarial-order conditioner, permuted by the seeded
@@ -380,6 +413,12 @@ private:
 // on the tick before it. All of that is implemented here and in the two
 // deliver phases identically, so both engines remain bit-identical under
 // any thread count.
+//
+// Activity model: a round costs O(stepped vertices + messages), not O(n).
+// Each engine lane (ActiveSet below) keeps the vertices booked for the
+// next round, a calendar of later wakeups and the vertices its last
+// deliver phase filled; only those are stepped, have their bandwidth
+// ledgers reset and their inbox spans laid out, sorted and permuted.
 //
 // Storage model: inboxes live in one contiguous arena (inbox_slab_) with a
 // per-vertex (offset, length) span table, rebuilt every deliver phase from
@@ -404,6 +443,10 @@ public:
     // Runs rounds until quiescence. Throws InvariantViolation if
     // config.max_rounds is exceeded (a stuck protocol, not a user error);
     // the message reports the round count and which processes are not done.
+    // The lock-step engines throw the same diagnostic at once on a sleep
+    // deadlock: without crash faults, nothing in flight, no wakeup booked
+    // and some process not done (e.g. a driver changed a sleeping process
+    // between run() calls without sending it a message).
     RunStats run();
 
     // Whether the network has nothing left to do. In-process engines see
@@ -711,8 +754,35 @@ protected:
     // and crashes at the
     // next fold, spreading crash-stop semantics to the vertices the
     // failure cut off. Without crash faults (or with graceful off) the
-    // exception propagates unchanged.
-    void run_process_guarded(VertexId v, Context& ctx, FaultDelta& delta);
+    // exception propagates unchanged. Returns false iff the vertex wedged.
+    bool run_process_guarded(VertexId v, Context& ctx, FaultDelta& delta);
+
+    // ---- activity-driven stepping (lock-step engines) -------------------
+    //
+    // One lane of the sleep scheduler: the serial engine keeps one, the
+    // parallel engine one per shard, touched only by the shard's worker
+    // (like wake_/stamp_ rows of the lane's vertices). A process that
+    // never sleeps rides `next` alone: no calendar heap, no sort.
+    struct ActiveSet {
+        std::vector<VertexId> next;   // booked for the next round, ascending
+        std::vector<VertexId> inbox;  // non-empty inbox next activation
+        // Min-heap of (round, vertex) wakeups beyond the next round; an
+        // entry is live only while wake_[vertex] still equals its round.
+        std::vector<std::pair<std::uint64_t, VertexId>> calendar;
+        std::vector<VertexId> run;    // this activation's vertices, ascending
+        std::vector<VertexId> extra;  // scratch: run members not in `next`
+        std::uint64_t booked = 0;     // lane vertices with a wakeup booked
+        std::uint64_t activations = 0;  // folded into stats_ by the engine
+    };
+
+    // Steps this activation's vertices of `act` (logical_round_) in id
+    // order: resets each one's bandwidth ledger, runs it guarded, and
+    // books its next wakeup.
+    void step_active(ActiveSet& act, FaultDelta& delta);
+
+    // Books every vertex of [lo, hi) for the next round (the engines'
+    // constructors: every vertex runs in round 1).
+    void wake_range(ActiveSet& act, VertexId lo, VertexId hi);
 
     // Applies due crash points for logical_round_ (call right after
     // bumping it on an activation tick). Coordinator-only.
@@ -725,8 +795,20 @@ protected:
     // crashes are configured. Coordinator-only.
     void note_activation();
 
-    // Builds the satellite-rich runaway diagnostic and throws.
-    [[noreturn]] void throw_round_limit() const;
+    // Builds the satellite-rich runaway diagnostic and throws. With
+    // `deadlock` it reports a sleep deadlock instead of the max_rounds
+    // overrun, and names the not-done vertices as sleeping.
+    [[noreturn]] void throw_round_limit(bool deadlock = false) const;
+
+    // Throws the sleep-deadlock diagnostic when nothing can ever happen
+    // again: no crash faults, nothing in flight and `booked` == 0 wakeups
+    // booked across the lanes. Call only once step() found the network
+    // not quiescent.
+    void check_sleep_deadlock(std::uint64_t booked) const
+    {
+        if (booked == 0 && in_flight_ == 0 && !has_crashes_)
+            throw_round_limit(true);
+    }
 
     const WeightedGraph& graph_;
     NetConfig config_;
@@ -750,6 +832,13 @@ protected:
     // parallel engine shares this accounting without synchronization.
     std::vector<std::vector<std::size_t>> words_this_round_;
     std::vector<std::vector<std::size_t>> reverse_port_;
+
+    // Sleep scheduler state per vertex (lock-step engines; only the lane
+    // owning the vertex touches its entries): the booked wakeup round
+    // (Process::kNever if none), and the last logical round the vertex was
+    // put on a run list (dedupes the lane's sources).
+    std::vector<std::uint64_t> wake_;
+    std::vector<std::uint64_t> stamp_;
 
     // The conditioner and its per-(vertex, port) precomputed views (built
     // once; empty on the corresponding disabled axis so the hot path pays
@@ -813,6 +902,13 @@ private:
     friend class MessageProcess;
     friend class TraceScope;
 };
+
+// Inline: every activation reads it, through Process::next_wakeup too.
+inline std::uint64_t Context::round() const
+{
+    return net_->round_by_vertex_ ? net_->round_by_vertex_[vertex_]
+                                  : net_->logical_round_;
+}
 
 }  // namespace dmst
 

@@ -158,6 +158,60 @@ void GhsVertex::on_round(Context& ctx)
     stage_actions(ctx, pos);
 }
 
+std::uint64_t GhsVertex::next_wakeup(std::uint64_t round) const
+{
+    if (finished_)
+        return Process::kNever;
+    if (round < schedule_.start_round())
+        return schedule_.start_round();
+    if (!pos_ || pos_round_ != round)
+        return round + 1;  // not pumped this round: no position to read
+    const GhsSchedule::Pos& pos = *pos_;
+    const std::uint64_t w = GhsSchedule::window(pos.phase);
+    const bool is_root = parent_port_ == kNoPort;
+    const bool leads = is_root && am_candidate_;
+
+    // Offset 0 of every period acts; `acts` lists the later offsets of a
+    // period that do, ascending. Past the last period the next stage
+    // starts (or, after the last stage, end_round finishes the vertex).
+    std::uint64_t period = pos.stage_len;
+    std::uint64_t acts[2];
+    std::size_t count = 0;
+    switch (pos.stage) {
+    case GhsStage::Mwoe:
+        if (is_root)
+            acts[count++] = pos.stage_len - 1;  // candidacy decision
+        break;
+    case GhsStage::Cand:
+        acts[count++] = pos.stage_len - 2;  // CAND_NBR exchange
+        break;
+    case GhsStage::Cv:
+        if (leads) {
+            period = schedule_.cv_window_len(pos.phase);
+            acts[count++] = period - 1;  // finish_cv_window
+        }
+        break;
+    case GhsStage::Mm:
+        period = schedule_.mm_step_len(pos.phase);
+        if (am_candidate_)
+            acts[count++] = w + 3;  // status report
+        if (leads)
+            acts[count++] = 2 * w + 5;  // accept
+        break;
+    default:
+        break;
+    }
+    const std::uint64_t base = pos.offset - pos.offset % period;
+    std::uint64_t next = base + period;
+    for (std::size_t i = 0; i < count; ++i) {
+        if (base + acts[i] > pos.offset) {
+            next = base + acts[i];
+            break;
+        }
+    }
+    return round - pos.offset + next;
+}
+
 void GhsVertex::act_as_gate(Context& ctx, const GhsSchedule::Pos& pos)
 {
     DMST_ASSERT(best_local_port_ != kNoPort);
@@ -653,6 +707,10 @@ public:
 
     void on_round(Context& ctx) override { ghs_.on_round(ctx); }
     bool done() const override { return ghs_.finished(); }
+    std::uint64_t next_wakeup(const Context& ctx) const override
+    {
+        return ghs_.next_wakeup(ctx.round());
+    }
 
     GhsVertex ghs_;
 };

@@ -110,6 +110,16 @@ public:
 
     void on_round(Context& ctx);
 
+    // The sleep contract (Process::next_wakeup) for this component: the
+    // next round after `round`, the round of the last on_round(), at which
+    // an on_round() without GHS messages would act — or Process::kNever
+    // once finished. Read off the cached timetable position, no search.
+    // The action rounds are every stage start, the root's last Mwoe round,
+    // the second-to-last Cand round, the first and last round of each Cv
+    // window (candidate roots), Mm step offsets 0, w+3 (candidates) and
+    // 2w+5 (candidate roots), and end_round.
+    std::uint64_t next_wakeup(std::uint64_t round) const;
+
     bool handles(std::uint32_t tag) const
     {
         return tag >= tag_base_ && tag < tag_base_ + kTagCount;

@@ -263,6 +263,31 @@ void ElkinProcess::on_round(Context& ctx)
     }
 }
 
+std::uint64_t ElkinProcess::next_wakeup(const Context& ctx) const
+{
+    if (finished_)
+        return kNever;
+    if (has_local_work(ctx))
+        return ctx.round() + 1;
+    // BFS, labeling and the control waves act on messages only (the root
+    // joins BFS in round 1, when every vertex runs).
+    return ghs_ ? ghs_->next_wakeup(ctx.round()) : kNever;
+}
+
+// Work on_round() would do next round with an empty inbox: queued
+// downcast, upcast or flood records, or the MWOE guard of a Boruvka phase
+// the root's maybe_ack() started after that guard had run this round. The
+// other stage guards resolve within the activation that enables them.
+bool ElkinProcess::has_local_work(const Context& ctx) const
+{
+    if (!downcast_.idle() || (upcast_ && !upcast_->idle()))
+        return true;
+    for (const auto& q : flood_queues_)
+        if (!q.empty())
+            return true;
+    return phase_ >= 0 && !mwoe_computed_ && chats_received_ == ctx.degree();
+}
+
 void ElkinProcess::start_ghs_from_wave(Context& ctx, std::uint64_t k,
                                        std::uint64_t start_round)
 {

@@ -99,6 +99,9 @@ public:
 
     void on_round(Context& ctx) override;
     bool done() const override { return finished_; }
+    // Sleeps until the Controlled-GHS wakeup (forever outside GHS) unless
+    // a component or a stage guard of on_round() has message-free work.
+    std::uint64_t next_wakeup(const Context& ctx) const override;
 
     const std::set<std::size_t>& mst_ports() const { return mst_ports_; }
 
@@ -147,6 +150,7 @@ private:
     void handle_new_coarse(Context& ctx, std::uint64_t coarse, std::uint64_t edge);
     void maybe_ack(Context& ctx);
     void finish(Context& ctx);
+    bool has_local_work(const Context& ctx) const;
 
     // --- configuration ----------------------------------------------------
     VertexId id_;

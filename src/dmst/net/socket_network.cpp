@@ -195,6 +195,7 @@ bool SocketNetwork::step()
         Context ctx = context_for(v);
         processes_[v]->on_round(ctx);
     }
+    stats_.activations += hi_ - lo_;
     DMST_ASSERT(live_ <= in_flight_);
     in_flight_ -= live_;
     live_ = 0;

@@ -162,6 +162,19 @@ void SortedMergeUpcast::on_round(Context& ctx)
     }
 }
 
+bool SortedMergeUpcast::idle() const
+{
+    if (!attached_ || !local_closed_)
+        return true;
+    // Keys only grow along the buffer, so an unsafe front blocks all of
+    // it. A superseded front counts as work: on_round() would drop it.
+    if (!buffer_.empty())
+        return !safe_to_emit(buffer_.begin()->first);
+    return done_sent_ || parent_port_ == kNoPort ||
+           !std::all_of(children_.begin(), children_.end(),
+                        [](const ChildStream& c) { return c.done; });
+}
+
 bool SortedMergeUpcast::finished() const
 {
     if (parent_port_ != kNoPort)

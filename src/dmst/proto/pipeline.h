@@ -120,6 +120,11 @@ public:
     // Non-root: DONE sent. Root: every stream exhausted and drained.
     bool finished() const;
 
+    // Whether on_round() without an upcast message would do nothing: no
+    // record is safe to emit and no DONE is due (the owner's sleep
+    // contract, Process::next_wakeup).
+    bool idle() const;
+
     // Root only: records that reached the root, in sorted order.
     const std::vector<PipeRecord>& delivered() const { return delivered_; }
 

@@ -289,6 +289,7 @@ void AsyncNetwork::dispatch_native(Event& ev, ShardState& st)
         trace_->set_now_for(v, act, act, now_);
     st.in_apply = true;
     st.cause_seq = ev.seq;
+    ++st.activations;
     Context ctx = context_for(v);
     if (ev.kind == EventKind::Payload) {
         Message msg = std::move(*ev.payload);
@@ -338,6 +339,7 @@ void AsyncNetwork::execute_pulse(VertexId v, ShardState& st)
     if (trace_)
         trace_->set_now_for(v, level, level, now_);
     st.pulse_sends = 0;
+    ++st.activations;
     Context ctx = context_for(v);
     processes_[v]->on_round(ctx);
     const bool now_done = processes_[v]->done();
@@ -411,6 +413,7 @@ void AsyncNetwork::start_shard(int s)
             st.max_act = std::max<std::uint64_t>(st.max_act, 1);
             if (trace_)
                 trace_->set_now_for(v, 1, 1, now_);
+            ++st.activations;
             Context ctx = context_for(v);
             native_procs_[v]->on_start(ctx);
             const bool now_done = processes_[v]->done();
@@ -460,8 +463,9 @@ void AsyncNetwork::merge_barrier()
         stats_.sync_messages += st.sync_messages;
         stats_.sync_words += st.sync_words;
         stats_.events += st.events;
+        stats_.activations += st.activations;
         st.messages = st.words = st.sync_messages = st.sync_words =
-            st.events = 0;
+            st.events = st.activations = 0;
         if (faults_on_)
             fold_fault_delta(st.faults);  // horizon unused: no round clock
         DMST_ASSERT(st.in_flight >= 0 ||

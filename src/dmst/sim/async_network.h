@@ -206,6 +206,7 @@ private:
         std::uint64_t sync_messages = 0;
         std::uint64_t sync_words = 0;
         std::uint64_t events = 0;
+        std::uint64_t activations = 0;  // on_round / handler calls
         std::int64_t in_flight = 0;
         std::int64_t not_done = 0;
         // Loss-shim counters of this shard's sends; folded at the barrier.

@@ -34,6 +34,10 @@ ParallelNetwork::ParallelNetwork(const WeightedGraph& g, NetConfig config,
             st.edge_hist.assign(graph_.edge_count(), 0);
     }
 
+    for (int s = 0; s < shards_; ++s)
+        wake_range(shard_states_[static_cast<std::size_t>(s)].active,
+                   bounds_[s], bounds_[s + 1]);
+
     if (threads_ > 1)
         pool_ = std::make_unique<ThreadPool>(threads_);
 
@@ -105,15 +109,8 @@ void ParallelNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
 void ParallelNetwork::step_shard(int s)
 {
     try {
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v)
-            reset_round_words(v);
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
-            if (has_crashes_ && crashed_[v])
-                continue;
-            Context ctx = context_for(v);
-            run_process_guarded(v, ctx,
-                                shard_states_[static_cast<std::size_t>(s)].faults);
-        }
+        ShardState& st = shard_states_[static_cast<std::size_t>(s)];
+        step_active(st.active, st.faults);
     } catch (...) {
         shard_states_[static_cast<std::size_t>(s)].error =
             std::current_exception();
@@ -135,21 +132,27 @@ void ParallelNetwork::deliver_shard(int s)
             st.slab.resize(std::max(total, 2 * st.slab.size()));
         st.live = total;
 
-        // Count staged messages per target vertex of this shard.
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v)
-            inbox_count_[v] = 0;
+        // Count staged messages per target vertex of this shard, listing
+        // the targets; last delivery's targets go back to empty spans.
+        for (VertexId v : st.active.inbox)
+            inbox_span_[v] = InboxSpan{};
+        st.active.inbox.clear();
         for (int t = 0; t < shards_; ++t)
             shard_states_[static_cast<std::size_t>(t)]
                 .out[static_cast<std::size_t>(s)]
-                .for_each([&](const Staged& m) { ++inbox_count_[m.target]; });
+                .for_each([&](const Staged& m) {
+                    if (inbox_count_[m.target]++ == 0)
+                        st.active.inbox.push_back(m.target);
+                });
 
-        // Lay the shard's vertices out contiguously within its slab.
+        // Lay the targets out contiguously within the shard's slab.
         Incoming* base = st.slab.data();
         std::size_t cursor = 0;
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
+        for (VertexId v : st.active.inbox) {
             inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
             scatter_off_[v] = cursor;
             cursor += inbox_count_[v];
+            inbox_count_[v] = 0;
         }
 
         // Stable scatter: source shards in ascending order reproduce the
@@ -165,7 +168,7 @@ void ParallelNetwork::deliver_shard(int s)
             box.clear();
         }
 
-        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
+        for (VertexId v : st.active.inbox) {
             const InboxSpan& span = inbox_span_[v];
             sort_span_by_port(span.data, span.len, st.sort_scratch);
             maybe_permute_span(v, st.sort_scratch);
@@ -193,6 +196,10 @@ bool ParallelNetwork::step()
     DMST_ASSERT_MSG(!processes_.empty(), "init() must be called before stepping");
     if (stalled_ || quiescent())
         return false;
+    std::uint64_t booked = 0;
+    for (const ShardState& st : shard_states_)
+        booked += st.active.booked;
+    check_sleep_deadlock(booked);
 
     ++round_;
     std::uint64_t sent = 0;
@@ -226,8 +233,10 @@ bool ParallelNetwork::step()
             staged += st.messages - st.faults.failed_sends;
             stats_.messages += st.messages;
             stats_.words += st.words;
+            stats_.activations += st.active.activations;
             st.messages = 0;
             st.words = 0;
+            st.active.activations = 0;
             if (config_.record_per_round)
                 fold_arrivals(st.arrive_hist);
             if (faults_on_ || has_crashes_)

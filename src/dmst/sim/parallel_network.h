@@ -13,14 +13,16 @@ namespace dmst {
 // contiguous id ranges (one shard per worker); each synchronous round runs
 // in two barrier-separated phases over a persistent thread pool:
 //
-//   1. step:    every shard resets its vertices' bandwidth ledgers and runs
-//               on_round() in id order, staging sends into per-(source
-//               shard, destination shard) outboxes;
+//   1. step:    every shard runs on_round() in id order on its vertices
+//               that are booked for the round or have mail (its own
+//               NetworkBase::ActiveSet lane), resetting each one's
+//               bandwidth ledger first and booking its next wakeup after,
+//               and stages sends into per-(source shard, destination
+//               shard) outboxes;
 //   2. deliver: every shard counting-scatters the staged outboxes addressed
-//               to it — source shards in ascending order — into its region
-//               of the shared inbox arena, then stable-sorts each vertex
-//               span by arrival port. The coordinator sizes the arena and
-//               assigns the per-shard regions between the two phases.
+//               to it — source shards in ascending order — into its own
+//               arena slab, laying out only the targets' spans, then
+//               stable-sorts each target span by arrival port.
 //
 // Determinism: concatenating contiguous source shards in ascending order
 // reproduces exactly the (sender id, send order) staging order of the
@@ -70,6 +72,7 @@ private:
         std::vector<std::uint64_t> edge_hist;  // only if record_per_edge
         std::vector<EdgeId> touched_edges;     // edges with edge_hist != 0
         SortScratch sort_scratch;
+        ActiveSet active;  // the shard's vertices only
         std::exception_ptr error;
     };
 

@@ -612,6 +612,7 @@ std::string cell_json(const ScenarioCell& cell)
         << ",\"rounds\":" << cell.stats.rounds
         << ",\"messages\":" << cell.stats.messages
         << ",\"words\":" << cell.stats.words
+        << ",\"activations\":" << cell.stats.activations
         << ",\"wall_ms\":" << cell.wall_ms
         << ",\"mst_weight\":" << cell.mst_weight;
     if (cell.engine == Engine::Async)

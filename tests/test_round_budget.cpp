@@ -21,6 +21,7 @@
 #include "dmst/exp/workloads.h"
 #include "dmst/graph/generators.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/engine.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/rng.h"
 
@@ -198,6 +199,47 @@ TEST(RoundBudget, EveryDriverGuardFiresWithDiagnosticNotHang)
                 run_verify_mst(g, claimed, b);
             },
             logical);
+    }
+}
+
+// Sleeps forever after its first round and never finishes: a broken
+// sleep contract. Vertex 0 first sends one message, so the deadlock sets
+// in only once that message has been consumed.
+class SleeperProcess : public Process {
+public:
+    void on_round(Context& ctx) override
+    {
+        if (ctx.id() == 0 && ctx.round() == 1)
+            ctx.send(0, Message{1, {}});
+    }
+    bool done() const override { return false; }
+    std::uint64_t next_wakeup(const Context&) const override { return kNever; }
+};
+
+TEST(RoundBudget, SleepDeadlockFailsFastNamingTheSleepers)
+{
+    // Without the fail-fast the run would spin to max_rounds; it must
+    // stop as soon as nothing is in flight and no wakeup is booked.
+    Rng rng(3);
+    auto g = gen_path(6, rng);
+    for (Engine engine : {Engine::Serial, Engine::Parallel}) {
+        NetConfig config;
+        config.engine = engine;
+        config.threads = 2;
+        auto net = make_network(g, config);
+        net->init([](VertexId) { return std::make_unique<SleeperProcess>(); });
+        try {
+            net->run();
+            FAIL() << "sleep deadlock not detected";
+        } catch (const InvariantViolation& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("sleep deadlock"), std::string::npos) << what;
+            EXPECT_NE(what.find("6 of 6 processes not done "
+                                "(sleeping ids: 0 1 2 3 4 5)"),
+                      std::string::npos)
+                << what;
+        }
+        EXPECT_EQ(net->stats().rounds, 2u) << engine_name(engine);
     }
 }
 
