@@ -1,10 +1,11 @@
 // Experiment E15 — cost and transparency of the fault-injection layer
 // (congest/faults.h): the reliable-delivery shim under seeded loss.
 //
-// For each (family, n, drop_rate) the bench runs Elkin's MST on the clean
-// substrate and under the loss shim and reports the retransmission
-// overhead. It is also a CI-able regression check; it exits non-zero if
-// any of the layer's guarantees is violated:
+// For each (family, n, drop_rate) the bench runs Elkin's MST on the async
+// engine (loss is async-only) without and with the loss shim and reports
+// the retransmission overhead and the virtual-time stretch. It is also a
+// CI-able regression check; it exits non-zero if any of the layer's
+// guarantees is violated:
 //
 //   - the MST edge set is bit-identical to the clean run in every cell
 //     (the shim is transparent by construction);
@@ -42,7 +43,8 @@ int main(int argc, char** argv)
     args.define("seed", "13", "workload seed");
     args.define("loss_seed", "11", "loss-stream seed");
     args.define("csv", "false", "emit CSV instead of an aligned table");
-    define_engine_flags(args);
+    // Loss lives on the async engine only, so E15 has no --engine flag.
+    args.define("threads", "0", "async engine workers (0 = hardware concurrency)");
     try {
         args.parse(argc, argv);
     } catch (const std::exception& e) {
@@ -50,7 +52,7 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
+    const int threads = static_cast<int>(args.get_int("threads"));
     const std::uint64_t seed = args.get_int("seed");
     const std::uint64_t loss_seed = args.get_int("loss_seed");
     const std::size_t max_n = static_cast<std::size_t>(args.get_int("max_n"));
@@ -59,8 +61,8 @@ int main(int argc, char** argv)
 
     std::cout << "E15: loss-shim overhead vs the clean substrate (b="
               << bandwidth << ", loss_seed=" << loss_seed << ")\n";
-    Table table({"family", "n", "drop_rate", "ticks", "clean_rounds",
-                 "tick_ratio", "msgs", "retrans", "retrans_per_msg",
+    Table table({"family", "n", "drop_rate", "vtime", "clean_vtime",
+                 "vtime_ratio", "msgs", "retrans", "retrans_per_msg",
                  "drops", "acks"});
     bool ok = true;
     auto fail = [&](const std::string& why) {
@@ -74,7 +76,7 @@ int main(int argc, char** argv)
 
             ElkinOptions clean;
             clean.bandwidth = bandwidth;
-            clean.engine = eng;
+            clean.engine = Engine::Async;
             clean.threads = threads;
             auto base = run_elkin_mst(g, clean);
 
@@ -103,7 +105,8 @@ int main(int argc, char** argv)
                             run.stats.retransmissions ||
                         replay.stats.acks != run.stats.acks ||
                         replay.stats.timeouts != run.stats.timeouts ||
-                        replay.stats.rounds != run.stats.rounds)
+                        replay.stats.rounds != run.stats.rounds ||
+                        replay.stats.virtual_time != run.stats.virtual_time)
                         fail(where + ": replay diverged from the first run");
                 }
                 const double retrans_per_msg =
@@ -118,10 +121,10 @@ int main(int argc, char** argv)
                     .add(family)
                     .add(static_cast<std::uint64_t>(n))
                     .add(rate)
-                    .add(run.stats.rounds)
-                    .add(base.stats.rounds)
-                    .add(static_cast<double>(run.stats.rounds) /
-                         static_cast<double>(base.stats.rounds))
+                    .add(run.stats.virtual_time)
+                    .add(base.stats.virtual_time)
+                    .add(static_cast<double>(run.stats.virtual_time) /
+                         static_cast<double>(base.stats.virtual_time))
                     .add(run.stats.messages)
                     .add(run.stats.retransmissions)
                     .add(retrans_per_msg)

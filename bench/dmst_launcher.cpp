@@ -2,8 +2,8 @@
 // scenario_runner (or any rank-aware dmst binary) invocation across N
 // local processes and merges their per-rank JSONL into one file.
 //
-//   dmst_launcher --procs=4 --transport=udp --json=out.jsonl -- \
-//       ./scenario_runner --algo=boruvka --families=er --sizes=256 \
+//   dmst_launcher --procs=4 --transport=udp --json=out.jsonl --
+//       ./scenario_runner --algo=boruvka --families=er --sizes=256
 //       --engines=socket --verify=model
 //
 // Everything after `--` is the child command. The launcher appends

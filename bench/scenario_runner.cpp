@@ -6,8 +6,8 @@
 //   scenario_runner --algo=elkin --families=er,grid --sizes=256,1024
 //       --engines=serial,parallel --threads=1,2,8 --json=-
 //
-// Network-conditioner axes (comma lists, congest/conditioner.h):
-//   --latency=0,3        per-link latency bound in rounds (0 = ideal)
+// Network-conditioner axes (comma lists, congest/conditioner.h), swept by
+// lock-step cells only:
 //   --hetero_b=0,1       per-link bandwidth caps hashed in [1, b]
 //   --adversarial_order=0,1   adversarial (seeded) inbox delivery order
 // Conditioned cells must produce the same MST (and verification verdicts)
@@ -28,15 +28,16 @@
 // scripts/parity_diff.py checks that over a JSONL sweep).
 //
 // Fault-injection axes (comma lists, congest/faults.h):
-//   --drop_rate=0,0.05,0.2   per-link data/ACK drop probability
+//   --drop_rate=0,0.05,0.2   per-link data/ACK drop probability (async)
 //   --loss_seed=11,12,13     loss-stream seeds (collapsed at drop_rate 0)
 //   --crash=none,3@5+7@9     crash-stop schedules, "v@r[+v@r...]" or none
 //   --burst_len=N            drop-window burst length (scalar)
 // The reliable-delivery shim makes loss transparent: lossy cells must
 // produce the same MST and verdicts as their clean twins (--verify
-// enforces that). Crash cells are lock-step only (async skips them) and
-// verify by containment of the partial forest in the reference MST;
-// model verification is skipped on crash cells.
+// enforces that). Lossy cells are async only (lock-step engines skip
+// them); crash cells are lock-step only (async skips them) and verify by
+// containment of the partial forest in the reference MST; model
+// verification is skipped on crash cells.
 //
 // Socket-backend flags (scalars, not sweep axes; Engine::Socket cells
 // only — see src/dmst/net/ and docs/TRANSPORT.md):
@@ -95,8 +96,6 @@ int main(int argc, char** argv)
     args.define("threads", "0",
                 "comma list of parallel/async worker counts (0 = hardware)");
     args.define("seed", "1", "workload seed");
-    args.define("latency", "0",
-                "comma list of conditioner per-link latency bounds");
     args.define("hetero_b", "0",
                 "comma list (0/1): hash per-link bandwidth caps in [1, b]");
     args.define("adversarial_order", "0",
@@ -109,7 +108,8 @@ int main(int argc, char** argv)
                 "comma list of async synchronizers: alpha,beta,none (none = "
                 "native message-driven dispatch, algo=ghs_native only)");
     args.define("drop_rate", "0",
-                "comma list of per-link drop probabilities in [0, 1)");
+                "comma list of per-link drop probabilities in [0, 1) "
+                "(async cells only)");
     args.define("loss_seed", "11", "comma list of loss-stream seeds");
     args.define("crash", "none",
                 "comma list of crash-stop schedules: v@r[+v@r...] or none");
@@ -174,12 +174,6 @@ int main(int argc, char** argv)
         for (std::int64_t t : split_int_list(args.get("threads")))
             spec.thread_counts.push_back(static_cast<int>(t));
         spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-        spec.latencies.clear();
-        for (std::int64_t l : split_int_list(args.get("latency"))) {
-            if (l < 0)
-                throw std::invalid_argument("--latency items must be >= 0");
-            spec.latencies.push_back(static_cast<int>(l));
-        }
         spec.hetero_bs.clear();
         for (std::int64_t h : split_int_list(args.get("hetero_b")))
             spec.hetero_bs.push_back(h != 0);

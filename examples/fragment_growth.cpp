@@ -32,7 +32,9 @@ int main(int argc, char** argv)
     auto g = gen_grid(rows, cols, rng);
 
     for (std::uint64_t k : {2ull, 4ull, 16ull, 64ull}) {
-        auto r = run_controlled_ghs(g, GhsOptions{.k = k});
+        GhsOptions opts;
+        opts.k = k;
+        auto r = run_controlled_ghs(g, opts);
 
         // Stable letter per fragment, in first-appearance order.
         std::map<std::uint64_t, char> letter;

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Cross-engine parity diff over scenario_runner JSONL output.
 
-Groups rows by scenario point (algorithm, family, n, bandwidth, and the
-conditioner axes) and enforces the engines' equivalence contracts:
+Groups rows by scenario point (algorithm, family, n, bandwidth, the
+conditioner axes, and the crash schedule) and enforces the engines'
+equivalence contracts:
 
   - lock-step engines (serial, parallel at every thread count) must be
     bit-identical per point: rounds, messages, words, activations,
@@ -16,17 +17,20 @@ conditioner axes) and enforces the engines' equivalence contracts:
     and the synchronizer metrics (events, virtual_time, sync_*) are
     async-only. activations are engine-specific (the lock-step engines
     skip sleeping vertices, the async engine pulses every vertex) and
-    compared only within an engine;
+    compared only within an engine. Lossy async rows (drop_rate > 0; loss
+    is async-only) are compared against the same clean serial row: the
+    reliable-delivery shim never changes a payload;
   - natively-dispatched rows (sync == "none": a message-driven driver,
     no synchronizer) must match the serial row on mst_weight and the
     verdict block and carry exactly zero synchronizer traffic
     (sync_messages == sync_words == 0). The payload counters are NOT
     compared: a natively asynchronous protocol's message schedule is
     delay-dependent by design — only its output is invariant;
-  - async rows at the same (max_delay, event_seed, sync) point but
-    different worker counts must be bit-identical on EVERY counter,
-    including the async-only ones (rounds, activations, events,
-    virtual_time, sync_messages, sync_words): the sharded engine's determinism
+  - async rows at the same (max_delay, event_seed, sync, drop_rate,
+    loss_seed) point but different worker counts must be bit-identical on
+    EVERY counter, including the async-only ones (rounds, activations,
+    events, virtual_time, sync_messages, sync_words) and the fault-shim
+    counters (drops, retransmissions, acks, timeouts): the sharded engine's determinism
     contract says threading never changes the schedule, so any drift
     here is an engine bug even when the serial comparison above still
     passes;
@@ -54,7 +58,7 @@ import json
 import sys
 
 GROUP_KEYS = ("algorithm", "family", "n", "bandwidth",
-              "latency", "hetero_b", "adversarial_order")
+              "hetero_b", "adversarial_order", "crash")
 LOCKSTEP_COMPARE = ("rounds", "messages", "words", "activations",
                     "mst_weight", "verified",
                     "model_verified", "mutations_passed", "mutations_run",
@@ -68,7 +72,8 @@ NATIVE_COMPARE = ("mst_weight", "verified", "model_verified",
                   "mutations_passed", "mutations_run")
 ASYNC_THREAD_COMPARE = ASYNC_COMPARE + (
     "rounds", "activations", "events", "virtual_time", "sync_messages",
-    "sync_words", "verify_rounds")
+    "sync_words", "verify_rounds", "drops", "retransmissions", "acks",
+    "timeouts")
 # Socket-rank merge: fields every rank must match the serial row on
 # exactly, and fields whose per-rank values must sum to the serial value.
 SOCKET_EQUAL = ("rounds", "verified", "model_verified", "mutations_passed",
@@ -84,6 +89,9 @@ def describe(row):
         extra += (f" max_delay={row.get('max_delay')}"
                   f" event_seed={row.get('event_seed')}"
                   f" sync={row.get('sync', 'alpha')}")
+        if row.get("drop_rate"):
+            extra += (f" drop_rate={row.get('drop_rate')}"
+                      f" loss_seed={row.get('loss_seed')}")
     if row.get("engine") == "socket":
         extra += (f" transport={row.get('transport')}"
                   f" procs={row.get('procs')} rank={row.get('rank')}")
@@ -196,13 +204,14 @@ def main(argv):
             else:
                 check(serial, row, ASYNC_COMPARE, "async")
 
-        # Thread-invariance: async rows sharing a (delay, sync) point are
-        # the same schedule run by different worker counts — exact on
-        # everything.
+        # Thread-invariance: async rows sharing a (delay, sync, loss)
+        # point are the same schedule run by different worker counts —
+        # exact on everything.
         by_point = {}
         for row in asyncs:
             point = (row.get("max_delay"), row.get("event_seed"),
-                     row.get("sync", "alpha"))
+                     row.get("sync", "alpha"), row.get("drop_rate"),
+                     row.get("loss_seed"))
             by_point.setdefault(point, []).append(row)
         for point_rows in by_point.values():
             ref = min(point_rows, key=lambda r: r.get("threads", 0))

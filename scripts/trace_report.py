@@ -188,8 +188,8 @@ PARITY_FIELDS = ("messages", "words", "first_round", "last_round")
 
 
 def diff(path_a, spans_a, path_b, spans_b, fields=PARITY_FIELDS):
-    """Structural comparison on the parity fields; vtime/tick are engine-
-    specific timebases and deliberately excluded. Multi-epoch drivers
+    """Structural comparison on the parity fields; vtime is an engine-
+    specific timebase and deliberately excluded. Multi-epoch drivers
     (sync Borůvka) accumulate engine-specific round offsets across epoch
     boundaries — diff those with fields=messages,words."""
     same = True

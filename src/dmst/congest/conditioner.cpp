@@ -1,7 +1,6 @@
 #include "dmst/congest/conditioner.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "dmst/util/assert.h"
@@ -11,7 +10,6 @@ namespace dmst {
 namespace {
 
 // Domain-separation constants for the independent per-link draws.
-constexpr std::uint64_t kLatencyStream = 0x6c61746e63790001ULL;
 constexpr std::uint64_t kBandwidthStream = 0x62616e6477640002ULL;
 constexpr std::uint64_t kOrderStream = 0x6f72646572210003ULL;
 
@@ -25,34 +23,13 @@ std::uint64_t LinkConditioner::mix(std::uint64_t x)
     return x ^ (x >> 31);
 }
 
-std::uint64_t scaled_round_budget(std::uint64_t ideal_rounds,
-                                  const ConditionerConfig& config)
-{
-    const std::uint64_t stride = static_cast<std::uint64_t>(config.stride());
-    if (ideal_rounds > std::numeric_limits<std::uint64_t>::max() / stride)
-        return std::numeric_limits<std::uint64_t>::max();
-    return ideal_rounds * stride;
-}
-
 LinkConditioner::LinkConditioner(const WeightedGraph& g,
                                  const ConditionerConfig& config,
                                  int global_bandwidth)
     : config_(config), global_bandwidth_(global_bandwidth)
 {
-    DMST_ASSERT(config_.max_latency >= 0);
     DMST_ASSERT(global_bandwidth_ >= 1);
     const std::size_t m = g.edge_count();
-    if (config_.max_latency > 0) {
-        DMST_ASSERT_MSG(config_.max_latency <=
-                            std::numeric_limits<std::uint16_t>::max(),
-                        "conditioner max_latency out of range");
-        const std::uint64_t span =
-            static_cast<std::uint64_t>(config_.max_latency) + 1;
-        latency_.resize(m);
-        for (EdgeId e = 0; e < m; ++e)
-            latency_[e] = static_cast<std::uint16_t>(
-                mix(config_.seed ^ mix(kLatencyStream ^ e)) % span);
-    }
     if (config_.hetero_bandwidth && global_bandwidth_ > 1) {
         const std::uint64_t span = static_cast<std::uint64_t>(global_bandwidth_);
         cap_.resize(m);

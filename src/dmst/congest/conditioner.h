@@ -10,35 +10,21 @@
 
 namespace dmst {
 
-// Deterministic adversarial network conditioner: per-link latency, per-link
-// bandwidth caps, and an adversarial inbox permutation, all drawn from a
-// seed — never from wall-clock, thread timing, or arrival order — so a
-// conditioned run is exactly reproducible and bit-identical across the
-// serial and sharded engines under any thread count.
+// Deterministic adversarial network conditioner for the lock-step engines:
+// per-link bandwidth caps and an adversarial inbox permutation, both drawn
+// from a seed — never from wall-clock, thread timing, or arrival order —
+// so a conditioned run is exactly reproducible and bit-identical across
+// the serial and sharded engines under any thread count.
 //
-// Model. The conditioner couples the link assignment with a lock-step
-// synchronizer: every logical CONGEST round executes as `stride() = 1 +
-// max_latency` substrate ticks. A message sent in (the activation tick of)
-// logical round r on link l physically arrives at tick r_tick + 1 +
-// latency(l) — within the stride by construction — and is buffered until
-// the next activation, so every process still observes the synchronous
-// model: the inbox of logical round r+1 holds exactly the messages of
-// logical round r. That is what makes protocol outputs provably invariant
-// under conditioning (the acceptance bar of the invariance fuzz suite);
-// what changes is observable substrate behavior: RunStats::rounds counts
-// ticks (inflated by exactly the stride), the arrival trace spreads over
-// ticks per the per-link latencies, per-link bandwidth caps throttle the
-// pipelined protocols (more logical rounds), and the adversarial order
-// permutes each inbox.
-//
-// The stride is fixed from the configured latency bound, not the realized
-// per-link maximum: like any synchronizer schedule it must be agreed by
-// all vertices a priori, and it keeps the round-inflation formula exact —
-// a run of R logical rounds finishes in (R-1)*stride + 1 ticks.
+// Model. Every logical CONGEST round is still one engine step: the inbox
+// of round r+1 holds exactly the messages of round r, which is what keeps
+// protocol outputs invariant under conditioning (the acceptance bar of the
+// invariance fuzz suite). What changes is observable: per-link bandwidth
+// caps throttle the pipelined protocols (more rounds), and the adversarial
+// order permutes each inbox. Message delay is not a lock-step concept;
+// the event-driven engine's seeded per-message delay draw models it
+// (sim/async_network.h), and make_network rejects the conditioner there.
 struct ConditionerConfig {
-    // Per-link extra latency is hashed uniformly from [0, max_latency]
-    // (in ticks); 0 disables latency conditioning entirely.
-    int max_latency = 0;
     // Cap each link's bandwidth at a hashed value in [1, b] units,
     // overriding the global NetConfig::bandwidth for that link (no-op at
     // b = 1). Protocols consult Context::bandwidth(port).
@@ -50,22 +36,8 @@ struct ConditionerConfig {
     bool adversarial_order = false;
     std::uint64_t seed = 7;
 
-    bool enabled() const
-    {
-        return max_latency > 0 || hetero_bandwidth || adversarial_order;
-    }
-
-    // Substrate ticks per logical round.
-    int stride() const { return 1 + max_latency; }
+    bool enabled() const { return hetero_bandwidth || adversarial_order; }
 };
-
-// Round budgets (NetConfig::max_rounds and every driver's runaway guard)
-// are stated for the ideal lock-step substrate; under a conditioner each
-// logical round costs stride() ticks. `ideal * stride` covers the exact
-// tick count (R-1)*stride + 1 of an R-round run and is tight to within
-// stride - 1 ticks.
-std::uint64_t scaled_round_budget(std::uint64_t ideal_rounds,
-                                  const ConditionerConfig& config);
 
 // Reusable scratch for permute_span (one per serial engine, one per shard
 // in the parallel engine, alongside the sort scratch): both buffers grow
@@ -80,21 +52,14 @@ struct PermuteScratch {
 // Engine-independent: nothing here reads engine, shard, or thread state.
 class LinkConditioner {
 public:
-    LinkConditioner() = default;  // disabled; stride() == 1
+    LinkConditioner() = default;  // disabled
 
     LinkConditioner(const WeightedGraph& g, const ConditionerConfig& config,
                     int global_bandwidth);
 
     bool enabled() const { return config_.enabled(); }
     const ConditionerConfig& config() const { return config_; }
-    int stride() const { return config_.stride(); }
     bool adversarial_order() const { return config_.adversarial_order; }
-
-    // Extra latency of edge e, in [0, config.max_latency] ticks.
-    int latency(EdgeId e) const
-    {
-        return latency_.empty() ? 0 : latency_[e];
-    }
 
     // Bandwidth cap of edge e in units, in [1, global b].
     int bandwidth_cap(EdgeId e) const
@@ -120,7 +85,6 @@ public:
 private:
     ConditionerConfig config_;
     int global_bandwidth_ = 1;
-    std::vector<std::uint16_t> latency_;  // per edge; empty if max_latency == 0
     std::vector<std::uint16_t> cap_;      // per edge; empty unless hetero
 };
 

@@ -31,24 +31,21 @@ std::uint64_t FaultConfig::rto(int attempt, std::uint64_t rtt) const
     return rtt + backoff;
 }
 
-std::uint64_t FaultConfig::worst_round_ticks(int stride) const
+std::uint64_t FaultConfig::worst_round_ticks() const
 {
-    const std::uint64_t d = static_cast<std::uint64_t>(stride);
-    if (!loss_enabled()) return d;
+    if (!loss_enabled()) return 1;
     // Worst plan: attempts 1..max_attempts-1 all lose data or ACK, each
     // costing its full timer; the forced final attempt completes in RTT.
-    const std::uint64_t rtt = 2 * d;
     std::uint64_t t = 0;
-    for (int k = 1; k < max_attempts; ++k) t += rto(k, rtt);
-    return std::max(d, t + rtt);
+    for (int k = 1; k < max_attempts; ++k) t += rto(k, kRtt);
+    return t + kRtt;
 }
 
 std::uint64_t scaled_round_budget(std::uint64_t ideal_rounds,
-                                  const ConditionerConfig& conditioner,
                                   const FaultConfig& faults)
 {
-    const std::uint64_t ticks = faults.worst_round_ticks(conditioner.stride());
-    if (ticks != 0 && ideal_rounds > ~std::uint64_t{0} / ticks)
+    const std::uint64_t ticks = faults.worst_round_ticks();
+    if (ideal_rounds > ~std::uint64_t{0} / ticks)
         return ~std::uint64_t{0};  // saturate instead of overflowing
     return ideal_rounds * ticks;
 }
@@ -163,11 +160,9 @@ bool LinkFaults::transmission_lost(const FaultConfig& config, EdgeId e,
 }
 
 FaultPlan LinkFaults::plan_transmission(EdgeId e, int direction,
-                                        std::uint64_t one_way,
                                         std::uint64_t& attempt_counter) const
 {
     FaultPlan plan;
-    const std::uint64_t rtt = 2 * one_way;
     const int burst = config_.burst_len;
     std::uint64_t t = 0;
     for (std::uint32_t k = 1;; ++k) {
@@ -177,12 +172,11 @@ FaultPlan LinkFaults::plan_transmission(EdgeId e, int direction,
             !forced && transmission_lost(config_, e, direction, /*domain=*/0, window);
         bool done = false;
         if (!data_lost) {
-            if (plan.delivery == 0) plan.delivery = t + one_way;
+            if (plan.delivery == 0) plan.delivery = t + FaultConfig::kOneWay;
             ++plan.acks;
             const bool ack_lost =
                 !forced && transmission_lost(config_, e, direction, /*domain=*/1, window);
             if (!ack_lost) {
-                plan.completion = t + rtt;
                 plan.attempts = k;
                 done = true;
             } else {
@@ -194,7 +188,7 @@ FaultPlan LinkFaults::plan_transmission(EdgeId e, int direction,
         if (done) break;
         ++plan.timeouts;
         ++plan.retransmissions;
-        t += config_.rto(static_cast<int>(k), rtt);
+        t += config_.rto(static_cast<int>(k), FaultConfig::kRtt);
     }
     return plan;
 }

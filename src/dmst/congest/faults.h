@@ -11,34 +11,35 @@
 namespace dmst {
 
 // Deterministic fault-injection layer (docs/FAULTS.md): seeded per-link
-// message loss behind a reliable-delivery shim, and crash-stop vertex
-// failures with graceful degradation. Like the conditioner, every draw is
-// hashed from seeds — never from wall clock, thread timing, or arrival
-// order — so a faulted run replays bit-identically, on every engine, under
-// any thread count.
+// message loss behind a reliable-delivery shim on the event-driven engine,
+// and crash-stop vertex failures with graceful degradation on the lock-step
+// engines. Like the conditioner, every draw is hashed from seeds — never
+// from wall clock, thread timing, or arrival order — so a faulted run
+// replays bit-identically under any thread count.
 //
-// Loss model. Each protocol send becomes a shim *transmission plan*: data
+// Loss model (Engine::Async only; make_network rejects drop_rate > 0 on
+// the lock-step engines, whose synchronous rounds have no time for a loss
+// to cost). Each protocol send becomes a shim *transmission plan*: data
 // attempt k is lost iff a seeded per-(link, direction) draw says so, the
 // receiver ACKs every data arrival, a lost data or ACK transmission fires
 // the sender's retransmission timer (capped exponential backoff on top of
 // the round-trip time), and attempt `max_attempts` always succeeds — a
 // bounded adversary, so delivery is guaranteed and the protocols run
-// unmodified. On the lock-step engines the shim is folded into the global
-// synchronizer: a logical round stretches to cover the slowest plan's
-// completion, and the inbox the protocol reads is exactly the no-loss
-// inbox — MST outputs and verdicts are invariant by construction for every
-// (loss_seed, drop_rate) point (the invariance fuzz bar). On the async
-// engine the plan's retransmission wait rides the event delay; the
-// α-synchronizer's own link-level ACK doubles as the shim ACK.
+// unmodified. The plan's wait until the first successful data arrival
+// rides the payload's event delay, so loss changes the interleaving and
+// the virtual clock but never the payload a process reads: MST outputs and
+// verdicts are invariant for every (loss_seed, drop_rate) point (the
+// invariance fuzz bar). The α-synchronizer's own link-level ACK doubles as
+// the shim ACK.
 //
-// Crash model. A crash point (vertex, round) stops that vertex at the
-// start of logical round `round`: it executes no further on_round, and
-// sends addressed to it fail (counted in RunStats::failed_sends). A run
-// that goes silent — no live sends, nothing in flight, not quiescent —
-// for `stall_window` consecutive logical rounds ends gracefully with
+// Crash model (lock-step engines only; make_network rejects crashes on
+// the async engine). A crash point (vertex, round) stops that vertex at
+// the start of logical round `round`: it executes no further on_round,
+// and sends addressed to it fail (counted in RunStats::failed_sends). A
+// run that goes silent — no live sends, nothing in flight, not quiescent
+// — for `stall_window` consecutive rounds ends gracefully with
 // RunStats::stalled set, and the drivers harvest a partial forest from
-// the frozen per-vertex state. Crash-stop is a lock-step device; the
-// async engine rejects it (make_network throws).
+// the frozen per-vertex state.
 struct CrashPoint {
     VertexId vertex = 0;
     // The first logical round the vertex does NOT execute. Round 1 is the
@@ -56,7 +57,7 @@ struct FaultConfig {
     int burst_len = 1;
     std::uint64_t loss_seed = 11;
     // Retransmission timer of attempt k: RTT + min(rto_base << (k-1),
-    // rto_cap) ticks. The RTT term keeps the timer from firing before the
+    // rto_cap) virtual-time units. The RTT term keeps the timer from firing before the
     // ACK could possibly arrive, so every retransmission corresponds to a
     // real loss — the invariant bench_e15_faults gates overhead against.
     int rto_base = 2;
@@ -75,25 +76,29 @@ struct FaultConfig {
     // shim alone cannot stall.
     std::uint64_t stall_window = 0;
 
+    // The shim's link latencies on the async engine, whose seeded event
+    // delay models the wire: one hop is one virtual-time unit, so an ACK
+    // completes a round trip in 2.
+    static constexpr std::uint64_t kOneWay = 1;
+    static constexpr std::uint64_t kRtt = 2 * kOneWay;
+
     bool loss_enabled() const { return drop_rate > 0.0; }
     bool crash_enabled() const { return !crashes.empty(); }
     bool enabled() const { return loss_enabled() || crash_enabled(); }
 
-    // Full retransmission timer of attempt k (1-based), in ticks.
+    // Full retransmission timer of attempt k (1-based), in virtual time.
     std::uint64_t rto(int attempt, std::uint64_t rtt) const;
 
-    // Upper bound on the substrate ticks one logical round can stretch to
-    // under this config, given the conditioner stride (= the one-way
-    // latency bound): the completion time of a plan that loses every
-    // droppable attempt. Equals `stride` when loss is off.
-    std::uint64_t worst_round_ticks(int stride) const;
+    // Upper bound on the virtual time one shim plan can take: the
+    // completion time of a plan that loses every droppable attempt. 1 when loss is off. Sizes the async
+    // event queue's span and the round budget below.
+    std::uint64_t worst_round_ticks() const;
 };
 
-// Fault-aware round budget: `ideal` logical rounds cost at most
-// worst_round_ticks per round. Supersedes the conditioner-only overload
-// for callers that inject faults.
+// Fault-aware round budget: `ideal` rounds of the ideal substrate, scaled
+// by worst_round_ticks — under loss the async engine's native clock (and
+// with it run()'s runaway guard) stretches with every retransmission wait.
 std::uint64_t scaled_round_budget(std::uint64_t ideal_rounds,
-                                  const ConditionerConfig& conditioner,
                                   const FaultConfig& faults);
 
 // Crash-spec grammar shared by the CLI surfaces: "v@r[+v@r...]" (vertex v
@@ -110,10 +115,10 @@ std::vector<CrashPoint> seeded_crashes(std::size_t n, std::size_t count,
 
 // The shim's verdict on one protocol send: how many data transmissions it
 // took, when the first copy reaches the receiver, when the sender holds
-// the ACK, and the counter deltas. Offsets are in ticks from the send.
+// the ACK, and the counter deltas. Offsets are in virtual time from the
+// send.
 struct FaultPlan {
     std::uint64_t delivery = 0;    // first successful data arrival
-    std::uint64_t completion = 0;  // ACK in the sender's hand
     std::uint32_t attempts = 1;    // data transmissions performed
     std::uint64_t drops = 0;       // data + ACK transmissions lost
     std::uint64_t retransmissions = 0;  // attempts - 1
@@ -122,8 +127,8 @@ struct FaultPlan {
 };
 
 // The seeded per-link loss assignment and shim planner. Engine-independent
-// and pure: a plan is a function of (config, edge, direction, one-way
-// latency, attempt counter) alone — nothing here reads engine, shard, or
+// and pure: a plan is a function of (config, edge, direction, attempt
+// counter) alone — nothing here reads engine, shard, or
 // thread state. The caller owns the per-(link, direction) attempt counter
 // (the burst-window clock) and must advance it in a deterministic order;
 // the engines key it by sender (vertex, port), which only the sender's
@@ -145,8 +150,8 @@ public:
     // Plans one transmission on (edge, direction): walks the
     // attempt/timeout recurrence until an ACK completes (guaranteed by
     // attempt max_attempts), consuming one attempt-counter step per data
-    // attempt. `one_way` is the link's one-way latency in ticks (>= 1).
-    FaultPlan plan_transmission(EdgeId e, int direction, std::uint64_t one_way,
+    // attempt. Hops take FaultConfig::kOneWay.
+    FaultPlan plan_transmission(EdgeId e, int direction,
                                 std::uint64_t& attempt_counter) const;
 
     // The seeded loss draw behind the planner — domain 0 = data, 1 = ACK —

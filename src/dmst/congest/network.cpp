@@ -10,10 +10,6 @@ namespace dmst {
 Network::Network(const WeightedGraph& g, NetConfig config)
     : NetworkBase(g, config)
 {
-    // Presized so the send path pays one emptiness test for the arrival
-    // trace, never a bounds check.
-    if (config_.record_per_round)
-        arrive_hist_.assign(static_cast<std::size_t>(stride_), 0);
     wake_range(active_, 0, static_cast<VertexId>(g.vertex_count()));
 }
 
@@ -37,18 +33,6 @@ void Network::send_from(VertexId from, std::size_t port, Message&& msg)
         ++fault_delta_.failed_sends;
         return;
     }
-    // Delivery offset in ticks from this activation: the link latency on
-    // the clean substrate, or the loss shim's first-successful-attempt
-    // arrival when the shim is armed.
-    std::uint64_t delivery = 1 + static_cast<std::uint64_t>(link_delay(from, port));
-    if (faults_on_)
-        delivery = plan_fault_delivery(from, port, fault_delta_);
-    if (!arrive_hist_.empty()) {
-        const std::size_t idx = static_cast<std::size_t>(delivery - 1);
-        if (arrive_hist_.size() <= idx)
-            arrive_hist_.resize(idx + 1, 0);
-        ++arrive_hist_[idx];
-    }
     if (inbox_count_[target]++ == 0)  // reset by deliver_staged
         staged_targets_.push_back(target);
     staged_.emplace(target, static_cast<std::uint32_t>(arrival_port),
@@ -65,35 +49,22 @@ bool Network::step()
 
     ++round_;
     round_messages_ = 0;
-    if (activation_tick()) {
-        ++logical_round_;
-        if (has_crashes_)
-            apply_crashes();
-        if (trace_)
-            trace_->set_now(logical_round_, round_, 0);
-        step_active(active_, fault_delta_);
-        stats_.activations += active_.activations;
-        active_.activations = 0;
-        // The inbox was consumed this tick; the messages leave flight now
-        // even though the arena is only rebuilt at the next deliver tick.
-        DMST_ASSERT(live_ <= in_flight_);
-        in_flight_ -= live_;
-        live_ = 0;
-        note_activation();
-        if (config_.record_per_round)
-            fold_arrivals(arrive_hist_);
-        // Book the next deliver/activation pair: the stride on the clean
-        // substrate, stretched to the slowest shim plan under loss.
-        schedule_round(faults_on_ || has_crashes_
-                           ? fold_fault_delta(fault_delta_)
-                           : static_cast<std::uint64_t>(stride_));
-    }
-    // Between activations (stride > 1) the staged messages ride along
-    // unread; the inbox for the next activation is built on the tick just
-    // before it, once every send of the logical round has physically
-    // arrived.
-    if (deliver_tick())
-        deliver_staged();
+    if (has_crashes_)
+        apply_crashes();
+    if (trace_)
+        trace_->set_now(round_, 0);
+    step_active(active_, fault_delta_);
+    stats_.activations += active_.activations;
+    active_.activations = 0;
+    // The inbox was consumed this round; its messages leave flight now
+    // even though the arena is only rebuilt by the deliver phase below.
+    DMST_ASSERT(live_ <= in_flight_);
+    in_flight_ -= live_;
+    live_ = 0;
+    note_round();
+    if (has_crashes_)
+        fold_fault_delta(fault_delta_);
+    deliver_staged();
 
     stats_.rounds = round_;
     if (config_.record_per_round)
@@ -104,7 +75,7 @@ bool Network::step()
 void Network::deliver_staged()
 {
     // The arena still holds messages already consumed (and struck from
-    // in_flight_) at the last activation; rebuilding it from the staging
+    // in_flight_) this round; rebuilding it from the staging
     // buffer drops them and delivers the new ones.
     // Grow-only, with geometric headroom: per-round message volume often
     // ramps exponentially (e.g. a spreading wave), and each growth

@@ -38,12 +38,9 @@ private:
     std::size_t live_ = 0;        // slots delivered into this round
     SortScratch sort_scratch_;
     std::uint64_t round_messages_ = 0;
-    // Shim counters of the current activation, folded (and turned into the
-    // round horizon) at the end of each activation tick.
+    // Crash-stop counters of the current round (failed sends, wedged
+    // vertices), folded at the end of each round.
     FaultDelta fault_delta_;
-    // Per-delay send counts of the current activation tick, folded into
-    // the arrivals trace each round; only if record_per_round.
-    std::vector<std::uint64_t> arrive_hist_;
 };
 
 }  // namespace dmst

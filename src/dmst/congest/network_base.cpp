@@ -111,14 +111,7 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
       faults_(g, config.faults)
 {
     DMST_ASSERT(config_.bandwidth >= 1);
-    stride_ = cond_.stride();
-    faults_on_ = faults_.loss_enabled();
     has_crashes_ = faults_.crash_enabled();
-    if (faults_on_) {
-        fault_attempts_.resize(g.vertex_count());
-        for (VertexId v = 0; v < g.vertex_count(); ++v)
-            fault_attempts_[v].assign(graph_.degree(v), 0);
-    }
     if (has_crashes_) {
         crashed_.assign(g.vertex_count(), 0);
         pending_crashes_ = config_.faults.crashes;
@@ -172,17 +165,8 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
         }
     }
 
-    // Per-(vertex, port) views of the conditioner's per-edge assignment,
-    // so the send path never hashes or maps edge ids.
-    if (config_.conditioner.max_latency > 0) {
-        link_delay_.resize(n);
-        for (VertexId v = 0; v < n; ++v) {
-            link_delay_[v].resize(graph_.degree(v));
-            for (std::size_t p = 0; p < graph_.degree(v); ++p)
-                link_delay_[v][p] = static_cast<std::uint16_t>(
-                    cond_.latency(graph_.edge_id(v, p)));
-        }
-    }
+    // Per-(vertex, port) view of the conditioner's per-edge caps, so the
+    // send path never hashes or maps edge ids.
     if (config_.conditioner.hetero_bandwidth && config_.bandwidth > 1) {
         link_cap_.resize(n);
         for (VertexId v = 0; v < n; ++v) {
@@ -221,26 +205,11 @@ void NetworkBase::charge_bandwidth(VertexId from, std::size_t port,
     used += size;
 }
 
-void NetworkBase::fold_arrivals(std::vector<std::uint64_t>& hist)
-{
-    // Sends of this activation tick (tick round_) on a link of latency d
-    // arrive at tick round_ + 1 + d, i.e. 0-based trace index round_ + d.
-    for (std::size_t d = 0; d < hist.size(); ++d) {
-        if (hist[d] == 0)
-            continue;
-        const std::size_t idx = static_cast<std::size_t>(round_) + d;
-        if (stats_.arrivals_per_round.size() <= idx)
-            stats_.arrivals_per_round.resize(idx + 1, 0);
-        stats_.arrivals_per_round[idx] += hist[d];
-        hist[d] = 0;
-    }
-}
-
 void NetworkBase::schedule_timer(VertexId v, std::uint64_t delay,
                                  std::uint64_t timer_id)
 {
     const std::uint64_t now =
-        round_by_vertex_ ? round_by_vertex_[v] : logical_round_;
+        round_by_vertex_ ? round_by_vertex_[v] : round_;
     timers_[v].push_back(PendingTimer{now + delay, timer_id});
 }
 
@@ -328,25 +297,7 @@ bool NetworkBase::quiescent() const
     return true;
 }
 
-std::uint64_t NetworkBase::plan_fault_delivery(VertexId from, std::size_t port,
-                                               FaultDelta& delta)
-{
-    const std::uint64_t one_way = 1 + static_cast<std::uint64_t>(link_delay(from, port));
-    const EdgeId e = graph_.edge_id(from, port);
-    const int direction = from < graph_.neighbor(from, port) ? 0 : 1;
-    const FaultPlan plan =
-        faults_.plan_transmission(e, direction, one_way, fault_attempts_[from][port]);
-    delta.drops += plan.drops;
-    delta.retransmissions += plan.retransmissions;
-    delta.acks += plan.acks;
-    delta.timeouts += plan.timeouts;
-    delta.horizon = std::max(delta.horizon, plan.completion);
-    if (trace_ && (plan.retransmissions | plan.drops))
-        trace_->on_fault(from, plan.retransmissions, plan.drops);
-    return plan.delivery;
-}
-
-std::uint64_t NetworkBase::fold_fault_delta(FaultDelta& delta)
+void NetworkBase::fold_fault_delta(FaultDelta& delta)
 {
     for (VertexId v : delta.wedged) {
         if (!crashed_[v]) {
@@ -354,15 +305,8 @@ std::uint64_t NetworkBase::fold_fault_delta(FaultDelta& delta)
             ++stats_.crashed_vertices;
         }
     }
-    stats_.drops += delta.drops;
-    stats_.retransmissions += delta.retransmissions;
-    stats_.acks += delta.acks;
-    stats_.timeouts += delta.timeouts;
     stats_.failed_sends += delta.failed_sends;
-    const std::uint64_t horizon =
-        std::max<std::uint64_t>(delta.horizon, static_cast<std::uint64_t>(stride_));
     delta = FaultDelta();
-    return horizon;
 }
 
 bool NetworkBase::run_process_guarded(VertexId v, Context& ctx,
@@ -388,7 +332,7 @@ bool NetworkBase::run_process_guarded(VertexId v, Context& ctx,
 void NetworkBase::step_active(ActiveSet& act, FaultDelta& delta)
 {
     using Wakeup = std::pair<std::uint64_t, VertexId>;
-    const std::uint64_t now = logical_round_;
+    const std::uint64_t now = round_;
 
     // This round's vertices: the ones booked for it, plus (deduped by
     // stamp) the ones with mail and the due calendar entries. Only those
@@ -460,7 +404,7 @@ void NetworkBase::wake_range(ActiveSet& act, VertexId lo, VertexId hi)
     act.next.clear();
     for (VertexId v = lo; v < hi; ++v) {
         act.next.push_back(v);
-        wake_[v] = logical_round_ + 1;
+        wake_[v] = round_ + 1;
     }
     act.booked = hi - lo;
 }
@@ -468,7 +412,7 @@ void NetworkBase::wake_range(ActiveSet& act, VertexId lo, VertexId hi)
 void NetworkBase::apply_crashes()
 {
     while (next_crash_ < pending_crashes_.size() &&
-           pending_crashes_[next_crash_].round <= logical_round_) {
+           pending_crashes_[next_crash_].round <= round_) {
         const VertexId v = pending_crashes_[next_crash_++].vertex;
         if (!crashed_[v]) {
             crashed_[v] = 1;
@@ -477,23 +421,23 @@ void NetworkBase::apply_crashes()
     }
 }
 
-void NetworkBase::note_activation()
+void NetworkBase::note_round()
 {
     if (!has_crashes_ || stalled_)
         return;
     if (in_flight_ > 0) {
-        idle_activations_ = 0;
+        idle_rounds_ = 0;
         return;
     }
-    if (++idle_activations_ < stall_window_)
+    if (++idle_rounds_ < stall_window_)
         return;
     stats_.stalled = true;
     stalled_ = true;
     if (!config_.faults.graceful) {
         std::ostringstream oss;
-        oss << "crash-stop stall: no live traffic for " << idle_activations_
-            << " logical rounds after " << stats_.crashed_vertices
-            << " crash(es) at logical round " << logical_round_
+        oss << "crash-stop stall: no live traffic for " << idle_rounds_
+            << " rounds after " << stats_.crashed_vertices
+            << " crash(es) at round " << round_
             << " (graceful=false)";
         throw InvariantViolation(oss.str());
     }

@@ -106,36 +106,35 @@ struct NetConfig {
     Engine engine = Engine::Serial;         // which engine make_network builds
     int threads = 0;  // parallel engine worker count; 0 = hardware concurrency
     // Adversarial network conditioning (congest/conditioner.h): per-link
-    // latency and bandwidth caps plus an adversarial inbox permutation,
-    // executed as conditioner.stride() substrate ticks per logical round.
-    // Disabled by default — the ideal lock-step substrate. max_rounds is
-    // stated in ticks, so callers conditioning a run scale their ideal
-    // budget with scaled_round_budget(). The conditioner is a lock-step
-    // synchronizer device and does not compose with Engine::Async;
-    // make_network rejects that combination.
-    ConditionerConfig conditioner;
+    // bandwidth caps and an adversarial inbox permutation. Disabled by
+    // default — the ideal lock-step substrate. A lock-step device: it
+    // does not compose with Engine::Async (make_network rejects that).
+    ConditionerConfig conditioner{};
     // Deterministic fault injection (congest/faults.h): seeded per-link
-    // loss behind a reliable-delivery shim, and crash-stop vertices with
-    // graceful degradation. Loss composes with every engine and with the
-    // conditioner; crash-stop is lock-step-only (make_network rejects
-    // crash + Engine::Async). Under loss a logical round stretches to the
-    // slowest shim plan, so callers scale their ideal budget with the
-    // fault-aware scaled_round_budget() overload.
-    FaultConfig faults;
+    // loss behind a reliable-delivery shim (Engine::Async only), and
+    // crash-stop vertices with graceful degradation (lock-step engines
+    // only); make_network rejects the other combinations. Under loss the
+    // async clock stretches with every retransmission wait, so callers
+    // scale their ideal budget with scaled_round_budget().
+    FaultConfig faults{};
     // Event-driven engine parameters; ignored by Serial and Parallel.
-    AsyncConfig async;
+    AsyncConfig async{};
     // Socket backend parameters; ignored by the in-process engines. The
     // socket backend is a real transport: it rejects composition with the
     // conditioner, the loss shim, and crash-stop (make_network enforces) —
     // its loss handling is real retransmission, not a simulated draw.
-    SocketConfig socket;
+    SocketConfig socket{};
     // Span-based tracing (src/dmst/obs/): off by default, in which case
     // the send datapath pays one null-pointer test and nothing else.
-    TraceConfig trace;
+    TraceConfig trace{};
 };
 
 // Counters for a completed (or in-progress) run.
 struct RunStats {
+    // Synchronous rounds run. On the lock-step engines (serial, parallel,
+    // socket) one step() is one round, so this is the paper's round count
+    // and equals the last Context::round() any process saw. On the async
+    // engine it is the highest pulse level reached.
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;  // number of Message sends
     std::uint64_t words = 0;     // total 64-bit words sent (tags included)
@@ -146,12 +145,6 @@ struct RunStats {
     // Identical between serial and parallel at every thread count.
     std::uint64_t activations = 0;
     std::vector<std::uint64_t> messages_per_round;  // only if record_per_round
-    // Physical arrivals per tick (index t-1 holds the messages arriving at
-    // tick t, i.e. sent at tick t - 1 - link latency); only if
-    // record_per_round. On the ideal substrate this is messages_per_round
-    // shifted by one tick; under a conditioner it exposes the per-link
-    // latency assignment.
-    std::vector<std::uint64_t> arrivals_per_round;
     // Messages per edge (both directions summed), indexed by EdgeId; only
     // if record_per_edge. Exposes the congestion profile of a protocol —
     // e.g. how much hotter the root-adjacent τ edges run than the rest.
@@ -251,13 +244,12 @@ class Context {
 public:
     VertexId id() const { return vertex_; }
     std::size_t n() const;
-    // The current logical (protocol-visible) round. Under a conditioner
-    // the substrate runs stride ticks per logical round and processes are
-    // only stepped on activation ticks, so round() counts activation
-    // ticks either way — protocols schedule against it exactly as on the
-    // ideal substrate. A sleeping process (Process::next_wakeup) sees
-    // round() jump over the rounds it slept through. RunStats::rounds
-    // counts ticks.
+    // The current synchronous round, starting at 1. On the lock-step
+    // engines every step() is one round for every vertex, so the last
+    // round() any process sees equals RunStats::rounds. A sleeping process
+    // (Process::next_wakeup) sees round() jump over the rounds it slept
+    // through. Under the async engine's synchronizer it is the vertex's
+    // pulse level.
     std::uint64_t round() const;
     int bandwidth() const;
     // Bandwidth of the link behind `port`, in units: the conditioner's
@@ -399,20 +391,15 @@ private:
 //   - a vertex is stepped in a round iff its inbox is non-empty or its
 //     booked wakeup (Process::next_wakeup) is that round, and the
 //     stepped vertices run in id order (or observably so),
-//   - a vertex's inbox holds last logical round's messages sorted by
-//     arrival port, ties broken by (sender id, send order) — then, only
-//     under an adversarial-order conditioner, permuted by the seeded
+//   - one step() is exactly one round: apply due crashes, step the
+//     round's vertices, fold the counters, deliver the round's sends,
+//   - a vertex's inbox holds last round's messages sorted by arrival
+//     port, ties broken by (sender id, send order) — then, only under an
+//     adversarial-order conditioner, permuted by the seeded
 //     engine-independent LinkConditioner::permute_span,
-//   - per-(edge, direction) bandwidth is charged identically,
+//   - per-(edge, direction) bandwidth is charged identically (per-link
+//     caps under a hetero-bandwidth conditioner),
 //   - RunStats counters are identical after every completed round.
-//
-// Under a NetConfig::conditioner the engine runs stride() substrate ticks
-// per logical round (see congest/conditioner.h): processes step only on
-// activation ticks, sends physically arrive spread over the stride per
-// the per-link latencies, and the inbox for the next activation is built
-// on the tick before it. All of that is implemented here and in the two
-// deliver phases identically, so both engines remain bit-identical under
-// any thread count.
 //
 // Activity model: a round costs O(stepped vertices + messages), not O(n).
 // Each engine lane (ActiveSet below) keeps the vertices booked for the
@@ -508,9 +495,6 @@ public:
     // True once stall detection ended the run (RunStats::stalled mirrors
     // it); step() refuses to run further rounds.
     bool stalled() const { return stalled_; }
-
-    // Substrate ticks per logical round (1 on the ideal substrate).
-    int stride() const { return stride_; }
 
     // Event-engine clock behind Context::virtual_time(); the lock-step
     // engines have no virtual clock and report 0.
@@ -637,55 +621,13 @@ protected:
     void take_due_timers(VertexId v, std::uint64_t now,
                          std::vector<std::uint64_t>& out);
 
-    // ---- conditioner + fault-shim plumbing shared by both engines -------
-    //
-    // Logical rounds map to absolute tick targets rather than a fixed
-    // modulus: every activation ends with schedule_round(horizon), which
-    // books the next deliver/activation pair `max(horizon, stride)` ticks
-    // out. Without loss the horizon is always stride and this reduces to
-    // the old fixed-stride cadence; under the loss shim a round stretches
-    // to the slowest transmission plan's completion, which is how the
-    // reliable-delivery shim stays invisible to the protocols.
-
-    // Whether processes are stepped this tick. Call after ++round_; the
-    // engine must bump logical_round_ exactly when this is true and end
-    // the activation with schedule_round().
-    bool activation_tick() const { return round_ == next_activation_; }
-    // Whether the inbox read at the next activation tick must be built at
-    // the end of this tick. On the ideal substrate this is every tick.
-    bool deliver_tick() const { return round_ == next_deliver_; }
-    // Books the next deliver/activation ticks after an activation whose
-    // slowest shim plan completes `horizon` ticks out (pass stride_ when
-    // the loss shim is off).
-    void schedule_round(std::uint64_t horizon)
-    {
-        const std::uint64_t len =
-            std::max<std::uint64_t>(horizon, static_cast<std::uint64_t>(stride_));
-        next_deliver_ = round_ + len - 1;
-        next_activation_ = round_ + len;
-    }
-    // Logical round of the inbox built at the end of this tick (the key of
-    // the adversarial permutation). Valid on deliver ticks, which always
-    // precede the activation of logical round logical_round_ + 1.
-    std::uint64_t read_logical_round() const { return logical_round_ + 1; }
-
-    // Extra latency in ticks of the link behind (from, port); 0 when
-    // latency conditioning is off.
-    int link_delay(VertexId from, std::size_t port) const
-    {
-        return link_delay_.empty() ? 0 : link_delay_[from][port];
-    }
+    // ---- conditioner plumbing shared by the lock-step engines ----------
 
     // Per-link bandwidth in units, for Context::bandwidth(port).
     int link_bandwidth(VertexId v, std::size_t port) const
     {
         return link_cap_.empty() ? config_.bandwidth : link_cap_[v][port];
     }
-
-    // Folds one activation tick's per-delay arrival histogram (hist[d] =
-    // sends this tick on links of latency d) into the tick-indexed
-    // arrivals trace, zeroing hist. Coordinator-only.
-    void fold_arrivals(std::vector<std::uint64_t>& hist);
 
     // Applies the adversarial permutation to vertex v's freshly sorted
     // span, when configured, through the caller's reusable scratch (the
@@ -695,7 +637,8 @@ protected:
     {
         if (cond_.adversarial_order()) {
             const InboxSpan& span = inbox_span_[v];
-            cond_.permute_span(span.data, span.len, v, read_logical_round(),
+            // Keyed by the round that reads the inbox: the next one.
+            cond_.permute_span(span.data, span.len, v, round_ + 1,
                                scratch.permute);
         }
     }
@@ -708,19 +651,13 @@ protected:
     static void sort_span_by_port(Incoming* first, std::size_t n,
                                   SortScratch& scratch);
 
-    // ---- fault-shim plumbing shared by the engines ----------------------
+    // ---- crash-stop plumbing of the lock-step engines -------------------
 
-    // Per-activation fault counter deltas. The serial engine keeps one;
-    // the sharded engines keep one per shard and fold them at their merge
+    // Per-round crash-stop deltas. The serial engine keeps one; the
+    // parallel engine keeps one per shard and folds them at its merge
     // barrier, so every counter is a sum over shard-deterministic pieces.
     struct FaultDelta {
-        std::uint64_t drops = 0;
-        std::uint64_t retransmissions = 0;
-        std::uint64_t acks = 0;
-        std::uint64_t timeouts = 0;
         std::uint64_t failed_sends = 0;
-        // Max shim completion offset (ticks) over this activation's sends.
-        std::uint64_t horizon = 0;
         // Vertices whose on_round threw a std::logic_error under graceful
         // crash faults: a dead neighbor wedged their protocol state, so
         // they become secondary crashes at the next fold (see
@@ -728,21 +665,10 @@ protected:
         std::vector<VertexId> wedged;
     };
 
-    // Runs the reliable-delivery shim planner for one send from `from` via
-    // `port` (one-way latency = 1 + link_delay, which is 1 on the async
-    // engine where the conditioner is rejected). Returns the delivery
-    // offset in ticks (>= 1), accumulates counters and the round horizon
-    // into `delta`, and attributes retransmission traffic to the sender's
-    // open span. Only the shard stepping `from` may call this (it advances
-    // the per-(vertex, port) burst clock).
-    std::uint64_t plan_fault_delivery(VertexId from, std::size_t port,
-                                      FaultDelta& delta);
-
-    // Folds a delta into stats_ and returns max(stride_, horizon), the
-    // round length it implies; resets the delta. Wedged vertices are
-    // marked crashed here — at the barrier, never mid-activation, so the
-    // serial and parallel engines degrade bit-identically. Coordinator-only.
-    std::uint64_t fold_fault_delta(FaultDelta& delta);
+    // Folds a delta into stats_ and resets it. Wedged vertices are marked
+    // crashed here — at the barrier, never mid-round, so the serial and
+    // parallel engines degrade bit-identically. Coordinator-only.
+    void fold_fault_delta(FaultDelta& delta);
 
     // Runs processes_[v]->on_round(ctx). Under graceful crash-stop faults
     // the protocols' internal invariants are no longer invariants: a
@@ -775,25 +701,25 @@ protected:
         std::uint64_t activations = 0;  // folded into stats_ by the engine
     };
 
-    // Steps this activation's vertices of `act` (logical_round_) in id
-    // order: resets each one's bandwidth ledger, runs it guarded, and
-    // books its next wakeup.
+    // Steps this round's vertices of `act` (round_) in id order: resets
+    // each one's bandwidth ledger, runs it guarded, and books its next
+    // wakeup.
     void step_active(ActiveSet& act, FaultDelta& delta);
 
     // Books every vertex of [lo, hi) for the next round (the engines'
     // constructors: every vertex runs in round 1).
     void wake_range(ActiveSet& act, VertexId lo, VertexId hi);
 
-    // Applies due crash points for logical_round_ (call right after
-    // bumping it on an activation tick). Coordinator-only.
+    // Applies due crash points for round_ (call right after bumping it).
+    // Coordinator-only.
     void apply_crashes();
 
-    // Stall detection, called at the end of every activation tick once
-    // in-flight accounting is settled: a window of consecutive silent
-    // activations (nothing staged or in flight, not quiescent) latches
+    // Stall detection, called at the end of every round once in-flight
+    // accounting is settled: a window of consecutive silent rounds
+    // (nothing staged or in flight, not quiescent) latches
     // stalled_ — or throws if FaultConfig::graceful is off. No-op unless
     // crashes are configured. Coordinator-only.
-    void note_activation();
+    void note_round();
 
     // Builds the satellite-rich runaway diagnostic and throws. With
     // `deadlock` it reports a sleep deadlock instead of the max_rounds
@@ -840,48 +766,37 @@ protected:
     std::vector<std::uint64_t> wake_;
     std::vector<std::uint64_t> stamp_;
 
-    // The conditioner and its per-(vertex, port) precomputed views (built
-    // once; empty on the corresponding disabled axis so the hot path pays
-    // one emptiness test, no hash).
+    // The conditioner and its per-(vertex, port) cap view (built once;
+    // empty unless hetero caps bite, so the hot path pays one emptiness
+    // test, no hash).
     LinkConditioner cond_;
-    int stride_ = 1;
-    // Count of activation ticks so far == the protocol-visible round of
-    // Context::round(); maintained by the engines instead of divided out
-    // of round_ (round() is on the per-vertex-per-round hot path).
-    std::uint64_t logical_round_ = 0;
-    // Per-vertex override of Context::round(), for engines whose vertices
-    // run at different logical rounds concurrently (the sharded async
-    // engine: a single logical_round_ would be both wrong across shards
-    // and a data race). Null on the lock-step engines — round() then pays
-    // one pointer test, like the trace hook.
-    const std::uint64_t* round_by_vertex_ = nullptr;
-    std::vector<std::vector<std::uint16_t>> link_delay_;
     std::vector<std::vector<std::uint16_t>> link_cap_;
+    // Rounds run so far == Context::round() on the lock-step engines. The
+    // async engine keeps its runaway-guard clock here instead (pulse
+    // levels, or virtual time under native dispatch).
     std::uint64_t round_ = 0;
+    // Per-vertex override of Context::round(), for engines whose vertices
+    // run at different rounds concurrently (the sharded async engine: a
+    // single round_ would be both wrong across shards and a data race).
+    // Null on the lock-step engines — round() then pays one pointer test,
+    // like the trace hook.
+    const std::uint64_t* round_by_vertex_ = nullptr;
     std::uint64_t in_flight_ = 0;
     RunStats stats_;
 
     // ---- fault-injection state (congest/faults.h) -----------------------
     // The validated fault assignment; disabled-config object otherwise.
+    // The loss shim that reads it lives in the async engine.
     LinkFaults faults_;
-    // Loss shim armed (drop_rate > 0): the send path plans transmissions.
-    bool faults_on_ = false;
     bool has_crashes_ = false;
-    // Burst-window clocks, one per (vertex, port); advanced only by the
-    // shard stepping the sender, so sharded engines need no locking and
-    // stay bit-identical across thread counts.
-    std::vector<std::vector<std::uint64_t>> fault_attempts_;
     // Crash-stop bookkeeping: crashed_[v] != 0 once v stopped; pending
     // points sorted by (round, vertex) and consumed by apply_crashes().
     std::vector<std::uint8_t> crashed_;
     std::vector<CrashPoint> pending_crashes_;
     std::size_t next_crash_ = 0;
     std::uint64_t stall_window_ = 0;
-    std::uint64_t idle_activations_ = 0;
+    std::uint64_t idle_rounds_ = 0;
     bool stalled_ = false;
-    // Absolute tick targets of the round scheduler (see schedule_round).
-    std::uint64_t next_activation_ = 1;
-    std::uint64_t next_deliver_ = 0;
 
     // Span trace recorder (obs/trace.h); null unless config.trace.enabled,
     // so the disabled datapath costs one pointer test per send. Engines
@@ -907,7 +822,7 @@ private:
 inline std::uint64_t Context::round() const
 {
     return net_->round_by_vertex_ ? net_->round_by_vertex_[vertex_]
-                                  : net_->logical_round_;
+                                  : net_->round_;
 }
 
 }  // namespace dmst

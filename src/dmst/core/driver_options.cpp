@@ -16,8 +16,8 @@ NetConfig DriverOptions::to_net_config() const
     config.socket = socket;
     config.record_per_edge = record_per_edge;
     config.trace.enabled = trace;
-    config.max_rounds = scaled_round_budget(
-        max_rounds ? max_rounds : config.max_rounds, conditioner, faults);
+    config.max_rounds =
+        scaled_round_budget(max_rounds ? max_rounds : config.max_rounds, faults);
     return config;
 }
 

@@ -27,14 +27,15 @@ struct DriverOptions {
     // plus the synchronizer choice (sync = alpha | beta | none); see
     // sim/async_network.h. Output-invariant for round-programmed drivers.
     AsyncConfig async;
-    // Seeded fault injection (congest/faults.h); loss is output-invariant,
-    // crash-stop degrades a run to a partial result.
+    // Seeded fault injection (congest/faults.h): loss (async only) is
+    // output-invariant, crash-stop (lock-step only) degrades a run to a
+    // partial result.
     FaultConfig faults;
     // Socket backend parameters (Engine::Socket only). A sharded run
     // returns the local shard's view; the caller merges across ranks.
     SocketConfig socket;
     // Runaway guard in ideal-substrate rounds (0 = the NetConfig default);
-    // scaled by the conditioner stride and fault retry bound into ticks.
+    // scaled by the fault retry bound when the async engine drops messages.
     std::uint64_t max_rounds = 0;
     // Record per-edge message counts in stats.messages_per_edge.
     bool record_per_edge = false;
@@ -42,7 +43,7 @@ struct DriverOptions {
     bool trace = false;
 
     // NetConfig with every shared field filled in and max_rounds scaled
-    // for the conditioner/fault substrate.
+    // for the loss shim.
     NetConfig to_net_config() const;
 };
 

@@ -552,8 +552,6 @@ void ElkinProcess::finish(Context& ctx)
 
 DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& opts)
 {
-    if (opts.bandwidth < 1)
-        throw std::invalid_argument("bandwidth must be >= 1");
     if (opts.root >= g.vertex_count())
         throw std::invalid_argument("root out of range");
     if (!is_connected(g))
@@ -602,26 +600,25 @@ DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& o
 
     // Phase split, derived from the span trace: phase 2 is everything the
     // registration handoff triggers — the Registration window, the Boruvka
-    // phases over base fragments, and the FINISH wave. The first tick any
-    // of those spans touched is the phase boundary (ticks, not logical
-    // rounds, so the split stays exact under the conditioner's stride).
+    // phases over base fragments, and the FINISH wave. The first round any
+    // of those spans touched is the phase boundary.
     DMST_ASSERT(stats.trace);
-    std::uint64_t phase2_first_tick = ~std::uint64_t{0};
+    std::uint64_t phase2_first_round = ~std::uint64_t{0};
     for (const TraceSpan& s : stats.trace->spans) {
         switch (s.phase) {
             case TracePhase::Registration:
             case TracePhase::Boruvka:
             case TracePhase::Finish:
                 result.phase2_messages += s.messages;
-                phase2_first_tick = std::min(phase2_first_tick, s.first_tick);
+                phase2_first_round = std::min(phase2_first_round, s.first_round);
                 break;
             default:
                 break;
         }
     }
-    result.phase2_rounds = phase2_first_tick == ~std::uint64_t{0}
+    result.phase2_rounds = phase2_first_round == ~std::uint64_t{0}
                                ? 0
-                               : stats.rounds - (phase2_first_tick - 1);
+                               : stats.rounds - (phase2_first_round - 1);
     return result;
 }
 

@@ -192,8 +192,6 @@ void PipelineMstProcess::on_round(Context& ctx)
 PipelineMstResult run_pipeline_mst(const WeightedGraph& g,
                                    const PipelineMstOptions& opts)
 {
-    if (opts.bandwidth < 1)
-        throw std::invalid_argument("bandwidth must be >= 1");
     if (opts.root >= g.vertex_count())
         throw std::invalid_argument("root out of range");
     if (!is_connected(g))
@@ -232,10 +230,8 @@ PipelineMstResult run_pipeline_mst(const WeightedGraph& g,
             static_cast<const PipelineMstProcess&>(net.process(opts.root));
         result.k_used = root.k_used();
         result.pipeline_edges = root.pipeline_edges();
-        // ghs_end_round() is a logical round; the trace and stats.rounds
-        // are tick-indexed, stride ticks per logical round.
-        std::uint64_t ghs_end = std::min<std::uint64_t>(
-            root.ghs_end_round() * opts.conditioner.stride(), stats.rounds);
+        std::uint64_t ghs_end =
+            std::min<std::uint64_t>(root.ghs_end_round(), stats.rounds);
         result.phase2_rounds = stats.rounds - ghs_end;
         for (std::uint64_t r = ghs_end; r < stats.messages_per_round.size(); ++r)
             result.phase2_messages += stats.messages_per_round[r];

@@ -245,8 +245,6 @@ void SyncBoruvkaProcess::on_round(Context& ctx)
 SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
                                    const SyncBoruvkaOptions& opts)
 {
-    if (opts.bandwidth < 1)
-        throw std::invalid_argument("bandwidth must be >= 1");
     if (!is_connected(g))
         throw std::invalid_argument("MST requires a connected graph");
 

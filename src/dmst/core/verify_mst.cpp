@@ -410,8 +410,6 @@ VerifyMstResult run_verify_mst(
     const VerifyOptions& opts)
 {
     const std::uint64_t n = g.vertex_count();
-    if (opts.bandwidth < 1)
-        throw std::invalid_argument("bandwidth must be >= 1");
     if (opts.root >= n)
         throw std::invalid_argument("root out of range");
     if (claimed_ports.size() != n)

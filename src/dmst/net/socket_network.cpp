@@ -175,7 +175,6 @@ bool SocketNetwork::step()
     }
 
     ++round_;
-    ++logical_round_;
     in_round_ = true;
     round_messages_ = 0;
     remote_staged_round_ = 0;
@@ -188,7 +187,7 @@ bool SocketNetwork::step()
     remote_cur_.swap(remote_next_);
 
     if (trace_)
-        trace_->set_now(logical_round_, round_, 0);
+        trace_->set_now(round_, 0);
     for (VertexId v = lo_; v < hi_; ++v)
         reset_round_words(v);
     for (VertexId v = lo_; v < hi_; ++v) {

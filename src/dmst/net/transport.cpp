@@ -58,8 +58,8 @@ sockaddr_in make_addr(const std::string& host, int port)
 }
 
 // Loopback RTT assumed by the retransmission timer, in ms. Feeds the
-// fault shim's backoff schedule (FaultConfig::rto) with ticks read as
-// milliseconds: attempt k waits rtt + min(rto_base << (k-1), rto_cap).
+// fault shim's backoff schedule (FaultConfig::rto) with virtual-time
+// units read as milliseconds: attempt k waits rtt + min(rto_base << (k-1), rto_cap).
 constexpr std::uint64_t kAssumedRttMs = 2;
 
 // Largest UDP payload this transport will send in one datagram.

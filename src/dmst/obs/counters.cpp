@@ -35,8 +35,6 @@ void SpanCell::merge(const SpanCell& other)
     drops += other.drops;
     first_round = std::min(first_round, other.first_round);
     last_round = std::max(last_round, other.last_round);
-    first_tick = std::min(first_tick, other.first_tick);
-    last_tick = std::max(last_tick, other.last_tick);
     first_vtime = std::min(first_vtime, other.first_vtime);
     last_vtime = std::max(last_vtime, other.last_vtime);
 }

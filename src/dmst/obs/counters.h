@@ -47,7 +47,7 @@ private:
 // open span, or the Init cell), so summing cells reproduces the RunStats
 // totals — the conservation invariant TraceRecorder::finalize() checks.
 //
-// Round/tick/virtual-time bounds are updated only on *activity* (a send
+// Round/virtual-time bounds are updated only on *activity* (a send
 // or an instant), never by opening or closing a span: idle re-entries of
 // a protocol pump must not widen a span, or the async engine's trailing
 // inert pulses would break tri-engine trace parity.
@@ -63,8 +63,6 @@ struct SpanCell {
     std::uint64_t drops = 0;
     std::uint64_t first_round = kUnset;  // logical rounds (engine-invariant)
     std::uint64_t last_round = 0;
-    std::uint64_t first_tick = kUnset;  // substrate ticks (engine-dependent)
-    std::uint64_t last_tick = 0;
     std::uint64_t first_vtime = kUnset;  // async virtual time (0 elsewhere)
     std::uint64_t last_vtime = 0;
 
@@ -72,16 +70,12 @@ struct SpanCell {
 
     bool touched() const { return messages != 0 || instants != 0; }
 
-    void touch(std::uint64_t round, std::uint64_t tick, std::uint64_t vtime)
+    void touch(std::uint64_t round, std::uint64_t vtime)
     {
         if (round < first_round)
             first_round = round;
         if (round > last_round)
             last_round = round;
-        if (tick < first_tick)
-            first_tick = tick;
-        if (tick > last_tick)
-            last_tick = tick;
         if (vtime < first_vtime)
             first_vtime = vtime;
         if (vtime > last_vtime)

@@ -78,8 +78,6 @@ void span_args_json(std::ostream& out, const TraceSpan& s)
         << ",\"drops\":" << s.drops
         << ",\"first_round\":" << s.first_round
         << ",\"last_round\":" << s.last_round
-        << ",\"first_tick\":" << s.first_tick
-        << ",\"last_tick\":" << s.last_tick
         << ",\"first_vtime\":" << s.first_vtime
         << ",\"last_vtime\":" << s.last_vtime;
 }
@@ -136,8 +134,6 @@ TraceTable read_trace_jsonl(std::istream& in)
             s.drops = get_u64_or(line, "drops", 0);
             s.first_round = get_u64(line, "first_round");
             s.last_round = get_u64(line, "last_round");
-            s.first_tick = get_u64(line, "first_tick");
-            s.last_tick = get_u64(line, "last_tick");
             s.first_vtime = get_u64(line, "first_vtime");
             s.last_vtime = get_u64(line, "last_vtime");
             table.spans.push_back(s);

@@ -14,7 +14,7 @@ namespace dmst {
 //           chrome://tracing. One track per driver phase plus one for the
 //           α-synchronizer control traffic; spans are complete ("X")
 //           events on the logical-round timebase (1 round = 1 µs), with
-//           messages/words/ticks/virtual-time in args. A "dmst_totals"
+//           messages/words/virtual-time in args. A "dmst_totals"
 //           metadata event carries the RunStats totals so the report
 //           tool can re-check conservation from the file alone.
 //

@@ -117,7 +117,7 @@ void TraceRecorder::instant(VertexId v, TracePhase phase, std::int64_t level)
     Shard& sh = shards_[shard_index(v)];
     SpanCell& cell = sh.cells[cell_for(sh, span_key(phase, level))];
     ++cell.instants;
-    cell.touch(sh.now_round, sh.now_tick, sh.now_vtime);
+    cell.touch(sh.now_round, sh.now_vtime);
 }
 
 std::shared_ptr<const TraceTable> TraceRecorder::finalize(
@@ -150,8 +150,6 @@ std::shared_ptr<const TraceTable> TraceRecorder::finalize(
         s.drops = cell.drops;
         s.first_round = cell.first_round == SpanCell::kUnset ? 0 : cell.first_round;
         s.last_round = cell.last_round;
-        s.first_tick = cell.first_tick == SpanCell::kUnset ? 0 : cell.first_tick;
-        s.last_tick = cell.last_tick;
         s.first_vtime = cell.first_vtime == SpanCell::kUnset ? 0 : cell.first_vtime;
         s.last_vtime = cell.last_vtime;
         table->spans.push_back(s);

@@ -27,8 +27,8 @@ namespace dmst {
 //
 //   - Per span the recorder keeps messages, words, instants, and the
 //     first/last *logical round* of activity — the engine-invariant clock
-//     all three engines agree on — plus first/last substrate tick and
-//     async virtual time as engine-specific extras. The logical-round
+//     all three engines agree on — plus first/last async virtual time as
+//     an engine-specific extra. The logical-round
 //     projection (parity_fingerprint) is bit-identical across serial,
 //     parallel, and async engines for the same seed: a stronger form of
 //     the tri-engine exactness contract, enforced by tests/test_trace.cpp
@@ -62,10 +62,6 @@ struct TraceSpan {
     // Logical rounds of first/last activity: the parity-bearing fields.
     std::uint64_t first_round = 0;
     std::uint64_t last_round = 0;
-    // Substrate ticks (= rounds x conditioner stride on the lock-step
-    // engines, pulse levels on the async engine); excluded from parity.
-    std::uint64_t first_tick = 0;
-    std::uint64_t last_tick = 0;
     // Async virtual time of first/last activity; 0 on lock-step engines.
     std::uint64_t first_vtime = 0;
     std::uint64_t last_vtime = 0;
@@ -85,7 +81,7 @@ struct TraceTable {
     std::vector<TagCount> tags;
     std::uint64_t total_messages = 0;
     std::uint64_t total_words = 0;
-    std::uint64_t total_rounds = 0;  // RunStats::rounds (ticks)
+    std::uint64_t total_rounds = 0;  // RunStats::rounds
     std::uint64_t sync_messages = 0;  // α-synchronizer control traffic
     std::uint64_t sync_words = 0;
     std::uint64_t total_retransmissions = 0;  // fault shim (congest/faults.h)
@@ -124,30 +120,25 @@ public:
     // shard's tables. Must be called before any event is recorded.
     void set_sharding(int shards, const std::vector<int>& shard_of);
 
-    // Engine clock, read by every subsequent event: the logical round,
-    // the substrate tick, and the async virtual time of the current
-    // activation. The clock is kept per shard so shards running at
-    // different logical rounds (the sharded async engine) stay exact and
-    // race-free. set_now writes every shard — coordinator-only, between
-    // phases (the lock-step engines' single global clock); set_now_for
-    // writes only the shard owning `v` — worker-safe, before each pulse
-    // (the async engine's per-vertex clock).
-    void set_now(std::uint64_t logical_round, std::uint64_t tick,
-                 std::uint64_t vtime)
+    // Engine clock, read by every subsequent event: the round and the
+    // async virtual time of the current activation. The clock is kept per
+    // shard so shards running at different rounds (the sharded async
+    // engine) stay exact and race-free. set_now writes every shard —
+    // coordinator-only, between phases (the lock-step engines' single
+    // global clock); set_now_for writes only the shard owning `v` —
+    // worker-safe, before each pulse (the async engine's per-vertex clock).
+    void set_now(std::uint64_t round, std::uint64_t vtime)
     {
         for (Shard& sh : shards_) {
-            sh.now_round = logical_round;
-            sh.now_tick = tick;
+            sh.now_round = round;
             sh.now_vtime = vtime;
         }
     }
 
-    void set_now_for(VertexId v, std::uint64_t logical_round,
-                     std::uint64_t tick, std::uint64_t vtime)
+    void set_now_for(VertexId v, std::uint64_t round, std::uint64_t vtime)
     {
         Shard& sh = shards_[shard_index(v)];
-        sh.now_round = logical_round;
-        sh.now_tick = tick;
+        sh.now_round = round;
         sh.now_vtime = vtime;
     }
 
@@ -178,7 +169,7 @@ public:
         SpanCell& cell = current_cell(sh, from);
         ++cell.messages;
         cell.words += words;
-        cell.touch(sh.now_round, sh.now_tick, sh.now_vtime);
+        cell.touch(sh.now_round, sh.now_vtime);
         sh.tags.add(tag, words);
     }
 
@@ -209,7 +200,6 @@ private:
         TagHistogram tags;
         // Shard-local engine clock (see set_now / set_now_for).
         std::uint64_t now_round = 0;
-        std::uint64_t now_tick = 0;
         std::uint64_t now_vtime = 0;
         // One-entry memo of the last key resolved through `index`; starts
         // on the Init cell, whose key is 0.

@@ -63,8 +63,13 @@ AsyncNetwork::AsyncNetwork(const WeightedGraph& g, NetConfig config,
     // the timing wheel while the span is small and falls back to the heap
     // for wide fault backoffs — same ordering contract either way.
     int queue_span = config_.async.max_delay;
-    if (config_.faults.loss_enabled())
-        queue_span += static_cast<int>(config_.faults.worst_round_ticks(1));
+    loss_on_ = faults_.loss_enabled();
+    if (loss_on_) {
+        queue_span += static_cast<int>(config_.faults.worst_round_ticks());
+        fault_attempts_.resize(n);
+        for (VertexId v = 0; v < n; ++v)
+            fault_attempts_[v].assign(graph_.degree(v), 0);
+    }
     // Native mode books Context::set_timer timers as future events; give
     // them scheduling room up to the wheel's efficient span (longer
     // delays are rejected at schedule_timer).
@@ -158,14 +163,14 @@ void AsyncNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
     ev.link_seq = send_seq_[from][port]++;
     ev.owner = static_cast<std::uint8_t>(shard_of_[from]);
     ev.payload = st.pool.acquire(std::move(msg));
-    // Loss shim: plan the transmission (one-way latency 1 — the seeded
-    // event delay models the wire) and charge the retransmission wait to
+    // Loss shim: plan the transmission (kOneWay hops — the seeded event
+    // delay models the wire) and charge the retransmission wait to
     // this payload's schedule. The plan is a pure function of (loss_seed,
     // edge, direction, burst clock), so the schedule stays bit-identical
     // across shard and thread counts.
-    if (faults_on_)
+    if (loss_on_)
         ev.fault_wait = static_cast<std::uint32_t>(
-            plan_fault_delivery(from, port, st.faults) - 1);
+            plan_fault_delivery(from, port, st) - FaultConfig::kOneWay);
 
     if (config_.record_per_edge) {
         const EdgeId e = graph_.edge_id(from, port);
@@ -187,6 +192,22 @@ void AsyncNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
     } else {
         st.staged_pulse.push_back(ev);
     }
+}
+
+std::uint64_t AsyncNetwork::plan_fault_delivery(VertexId from, std::size_t port,
+                                                ShardState& st)
+{
+    const EdgeId e = graph_.edge_id(from, port);
+    const int direction = from < graph_.neighbor(from, port) ? 0 : 1;
+    const FaultPlan plan =
+        faults_.plan_transmission(e, direction, fault_attempts_[from][port]);
+    st.drops += plan.drops;
+    st.retransmissions += plan.retransmissions;
+    st.acks += plan.acks;
+    st.timeouts += plan.timeouts;
+    if (trace_ && (plan.retransmissions | plan.drops))
+        trace_->on_fault(from, plan.retransmissions, plan.drops);
+    return plan.delivery;
 }
 
 void AsyncNetwork::schedule_timer(VertexId v, std::uint64_t delay,
@@ -280,13 +301,13 @@ void AsyncNetwork::apply(Event& ev, ShardState& st)
 void AsyncNetwork::dispatch_native(Event& ev, ShardState& st)
 {
     const VertexId v = ev.target;
-    // Each activation gets a fresh bandwidth budget and its own tick on
+    // Each activation gets a fresh bandwidth budget and its own step on
     // the vertex's activation clock (Context::round()).
     reset_round_words(v);
     const std::uint64_t act = ++vertex_level_[v];
     st.max_act = std::max(st.max_act, act);
     if (trace_)
-        trace_->set_now_for(v, act, act, now_);
+        trace_->set_now_for(v, act, now_);
     st.in_apply = true;
     st.cause_seq = ev.seq;
     ++st.activations;
@@ -332,12 +353,12 @@ void AsyncNetwork::execute_pulse(VertexId v, ShardState& st)
     st.in_flight -= static_cast<std::int64_t>(st.scratch.size());
 
     vertex_level_[v] = level;  // Context::round() during this activation
-    // Trace clock: the async engine's tick is the pulse level itself, and
-    // the virtual time is the clock at activation (sends within a pulse
-    // do not advance it). Logical rounds match the lock-step engines —
-    // the basis of tri-engine trace parity.
+    // Trace clock: the round is the pulse level itself, and the virtual
+    // time is the clock at activation (sends within a pulse do not
+    // advance it). Pulse levels match the lock-step engines' rounds — the
+    // basis of tri-engine trace parity.
     if (trace_)
-        trace_->set_now_for(v, level, level, now_);
+        trace_->set_now_for(v, level, now_);
     st.pulse_sends = 0;
     ++st.activations;
     Context ctx = context_for(v);
@@ -412,7 +433,7 @@ void AsyncNetwork::start_shard(int s)
             vertex_level_[v] = 1;  // the wakeup is activation 1
             st.max_act = std::max<std::uint64_t>(st.max_act, 1);
             if (trace_)
-                trace_->set_now_for(v, 1, 1, now_);
+                trace_->set_now_for(v, 1, now_);
             ++st.activations;
             Context ctx = context_for(v);
             native_procs_[v]->on_start(ctx);
@@ -466,8 +487,11 @@ void AsyncNetwork::merge_barrier()
         stats_.activations += st.activations;
         st.messages = st.words = st.sync_messages = st.sync_words =
             st.events = st.activations = 0;
-        if (faults_on_)
-            fold_fault_delta(st.faults);  // horizon unused: no round clock
+        stats_.drops += st.drops;
+        stats_.retransmissions += st.retransmissions;
+        stats_.acks += st.acks;
+        stats_.timeouts += st.timeouts;
+        st.drops = st.retransmissions = st.acks = st.timeouts = 0;
         DMST_ASSERT(st.in_flight >= 0 ||
                     in_flight_ >= static_cast<std::uint64_t>(-st.in_flight));
         in_flight_ = static_cast<std::uint64_t>(

@@ -101,12 +101,11 @@ namespace dmst {
 // starts a new synchronizer epoch re-aligned to a common base level.
 //
 // Caveats: the lock-step conditioner does not compose (make_network
-// rejects it — the async delay model subsumes its latency axis), and
-// RunStats::rounds counts executed pulse levels, which can exceed the
-// serial round count by the endgame skew (trailing pulses of already-done
-// processes); RunStats::arrivals_per_round stays empty (arrivals are
-// virtual-time events, not round-indexed). messages_per_round is indexed
-// by logical level and matches the serial trace exactly.
+// rejects it — the seeded per-message delay is this repo's latency
+// model), and RunStats::rounds counts executed pulse levels, which can
+// exceed the serial round count by the endgame skew (trailing pulses of
+// already-done processes). messages_per_round is indexed by logical level
+// and matches the serial trace exactly.
 class AsyncNetwork : public NetworkBase {
 public:
     // Worker count comes from config.threads (0 = hardware concurrency).
@@ -210,7 +209,10 @@ private:
         std::int64_t in_flight = 0;
         std::int64_t not_done = 0;
         // Loss-shim counters of this shard's sends; folded at the barrier.
-        FaultDelta faults;
+        std::uint64_t drops = 0;
+        std::uint64_t retransmissions = 0;
+        std::uint64_t acks = 0;
+        std::uint64_t timeouts = 0;
         std::vector<std::uint64_t> edge_hist;  // only if record_per_edge
         std::vector<EdgeId> touched_edges;     // edges with edge_hist != 0
         std::exception_ptr error;
@@ -236,6 +238,15 @@ private:
                      std::uint64_t key);
     void touch(VertexId v, ShardState& st);
 
+    // Runs the reliable-delivery shim planner (congest/faults.h) for one
+    // send from `from` via `port`: returns the first-arrival offset in
+    // virtual time (>= 1), accumulates counters into `st`, and attributes
+    // retransmission traffic to the sender's open span. Only the shard
+    // owning `from` may call this (it advances the per-(vertex, port)
+    // burst clock).
+    std::uint64_t plan_fault_delivery(VertexId from, std::size_t port,
+                                      ShardState& st);
+
     void schedule(Event&& ev);
     void merge_barrier();
     void start_epoch();
@@ -251,6 +262,12 @@ private:
     // clamp of native mode. Untouched in synchronized modes, whose event
     // schedules must stay bit-identical to their existing baselines.
     std::vector<std::vector<std::uint64_t>> link_last_;
+    // Loss shim armed (drop_rate > 0): sends plan transmissions.
+    bool loss_on_ = false;
+    // Burst-window clocks of the loss shim, one per (vertex, port);
+    // advanced only by the shard owning the sender, so no locking and
+    // bit-identical schedules across thread counts.
+    std::vector<std::vector<std::uint64_t>> fault_attempts_;
 
     int threads_ = 1;
     int shards_ = 1;

@@ -13,6 +13,15 @@ namespace dmst {
 std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
                                           const NetConfig& config)
 {
+    if (config.bandwidth < 1)
+        throw std::invalid_argument("bandwidth must be >= 1");
+    const bool lock_step =
+        config.engine == Engine::Serial || config.engine == Engine::Parallel;
+    if (lock_step && config.faults.loss_enabled())
+        throw std::invalid_argument(
+            "message loss does not compose with the lock-step engines "
+            "(a synchronous round has no time for a retransmission to "
+            "cost); use --engine=async");
     switch (config.engine) {
         case Engine::Serial:
             return std::make_unique<Network>(g, config);
@@ -22,7 +31,8 @@ std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
             if (config.conditioner.enabled())
                 throw std::invalid_argument(
                     "the lock-step conditioner does not compose with "
-                    "--engine=async (the async delay model subsumes it)");
+                    "--engine=async (its per-message delay is the latency "
+                    "model)");
             if (config.faults.crash_enabled())
                 throw std::invalid_argument(
                     "crash-stop faults do not compose with --engine=async "
@@ -118,8 +128,6 @@ EngineSelection engine_from_args(const Args& args)
 
 void define_conditioner_flags(Args& args)
 {
-    args.define("latency", "0",
-                "conditioner: per-link latency bound in rounds (0 = ideal)");
     args.define("hetero_b", "false",
                 "conditioner: hash per-link bandwidth caps in [1, b]");
     args.define("adversarial_order", "false",
@@ -130,12 +138,9 @@ void define_conditioner_flags(Args& args)
 ConditionerConfig conditioner_from_args(const Args& args)
 {
     ConditionerConfig cc;
-    cc.max_latency = static_cast<int>(args.get_int("latency"));
     cc.hetero_bandwidth = args.get_bool("hetero_b");
     cc.adversarial_order = args.get_bool("adversarial_order");
     cc.seed = static_cast<std::uint64_t>(args.get_int("cond_seed"));
-    if (cc.max_latency < 0)
-        throw std::invalid_argument("--latency must be >= 0");
     return cc;
 }
 
@@ -163,7 +168,8 @@ AsyncConfig async_from_args(const Args& args)
 void define_fault_flags(Args& args)
 {
     args.define("drop_rate", "0",
-                "faults: per-transmission loss probability in [0, 1)");
+                "faults: per-transmission loss probability in [0, 1) "
+                "(async engine only)");
     args.define("loss_seed", "11", "faults: loss-draw seed");
     args.define("burst_len", "1",
                 "faults: consecutive transmissions sharing one loss draw");

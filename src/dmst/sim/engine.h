@@ -14,12 +14,13 @@ namespace dmst {
 // α-synchronizer), or the real-network SocketNetwork (config.socket; see
 // src/dmst/net/). All honor the NetworkBase contract and produce
 // bit-identical protocol outputs; serial and parallel are additionally
-// bit-identical in RunStats. Throws std::invalid_argument for
-// Engine::Async combined with an enabled lock-step conditioner or a
-// crash-stop fault schedule (the loss shim composes with every in-process
-// engine), for Engine::Socket combined with the conditioner or any fault
-// injection (a real transport has real links and real loss), and for an
-// invalid NetConfig::faults or NetConfig::socket.
+// bit-identical in RunStats. Throws std::invalid_argument for bandwidth
+// < 1 on every engine; for Engine::Serial and Engine::Parallel combined
+// with message loss (drop_rate > 0 — loss lives on the async engine);
+// for Engine::Async combined with an enabled lock-step conditioner or a
+// crash-stop fault schedule; for Engine::Socket combined with the
+// conditioner or any fault injection (a real transport has real links and
+// real loss); and for an invalid NetConfig::faults or NetConfig::socket.
 std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
                                           const NetConfig& config);
 
@@ -47,7 +48,7 @@ struct EngineSelection {
 void define_engine_flags(Args& args);
 EngineSelection engine_from_args(const Args& args);
 
-// The shared --latency/--hetero_b/--adversarial_order/--cond_seed CLI
+// The shared --hetero_b/--adversarial_order/--cond_seed CLI
 // surface of the bench binaries (single values; the scenario runner sweeps
 // its own comma-list axes). Keeps every bench's conditioner selection
 // identical.

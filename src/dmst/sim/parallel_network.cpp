@@ -28,8 +28,6 @@ ParallelNetwork::ParallelNetwork(const WeightedGraph& g, NetConfig config,
     shard_states_.resize(static_cast<std::size_t>(shards_));
     for (auto& st : shard_states_) {
         st.out.resize(static_cast<std::size_t>(shards_));
-        if (config_.record_per_round)
-            st.arrive_hist.assign(static_cast<std::size_t>(stride_), 0);
         if (config_.record_per_edge)
             st.edge_hist.assign(graph_.edge_count(), 0);
     }
@@ -91,15 +89,6 @@ void ParallelNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
         // message dies on the wire and never enters flight.
         ++st.faults.failed_sends;
         return;
-    }
-    std::uint64_t delivery = 1 + static_cast<std::uint64_t>(link_delay(from, port));
-    if (faults_on_)
-        delivery = plan_fault_delivery(from, port, st.faults);
-    if (config_.record_per_round) {
-        const std::size_t idx = static_cast<std::size_t>(delivery - 1);
-        if (st.arrive_hist.size() <= idx)
-            st.arrive_hist.resize(idx + 1, 0);
-        ++st.arrive_hist[idx];
     }
     st.out[static_cast<std::size_t>(shard_of_[target])].emplace(
         target, static_cast<std::uint32_t>(reverse_port_[from][port]),
@@ -202,59 +191,47 @@ bool ParallelNetwork::step()
     check_sleep_deadlock(booked);
 
     ++round_;
+    if (has_crashes_)
+        apply_crashes();
+    if (trace_)
+        trace_->set_now(round_, 0);
+    run_phase([this](int s) { step_shard(s); });
+    rethrow_shard_error();
+
+    // The arena contents delivered last round are exactly the messages
+    // consumed this round; the deliver phase below overwrites them
+    // shard-locally.
+    std::uint64_t consumed = 0;
+    for (auto& st : shard_states_) {
+        consumed += st.live;
+        st.live = 0;
+    }
+    DMST_ASSERT(consumed <= in_flight_);
+    in_flight_ -= consumed;
+
+    // Merge the shard counters on the coordinator, between phases. Failed
+    // sends (dead targets) never enter flight.
     std::uint64_t sent = 0;
-    if (activation_tick()) {
-        ++logical_round_;
+    std::uint64_t staged = 0;
+    for (auto& st : shard_states_) {
+        sent += st.messages;
+        staged += st.messages - st.faults.failed_sends;
+        stats_.messages += st.messages;
+        stats_.words += st.words;
+        stats_.activations += st.active.activations;
+        st.messages = 0;
+        st.words = 0;
+        st.active.activations = 0;
         if (has_crashes_)
-            apply_crashes();
-        if (trace_)
-            trace_->set_now(logical_round_, round_, 0);
-        run_phase([this](int s) { step_shard(s); });
-        rethrow_shard_error();
-
-        // The arena contents delivered at the last deliver tick are
-        // exactly the messages consumed this tick; the next deliver phase
-        // overwrites them shard-locally.
-        std::uint64_t consumed = 0;
-        for (auto& st : shard_states_) {
-            consumed += st.live;
-            st.live = 0;
-        }
-        DMST_ASSERT(consumed <= in_flight_);
-        in_flight_ -= consumed;
-
-        // Merge the shard counters on the coordinator, between phases.
-        // Failed sends (dead targets) never enter flight; the shim deltas
-        // fold into stats_ and their max completion stretches the round.
-        std::uint64_t staged = sent;
-        std::uint64_t horizon = static_cast<std::uint64_t>(stride_);
-        for (auto& st : shard_states_) {
-            sent += st.messages;
-            staged += st.messages - st.faults.failed_sends;
-            stats_.messages += st.messages;
-            stats_.words += st.words;
-            stats_.activations += st.active.activations;
-            st.messages = 0;
-            st.words = 0;
-            st.active.activations = 0;
-            if (config_.record_per_round)
-                fold_arrivals(st.arrive_hist);
-            if (faults_on_ || has_crashes_)
-                horizon = std::max(horizon, fold_fault_delta(st.faults));
-        }
-        in_flight_ += staged;
-        note_activation();
-        if (config_.record_per_edge)
-            fold_edge_histograms();
-        schedule_round(horizon);
+            fold_fault_delta(st.faults);
     }
-    // Between activations (stride > 1) the per-shard outboxes ride along
-    // unread; the inbox for the next activation is built on the tick just
-    // before it.
-    if (deliver_tick()) {
-        run_phase([this](int s) { deliver_shard(s); });
-        rethrow_shard_error();
-    }
+    in_flight_ += staged;
+    note_round();
+    if (config_.record_per_edge)
+        fold_edge_histograms();
+
+    run_phase([this](int s) { deliver_shard(s); });
+    rethrow_shard_error();
 
     stats_.rounds = round_;
     if (config_.record_per_round)

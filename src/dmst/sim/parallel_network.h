@@ -65,9 +65,8 @@ private:
         std::size_t live = 0;           // slots delivered into this round
         std::uint64_t messages = 0;
         std::uint64_t words = 0;
-        std::vector<std::uint64_t> arrive_hist;  // by delay; only if record_per_round
-        // Shim counters of this shard's sends this activation; folded by
-        // the coordinator (which also takes the max horizon).
+        // Crash-stop counters of this shard's round (failed sends, wedged
+        // vertices); folded by the coordinator.
         FaultDelta faults;
         std::vector<std::uint64_t> edge_hist;  // only if record_per_edge
         std::vector<EdgeId> touched_edges;     // edges with edge_hist != 0

@@ -55,18 +55,6 @@ Opts cell_options(int bandwidth, Engine engine, int threads,
     return opts;
 }
 
-// Per-vertex MST port sets -> sorted unique edge ids (a partial forest is
-// fine; collect_mst_edges would reject a non-spanning one).
-std::vector<EdgeId> edges_from_ports(const WeightedGraph& g,
-                                     const MstForestResult& r)
-{
-    std::set<EdgeId> edges;
-    for (VertexId v = 0; v < g.vertex_count(); ++v)
-        for (std::size_t p : r.mst_ports[v])
-            edges.insert(g.edge_id(v, p));
-    return {edges.begin(), edges.end()};
-}
-
 AlgoRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
                       int bandwidth, Engine engine, int threads,
                       std::uint64_t ghs_k, const ConditionerConfig& cc,
@@ -104,7 +92,7 @@ AlgoRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
                                              record_per_edge);
         opts.k = ghs_k;
         auto r = run_controlled_ghs(g, opts);
-        out.edges = edges_from_ports(g, r);
+        out.edges = collect_claimed_edges(g, r.mst_ports);
         out.stats = std::move(r.stats);
         out.partial = r.partial;
     } else if (algorithm == "ghs_native") {
@@ -112,7 +100,7 @@ AlgoRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
                                                    cc, ac, fc, sc, trace,
                                                    record_per_edge);
         auto r = run_ghs_native(g, opts);
-        out.edges = edges_from_ports(g, r);
+        out.edges = collect_claimed_edges(g, r.mst_ports);
         out.stats = std::move(r.stats);
         out.partial = r.partial;
     } else {
@@ -329,8 +317,7 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
 {
     if (spec.families.empty() || spec.sizes.empty() ||
         spec.bandwidths.empty() || spec.engines.empty() ||
-        spec.thread_counts.empty() || spec.latencies.empty() ||
-        spec.hetero_bs.empty() || spec.adversarial_orders.empty() ||
+        spec.thread_counts.empty() || spec.hetero_bs.empty() || spec.adversarial_orders.empty() ||
         spec.max_delays.empty() || spec.event_seeds.empty() ||
         spec.syncs.empty() || spec.drop_rates.empty() ||
         spec.loss_seeds.empty() || spec.crash_specs.empty())
@@ -348,7 +335,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
             std::set<EdgeId> reference_set(reference.edges.begin(),
                                            reference.edges.end());
             for (int bandwidth : spec.bandwidths) {
-            for (int latency : spec.latencies) {
             for (int hetero : spec.hetero_bs) {
             for (int adversarial : spec.adversarial_orders) {
             for (int max_delay : spec.max_delays) {
@@ -367,7 +353,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                 fc.burst_len = spec.fault_burst;
                 fc.crashes = parse_crash_spec(crash_spec);
                 ConditionerConfig cc;
-                cc.max_latency = latency;
                 cc.hetero_bandwidth = hetero != 0;
                 cc.adversarial_order = adversarial != 0;
                 cc.seed = spec.conditioner_seed;
@@ -388,6 +373,12 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                     // engines do not read the async axes; the async
                     // engine rejects the lock-step conditioner.
                     if (is_async ? !ideal_conditioner : !first_async_point)
+                        continue;
+                    // Loss lives on the async engine (make_network
+                    // rejects it on serial and parallel).
+                    const bool lock_step = engine == Engine::Serial ||
+                                           engine == Engine::Parallel;
+                    if (lock_step && fc.loss_enabled())
                         continue;
                     // The no-synchronizer path hosts message-driven
                     // drivers only; round-programmed algorithms have no
@@ -423,7 +414,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                         cell.n = g.vertex_count();
                         cell.m = g.edge_count();
                         cell.bandwidth = bandwidth;
-                        cell.latency = latency;
                         cell.hetero_b = cc.hetero_bandwidth;
                         cell.adversarial_order = cc.adversarial_order;
                         if (is_async) {
@@ -590,7 +580,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
             }
             }
             }
-            }
         }
     }
     return cells;
@@ -603,7 +592,6 @@ std::string cell_json(const ScenarioCell& cell)
         << ",\"family\":\"" << cell.family << "\""
         << ",\"n\":" << cell.n << ",\"m\":" << cell.m
         << ",\"bandwidth\":" << cell.bandwidth
-        << ",\"latency\":" << cell.latency
         << ",\"hetero_b\":" << (cell.hetero_b ? "true" : "false")
         << ",\"adversarial_order\":"
         << (cell.adversarial_order ? "true" : "false")

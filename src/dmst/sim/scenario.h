@@ -30,12 +30,11 @@ struct ScenarioSpec {
     // 1) regardless of this list. Async cells are bit-exact across worker
     // counts, so sweeping them doubles as a determinism probe.
     std::vector<int> thread_counts = {0};
-    // Network-conditioner axes (congest/conditioner.h): per-link latency
-    // bound, per-link bandwidth caps (0/1), adversarial delivery order
-    // (0/1). The default grid is the ideal substrate. The conditioner is
-    // a lock-step device: async-engine cells run only at the ideal
-    // conditioner point (all three axes zero) and are skipped elsewhere.
-    std::vector<int> latencies = {0};
+    // Network-conditioner axes (congest/conditioner.h): per-link bandwidth
+    // caps (0/1) and adversarial delivery order (0/1). The default grid is
+    // the ideal substrate. The conditioner is a lock-step device:
+    // async-engine cells run only at the ideal conditioner point (both
+    // axes zero) and are skipped elsewhere.
     std::vector<int> hetero_bs = {0};
     std::vector<int> adversarial_orders = {0};
     std::uint64_t conditioner_seed = 7;
@@ -53,12 +52,13 @@ struct ScenarioSpec {
     std::vector<SyncMode> syncs = {SyncMode::Alpha};
     // Fault-injection axes (congest/faults.h): per-link drop probability,
     // loss-stream seed, and crash-stop schedule (parse_crash_spec grammar,
-    // "" = none). The loss shim is transparent — every lossy cell must
-    // verify exactly like its clean twin — so the loss_seed axis collapses
-    // to its first point at drop_rate 0. Crash schedules are lock-step
-    // only (async cells skip them); a crash cell verifies by containment
-    // of the partial forest in the reference MST and skips model_verify
-    // (the verifier's input contract is a spanning forest).
+    // "" = none). Loss is async-only (lock-step cells skip drop_rate > 0)
+    // and transparent — every lossy cell must verify exactly like its
+    // clean twin — so the loss_seed axis collapses to its first point at
+    // drop_rate 0. Crash schedules are lock-step only (async cells skip
+    // them); a crash cell verifies by containment of the partial forest in
+    // the reference MST and skips model_verify (the verifier's input
+    // contract is a spanning forest).
     std::vector<double> drop_rates = {0.0};
     std::vector<std::uint64_t> loss_seeds = {11};
     std::vector<std::string> crash_specs = {""};
@@ -112,9 +112,8 @@ struct ScenarioCell {
     std::size_t n = 0;
     std::size_t m = 0;
     int bandwidth = 1;
-    // The cell's conditioner point on the (latency, hetero_b,
-    // adversarial_order) axes; all-zero on the ideal substrate.
-    int latency = 0;
+    // The cell's conditioner point on the (hetero_b, adversarial_order)
+    // axes; both false on the ideal substrate.
     bool hetero_b = false;
     bool adversarial_order = false;
     // The cell's async-axes point; meaningful only for async-engine cells
@@ -211,19 +210,19 @@ using ScenarioCallback = std::function<void(const ScenarioCell&)>;
 
 // Runs the full grid; throws std::invalid_argument on an unknown
 // algorithm, family, or empty dimension. Cells are produced in
-// (family, n, bandwidth, latency, hetero_b, adversarial_order, max_delay,
+// (family, n, bandwidth, hetero_b, adversarial_order, max_delay,
 // event_seed, sync, drop_rate, loss_seed, crash, engine, threads)
 // lexicographic grid order. Cells whose axes do not apply to their engine
 // are skipped rather than duplicated: lock-step engines run only at the
-// first (max_delay, event_seed, sync) point, the async engine only at the
-// ideal conditioner point and never on crash cells; sync = none cells run
-// only for algorithm "ghs_native" (the message-driven driver); loss seeds
-// beyond the first are skipped at drop_rate 0; the serial engine runs a
-// single (threads = 1) cell while parallel and async sweep the thread
-// axis. The
-// socket engine runs single-threaded cells at the ideal conditioner,
-// first async point and clean fault point only, and skips sizes smaller
-// than its process count (every rank needs a non-empty vertex block).
+// first (max_delay, event_seed, sync) point and never on lossy cells, the
+// async engine only at the ideal conditioner point and never on crash
+// cells; sync = none cells run only for algorithm "ghs_native" (the
+// message-driven driver); loss seeds beyond the first are skipped at
+// drop_rate 0; the serial engine runs a single (threads = 1) cell while
+// parallel and async sweep the thread axis. The socket engine runs
+// single-threaded cells at the ideal conditioner, first async point and
+// clean fault point only, and skips sizes smaller than its process count
+// (every rank needs a non-empty vertex block).
 std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                         const ScenarioCallback& on_cell = {});
 

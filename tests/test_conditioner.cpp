@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "dmst/congest/conditioner.h"
@@ -65,31 +64,14 @@ public:
 };
 
 NetConfig conditioned_config(Engine engine, int threads, ConditionerConfig cc,
-                             int bandwidth = 1, bool record = false)
+                             int bandwidth = 1)
 {
     NetConfig config;
     config.bandwidth = bandwidth;
     config.engine = engine;
     config.threads = threads;
     config.conditioner = cc;
-    config.record_per_round = record;
-    config.max_rounds = scaled_round_budget(NetConfig{}.max_rounds, cc);
     return config;
-}
-
-TEST(Conditioner, ScaledRoundBudget)
-{
-    ConditionerConfig ideal;
-    EXPECT_EQ(ideal.stride(), 1);
-    EXPECT_EQ(scaled_round_budget(100, ideal), 100u);
-
-    ConditionerConfig lat3;
-    lat3.max_latency = 3;
-    EXPECT_EQ(lat3.stride(), 4);
-    EXPECT_EQ(scaled_round_budget(100, lat3), 400u);
-    // Saturates instead of overflowing.
-    EXPECT_EQ(scaled_round_budget(~std::uint64_t{0} / 2, lat3),
-              ~std::uint64_t{0});
 }
 
 TEST(Conditioner, PerLinkAssignmentIsSeededAndBounded)
@@ -97,7 +79,6 @@ TEST(Conditioner, PerLinkAssignmentIsSeededAndBounded)
     Rng rng(11);
     auto g = gen_erdos_renyi(40, 120, rng);
     ConditionerConfig cc;
-    cc.max_latency = 3;
     cc.hetero_bandwidth = true;
     cc.seed = 99;
 
@@ -106,107 +87,90 @@ TEST(Conditioner, PerLinkAssignmentIsSeededAndBounded)
     cc.seed = 100;
     LinkConditioner c(g, cc, 4);
 
-    bool latency_varies = false;
     bool cap_varies = false;
     bool differs_across_seeds = false;
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
-        EXPECT_GE(a.latency(e), 0);
-        EXPECT_LE(a.latency(e), 3);
         EXPECT_GE(a.bandwidth_cap(e), 1);
         EXPECT_LE(a.bandwidth_cap(e), 4);
-        EXPECT_EQ(a.latency(e), b.latency(e));
         EXPECT_EQ(a.bandwidth_cap(e), b.bandwidth_cap(e));
-        latency_varies = latency_varies || a.latency(e) != a.latency(0);
         cap_varies = cap_varies || a.bandwidth_cap(e) != a.bandwidth_cap(0);
         differs_across_seeds =
-            differs_across_seeds || a.latency(e) != c.latency(e);
+            differs_across_seeds || a.bandwidth_cap(e) != c.bandwidth_cap(e);
     }
-    EXPECT_TRUE(latency_varies);
     EXPECT_TRUE(cap_varies);
     EXPECT_TRUE(differs_across_seeds);
 }
 
-TEST(Conditioner, ProcessesSeeLogicalRoundsSubstrateCountsTicks)
+TEST(Conditioner, ProcessesSeeEveryRoundAndStatsCountThem)
 {
     Rng rng(12);
     auto g = gen_path(6, rng);
-    ConditionerConfig cc;
-    cc.max_latency = 2;  // stride 3
 
-    Network net(g, conditioned_config(Engine::Serial, 0, cc));
+    Network net(g, NetConfig{});
     net.init([](VertexId) { return std::make_unique<RoundLogProcess>(3); });
     RunStats stats = net.run();
 
-    // 4 logical rounds run (3 chatty + 1 that consumes the last wave), in
-    // (4-1)*3 + 1 ticks.
-    EXPECT_EQ(stats.rounds, (4 - 1) * 3 + 1u);
+    // 4 rounds run: 3 chatty ones plus 1 that consumes the last wave.
+    EXPECT_EQ(stats.rounds, 4u);
     const auto& p = static_cast<const RoundLogProcess&>(net.process(2));
     EXPECT_EQ(p.rounds_seen_, (std::vector<std::uint64_t>{1, 2, 3, 4}));
     // Lock-step inboxes: round r delivers exactly round r-1's sends.
     EXPECT_EQ(p.inbox_sizes_, (std::vector<std::size_t>{0, 2, 2, 2}));
 }
 
-TEST(Conditioner, RoundInflationFormulaIsExact)
-{
-    Rng rng(13);
-    auto g = gen_grid(4, 8, rng);
-    for (int latency : {1, 2, 3}) {
-        ConditionerConfig cc;
-        cc.max_latency = latency;
+// Forwards to a wrapped process and records the last round it ran in.
+class RoundSpy : public Process {
+public:
+    explicit RoundSpy(std::unique_ptr<Process> inner) : inner_(std::move(inner)) {}
 
-        Network ideal(g, NetConfig{});
-        ideal.init([](VertexId) { return std::make_unique<RoundLogProcess>(4); });
-        RunStats ideal_stats = ideal.run();
-
-        Network cond(g, conditioned_config(Engine::Serial, 0, cc));
-        cond.init([](VertexId) { return std::make_unique<RoundLogProcess>(4); });
-        RunStats cond_stats = cond.run();
-
-        EXPECT_EQ(cond_stats.rounds,
-                  (ideal_stats.rounds - 1) * cc.stride() + 1u)
-            << "latency " << latency;
-        EXPECT_EQ(cond_stats.messages, ideal_stats.messages);
-        EXPECT_EQ(cond_stats.words, ideal_stats.words);
+    void on_round(Context& ctx) override
+    {
+        last_round_ = ctx.round();
+        inner_->on_round(ctx);
     }
-}
+    bool done() const override { return inner_->done(); }
+    std::uint64_t next_wakeup(const Context& ctx) const override
+    {
+        return inner_->next_wakeup(ctx);
+    }
 
-TEST(Conditioner, ArrivalsTraceFollowsPerLinkLatency)
+    std::uint64_t last_round_ = 0;
+
+private:
+    std::unique_ptr<Process> inner_;
+};
+
+TEST(Conditioner, StatsRoundsIsTheLastRoundAProcessSaw)
 {
-    Rng rng(14);
-    auto g = gen_star(9, rng);
-    ConditionerConfig cc;
-    cc.max_latency = 3;
-    cc.seed = 5;
-
-    auto run_one = [&](Engine engine, int threads) {
-        NetConfig config = conditioned_config(engine, threads, cc, 1, true);
-        auto net = make_network(g, config);
-        net->init([](VertexId) { return std::make_unique<RoundLogProcess>(1); });
-        return net->run();
-    };
-    RunStats serial = run_one(Engine::Serial, 0);
-    RunStats parallel = run_one(Engine::Parallel, 4);
-    EXPECT_EQ(serial.arrivals_per_round, parallel.arrivals_per_round);
-    EXPECT_EQ(serial.messages_per_round, parallel.messages_per_round);
-
-    // Logical round 1 (tick 1) sends one message per edge direction; the
-    // message on edge e arrives at tick 2 + latency(e), twice per edge.
-    LinkConditioner cond(g, cc, 1);
-    std::vector<std::uint64_t> expected;
-    auto note = [&](std::size_t tick, std::uint64_t count) {
-        if (expected.size() < tick)
-            expected.resize(tick, 0);
-        expected[tick - 1] += count;
-    };
-    for (EdgeId e = 0; e < g.edge_count(); ++e)
-        note(2 + cond.latency(e), 2);
-    // Logical round 2 (tick 1 + stride = 5) echoes nothing — chat_rounds=1.
-    EXPECT_EQ(serial.arrivals_per_round, expected);
-
-    std::uint64_t arrived = std::accumulate(serial.arrivals_per_round.begin(),
-                                            serial.arrivals_per_round.end(),
-                                            std::uint64_t{0});
-    EXPECT_EQ(arrived, serial.messages);
+    Rng rng(19);
+    auto g = gen_erdos_renyi(64, 192, rng);
+    ElkinOptions opts;
+    opts.bandwidth = 2;
+    for (bool hetero : {false, true}) {
+        for (bool adversarial : {false, true}) {
+            ConditionerConfig cc;
+            cc.hetero_bandwidth = hetero;
+            cc.adversarial_order = adversarial;
+            cc.seed = 31;
+            for (Engine engine : {Engine::Serial, Engine::Parallel}) {
+                auto net = make_network(
+                    g, conditioned_config(engine, 4, cc, opts.bandwidth));
+                net->init([&](VertexId v) {
+                    return std::make_unique<RoundSpy>(
+                        std::make_unique<ElkinProcess>(v, g.vertex_count(), opts));
+                });
+                const RunStats stats = net->run();
+                std::uint64_t last = 0;
+                for (VertexId v = 0; v < g.vertex_count(); ++v)
+                    last = std::max(
+                        last,
+                        static_cast<const RoundSpy&>(net->process(v)).last_round_);
+                EXPECT_EQ(stats.rounds, last)
+                    << engine_name(engine) << " hetero=" << hetero
+                    << " adversarial=" << adversarial;
+            }
+        }
+    }
 }
 
 TEST(Conditioner, AdversarialOrderPermutesButIsEngineIdentical)
@@ -344,7 +308,6 @@ TEST(Conditioner, ElkinOutputInvariantUnderFullConditioning)
     auto baseline = run_elkin_mst(g, ideal);
 
     ElkinOptions cond = ideal;
-    cond.conditioner.max_latency = 2;
     cond.conditioner.hetero_bandwidth = true;
     cond.conditioner.adversarial_order = true;
     cond.conditioner.seed = 31;
@@ -352,10 +315,6 @@ TEST(Conditioner, ElkinOutputInvariantUnderFullConditioning)
 
     EXPECT_EQ(conditioned.mst_edges, baseline.mst_edges);
     EXPECT_EQ(conditioned.mst_ports, baseline.mst_ports);
-    // Ticks end on an activation tick: (R_logical - 1) * stride + 1.
-    EXPECT_EQ((conditioned.stats.rounds - 1) %
-                  static_cast<std::uint64_t>(cond.conditioner.stride()),
-              0u);
 }
 
 }  // namespace

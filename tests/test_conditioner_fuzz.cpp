@@ -40,16 +40,9 @@ const std::vector<EngineCase>& engine_cases()
     return cases;
 }
 
-// The conditioner configurations under fuzz: each single axis plus the
-// kitchen sink. Latency values mirror the acceptance grid {0, 1, 3}.
+// The conditioner configurations under fuzz: each single axis plus both.
 std::vector<ConditionerConfig> fuzz_configs(std::uint64_t seed)
 {
-    ConditionerConfig lat1;
-    lat1.max_latency = 1;
-    lat1.seed = seed;
-    ConditionerConfig lat3;
-    lat3.max_latency = 3;
-    lat3.seed = seed;
     ConditionerConfig hetero;
     hetero.hetero_bandwidth = true;
     hetero.seed = seed;
@@ -57,11 +50,10 @@ std::vector<ConditionerConfig> fuzz_configs(std::uint64_t seed)
     adv.adversarial_order = true;
     adv.seed = seed;
     ConditionerConfig all;
-    all.max_latency = 3;
     all.hetero_bandwidth = true;
     all.adversarial_order = true;
     all.seed = seed;
-    return {lat1, lat3, hetero, adv, all};
+    return {hetero, adv, all};
 }
 
 struct RunOutput {
@@ -111,7 +103,6 @@ void expect_stats_eq(const RunStats& a, const RunStats& b, const char* what)
     EXPECT_EQ(a.messages, b.messages) << what;
     EXPECT_EQ(a.words, b.words) << what;
     EXPECT_EQ(a.messages_per_round, b.messages_per_round) << what;
-    EXPECT_EQ(a.arrivals_per_round, b.arrivals_per_round) << what;
 }
 
 TEST(ConditionerFuzz, MstInvariantAcrossConfigsEnginesAndOracle)
@@ -135,31 +126,12 @@ TEST(ConditionerFuzz, MstInvariantAcrossConfigsEnginesAndOracle)
                             run_algo(algo, g, 2, engine_cases()[i], cc);
                         EXPECT_EQ(out.edges, baseline.edges)
                             << algo << " " << family << " seed " << seed
-                            << " latency " << cc.max_latency << " hetero "
-                            << cc.hetero_bandwidth << " adv "
+                            << " hetero " << cc.hetero_bandwidth << " adv "
                             << cc.adversarial_order << " engine case " << i;
-                        if (i == 0) {
+                        if (i == 0)
                             first = std::move(out);
-                            // A conditioned run always ends on an
-                            // activation tick.
-                            EXPECT_EQ((first.stats.rounds - 1) %
-                                          static_cast<std::uint64_t>(
-                                              cc.stride()),
-                                      0u);
-                        } else {
+                        else
                             expect_stats_eq(out.stats, first.stats, algo);
-                        }
-                    }
-                    // Pure latency conditioning cannot change the logical
-                    // schedule: tick count obeys the exact inflation
-                    // formula and message counts are untouched.
-                    if (!cc.hetero_bandwidth && !cc.adversarial_order) {
-                        EXPECT_EQ(first.stats.rounds,
-                                  (baseline.stats.rounds - 1) * cc.stride() +
-                                      1);
-                        EXPECT_EQ(first.stats.messages,
-                                  baseline.stats.messages);
-                        EXPECT_EQ(first.stats.words, baseline.stats.words);
                     }
                 }
             }

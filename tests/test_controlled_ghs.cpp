@@ -13,6 +13,15 @@
 namespace dmst {
 namespace {
 
+// Controlled-GHS options with the given fragment-diameter budget k.
+GhsOptions ghs_k(std::uint64_t k)
+{
+    GhsOptions opts;
+    opts.k = k;
+    return opts;
+}
+
+
 // Collects the set of edge ids marked as MST edges by the vertices, and
 // checks that the two endpoints of every marked edge agree.
 std::set<EdgeId> marked_edges(const WeightedGraph& g, const MstForestResult& r)
@@ -110,7 +119,7 @@ void check_ghs_result(const WeightedGraph& g, std::uint64_t k,
 TEST(ControlledGhs, SingleVertex)
 {
     auto g = WeightedGraph::from_edges(1, {});
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 4});
+    auto r = run_controlled_ghs(g, ghs_k(4));
     EXPECT_EQ(r.fragment_count(), 1u);
     EXPECT_EQ(r.parent_port[0], kNoPort);
     EXPECT_TRUE(r.mst_ports[0].empty());
@@ -119,7 +128,7 @@ TEST(ControlledGhs, SingleVertex)
 TEST(ControlledGhs, SingleEdgeMerges)
 {
     auto g = WeightedGraph::from_edges(2, {{0, 1, 5}});
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 2});
+    auto r = run_controlled_ghs(g, ghs_k(2));
     EXPECT_EQ(r.fragment_count(), 1u);
     check_ghs_result(g, 2, r);
 }
@@ -127,7 +136,7 @@ TEST(ControlledGhs, SingleEdgeMerges)
 TEST(ControlledGhs, TriangleAllWeightsEqual)
 {
     auto g = WeightedGraph::from_edges(3, {{0, 1, 7}, {1, 2, 7}, {0, 2, 7}});
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 2});
+    auto r = run_controlled_ghs(g, ghs_k(2));
     check_ghs_result(g, 2, r);
 }
 
@@ -135,7 +144,7 @@ TEST(ControlledGhs, KOneLeavesSingletons)
 {
     Rng rng(100);
     auto g = gen_erdos_renyi(20, 40, rng);
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 1});
+    auto r = run_controlled_ghs(g, ghs_k(1));
     EXPECT_EQ(r.fragment_count(), 20u);
     // Zero phases: only the round in which every process notices it is done.
     EXPECT_LE(r.stats.rounds, 1u);
@@ -148,7 +157,7 @@ TEST(ControlledGhs, LargeKBuildsFullMst)
     // tree edges are exactly the MST.
     Rng rng(101);
     auto g = gen_erdos_renyi(48, 120, rng);
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 64});
+    auto r = run_controlled_ghs(g, ghs_k(64));
     EXPECT_EQ(r.fragment_count(), 1u);
     auto marked = marked_edges(g, r);
     auto mst = mst_kruskal(g);
@@ -159,8 +168,8 @@ TEST(ControlledGhs, DeterministicAcrossRuns)
 {
     Rng rng(102);
     auto g = gen_erdos_renyi(40, 100, rng);
-    auto a = run_controlled_ghs(g, GhsOptions{.k = 8});
-    auto b = run_controlled_ghs(g, GhsOptions{.k = 8});
+    auto a = run_controlled_ghs(g, ghs_k(8));
+    auto b = run_controlled_ghs(g, ghs_k(8));
     EXPECT_EQ(a.fragment_id, b.fragment_id);
     EXPECT_EQ(a.parent_port, b.parent_port);
     EXPECT_EQ(a.stats.messages, b.stats.messages);
@@ -171,7 +180,7 @@ TEST(ControlledGhs, RoundsFollowSchedule)
 {
     Rng rng(103);
     auto g = gen_erdos_renyi(40, 100, rng);
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 8});
+    auto r = run_controlled_ghs(g, ghs_k(8));
     GhsSchedule sched(40, 8, 1);
     // run() needs one extra delivery round for the final NEWID messages.
     EXPECT_GE(r.stats.rounds + 1, sched.total_rounds());
@@ -213,7 +222,7 @@ protected:
 TEST_P(GhsSweep, ProducesValidMstForest)
 {
     auto g = make();
-    auto r = run_controlled_ghs(g, GhsOptions{.k = GetParam().k});
+    auto r = run_controlled_ghs(g, ghs_k(GetParam().k));
     check_ghs_result(g, GetParam().k, r);
 }
 
@@ -239,7 +248,7 @@ TEST(ControlledGhs, MessageComplexityShape)
     Rng rng(104);
     auto g = gen_erdos_renyi(128, 512, rng);
     for (std::uint64_t k : {2ull, 8ull, 32ull}) {
-        auto r = run_controlled_ghs(g, GhsOptions{.k = k});
+        auto r = run_controlled_ghs(g, ghs_k(k));
         double m = static_cast<double>(g.edge_count());
         double n = static_cast<double>(g.vertex_count());
         double logk = static_cast<double>(ceil_log2(k));

@@ -162,9 +162,9 @@ TEST(CvIterationBound, IsAnUpperBoundOnPaths)
 // tree (the distributed variant inside controlled_ghs.cpp is only covered
 // through the full driver): a fixed-schedule DCT of cv_dct_iterations_bound
 // iterations followed by the three shift-down/recolor steps, driven purely
-// by Context::round() — which makes it a sharp probe of the conditioner's
-// synchronizer (latency > 1, heterogeneous bandwidth, adversarial order
-// must all leave the schedule, and so the colors, untouched).
+// by Context::round() — which makes it a sharp probe of the conditioner
+// (heterogeneous bandwidth and adversarial order must both leave the
+// schedule, and so the colors, untouched).
 class CvColorProcess : public Process {
 public:
     // `parent_port` is kNoPort for the root. Colors start as vertex ids.
@@ -281,8 +281,6 @@ TEST(CvDistributed, ThreeColorsTreesUnderConditioning)
             config.engine = engine;
             config.threads = threads;
             config.conditioner = cc;
-            config.max_rounds =
-                scaled_round_budget(NetConfig{}.max_rounds, cc);
             auto net = make_network(g, config);
             net->init([&](VertexId v) {
                 return std::make_unique<CvColorProcess>(v, n, parent_port[v]);
@@ -300,22 +298,20 @@ TEST(CvDistributed, ThreeColorsTreesUnderConditioning)
         // Proper 3-coloring of the rooted tree.
         for (VertexId v = 0; v < n; ++v) {
             EXPECT_LE(ideal[v], 2u);
-            if (parent_port[v] != kNoPort)
+            if (parent_port[v] != kNoPort) {
                 EXPECT_NE(ideal[v], ideal[g.neighbor(v, parent_port[v])])
                     << "vertex " << v;
+            }
         }
 
-        ConditionerConfig lat2;
-        lat2.max_latency = 2;
         ConditionerConfig hetero;
         hetero.hetero_bandwidth = true;
         ConditionerConfig adv;
         adv.adversarial_order = true;
         ConditionerConfig all;
-        all.max_latency = 3;
         all.hetero_bandwidth = true;
         all.adversarial_order = true;
-        for (const ConditionerConfig& cc : {lat2, hetero, adv, all}) {
+        for (const ConditionerConfig& cc : {hetero, adv, all}) {
             EXPECT_EQ(run_colors(cc, Engine::Serial, 0), ideal);
             EXPECT_EQ(run_colors(cc, Engine::Parallel, 2), ideal);
             EXPECT_EQ(run_colors(cc, Engine::Parallel, 8), ideal);

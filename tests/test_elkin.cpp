@@ -13,6 +13,22 @@
 namespace dmst {
 namespace {
 
+// Elkin options rooted at `root`, or with the base-forest k forced.
+ElkinOptions elkin_root(VertexId root)
+{
+    ElkinOptions opts;
+    opts.root = root;
+    return opts;
+}
+
+ElkinOptions elkin_k(std::uint64_t k)
+{
+    ElkinOptions opts;
+    opts.k_override = k;
+    return opts;
+}
+
+
 void expect_exact_mst(const WeightedGraph& g, const DistributedMstResult& r)
 {
     auto mst = mst_kruskal(g);
@@ -70,15 +86,15 @@ TEST(ElkinMst, BadOptionsThrow)
 {
     auto g = WeightedGraph::from_edges(2, {{0, 1, 1}});
     EXPECT_THROW(run_elkin_mst(g, elkin_bw(0)), std::invalid_argument);
-    EXPECT_THROW(run_elkin_mst(g, ElkinOptions{.root = 7}), std::invalid_argument);
+    EXPECT_THROW(run_elkin_mst(g, elkin_root(7)), std::invalid_argument);
 }
 
 TEST(ElkinMst, RootChoiceDoesNotChangeTree)
 {
     Rng rng(201);
     auto g = gen_erdos_renyi(40, 100, rng);
-    auto a = run_elkin_mst(g, ElkinOptions{.root = 0});
-    auto b = run_elkin_mst(g, ElkinOptions{.root = 17});
+    auto a = run_elkin_mst(g, elkin_root(0));
+    auto b = run_elkin_mst(g, elkin_root(17));
     EXPECT_EQ(a.mst_edges, b.mst_edges);
 }
 
@@ -111,7 +127,7 @@ TEST(ElkinMst, KOverrideRespected)
 {
     Rng rng(204);
     auto g = gen_erdos_renyi(60, 150, rng);
-    auto r = run_elkin_mst(g, ElkinOptions{.k_override = 4});
+    auto r = run_elkin_mst(g, elkin_k(4));
     EXPECT_EQ(r.k_used, 4u);
     expect_exact_mst(g, r);
 }
@@ -120,7 +136,7 @@ TEST(ElkinMst, BaseForestBoundsHold)
 {
     Rng rng(205);
     auto g = gen_erdos_renyi(128, 400, rng);
-    auto r = run_elkin_mst(g, ElkinOptions{.k_override = 8});
+    auto r = run_elkin_mst(g, elkin_k(8));
     EXPECT_LE(r.base_fragments, std::max<std::uint64_t>(1, 2 * 128 / 8));
     EXPECT_GE(r.base_fragments, 1u);
 }

@@ -12,6 +12,22 @@
 namespace dmst {
 namespace {
 
+// Elkin options rooted at `root`, or with the base-forest k forced.
+ElkinOptions elkin_root(VertexId root)
+{
+    ElkinOptions opts;
+    opts.root = root;
+    return opts;
+}
+
+ElkinOptions elkin_k(std::uint64_t k)
+{
+    ElkinOptions opts;
+    opts.k_override = k;
+    return opts;
+}
+
+
 // ------------------------------------------------- per-vertex output view
 
 TEST(ElkinOutput, PerVertexPortsMatchGlobalTree)
@@ -61,7 +77,7 @@ TEST_P(ElkinRootSweep, AnyRootYieldsTheUniqueMst)
     Rng rng(902);
     auto g = gen_erdos_renyi(50, 140, rng);
     auto mst = mst_kruskal(g);
-    auto r = run_elkin_mst(g, ElkinOptions{.root = GetParam()});
+    auto r = run_elkin_mst(g, elkin_root(GetParam()));
     EXPECT_EQ(r.mst_edges, mst.edges);
 }
 
@@ -77,7 +93,7 @@ TEST_P(ElkinKSweep, AnyBaseForestParameterWorks)
     Rng rng(903);
     auto g = gen_erdos_renyi(64, 192, rng);
     auto mst = mst_kruskal(g);
-    auto r = run_elkin_mst(g, ElkinOptions{.k_override = GetParam()});
+    auto r = run_elkin_mst(g, elkin_k(GetParam()));
     EXPECT_EQ(r.mst_edges, mst.edges);
     EXPECT_EQ(r.k_used, GetParam());
 }
@@ -91,7 +107,7 @@ TEST(ElkinKExtremes, SingletonBaseForestCountsAllFragments)
 {
     Rng rng(904);
     auto g = gen_erdos_renyi(40, 100, rng);
-    auto r = run_elkin_mst(g, ElkinOptions{.k_override = 1});
+    auto r = run_elkin_mst(g, elkin_k(1));
     EXPECT_EQ(r.base_fragments, 40u);  // no GHS phases: all singletons
     EXPECT_GE(r.boruvka_phases, 1);
 }
@@ -100,7 +116,7 @@ TEST(ElkinKExtremes, HugeKCollapsesToOneFragment)
 {
     Rng rng(905);
     auto g = gen_erdos_renyi(40, 100, rng);
-    auto r = run_elkin_mst(g, ElkinOptions{.k_override = 512});
+    auto r = run_elkin_mst(g, elkin_k(512));
     EXPECT_EQ(r.base_fragments, 1u);
     // A single base fragment needs no Boruvka phase at all.
     EXPECT_EQ(r.boruvka_phases, 0);
@@ -122,9 +138,10 @@ TEST_P(ElkinFloodSweep, BroadcastVariantIsCorrectEverywhere)
         }
     }();
     auto mst = mst_kruskal(g);
-    auto flooded = run_elkin_mst(
-        g, ElkinOptions{.k_override = 8, .broadcast_downcast = true});
-    auto routed = run_elkin_mst(g, ElkinOptions{.k_override = 8});
+    ElkinOptions broadcast = elkin_k(8);
+    broadcast.broadcast_downcast = true;
+    auto flooded = run_elkin_mst(g, broadcast);
+    auto routed = run_elkin_mst(g, elkin_k(8));
     EXPECT_EQ(flooded.mst_edges, mst.edges);
     EXPECT_EQ(routed.mst_edges, mst.edges);
     // Flooding can only cost more messages.

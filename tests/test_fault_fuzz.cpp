@@ -18,14 +18,28 @@
 namespace dmst {
 namespace {
 
-// The E15 invariance bar: every driver, on every engine, must produce
-// bit-identical outputs at every (drop_rate, loss_seed) grid point — the
-// loss shim is transparent to the protocols by construction — and the
-// fault counters themselves must be engine-independent and replay-exact.
+// The E15 invariance bar: every driver must produce bit-identical outputs
+// at every (drop_rate, loss_seed) grid point — the loss shim is
+// transparent to the protocols by construction — and the fault counters
+// themselves must be worker-count-independent and replay-exact.
 
 constexpr double kDropRates[] = {0.0, 0.05, 0.2};
 constexpr std::uint64_t kLossSeeds[] = {11, 12, 13};
-constexpr Engine kEngines[] = {Engine::Serial, Engine::Parallel, Engine::Async};
+
+struct EngineCase {
+    Engine engine;
+    int threads;
+};
+
+// Lossy grid points run on the async engine, where loss lives, at several
+// worker counts; the clean point runs on every in-process engine.
+std::vector<EngineCase> engine_cases(double rate)
+{
+    std::vector<EngineCase> cases = {{Engine::Async, 1}, {Engine::Async, 2}};
+    if (rate == 0.0)
+        cases.insert(cases.begin(), {{Engine::Serial, 1}, {Engine::Parallel, 2}});
+    return cases;
+}
 
 std::vector<WeightedGraph> fuzz_graphs()
 {
@@ -57,35 +71,40 @@ void sweep_loss_grid(const WeightedGraph& g, Run run,
                      const std::vector<EdgeId>& oracle)
 {
     for (double rate : kDropRates) {
-        // The counters of the serial reference pin every other engine at
-        // the same grid point; at rate 0 extra seeds are no-ops.
+        // The counters of the first (single-worker) run pin every other
+        // worker count at the same grid point; at rate 0 extra seeds are
+        // no-ops.
         for (std::uint64_t seed : kLossSeeds) {
-            FaultCounters serial_counters{};
-            for (Engine engine : kEngines) {
+            FaultCounters ref_counters{};
+            bool first = true;
+            for (const EngineCase& ec : engine_cases(rate)) {
                 Opts opts;
-                opts.engine = engine;
+                opts.engine = ec.engine;
+                opts.threads = ec.threads;
                 opts.faults.drop_rate = rate;
                 opts.faults.loss_seed = seed;
                 const auto r = run(g, opts);
                 EXPECT_EQ(r.mst_edges, oracle)
-                    << "engine=" << engine_name(engine) << " rate=" << rate
-                    << " seed=" << seed;
+                    << "engine=" << engine_name(ec.engine) << " threads="
+                    << ec.threads << " rate=" << rate << " seed=" << seed;
                 const FaultCounters c = counters(r.stats);
                 if (rate == 0.0) {
                     EXPECT_EQ(c, (FaultCounters{0, 0, 0, 0}));
-                } else if (engine == Engine::Serial) {
-                    serial_counters = c;
+                } else if (first) {
+                    ref_counters = c;
                     EXPECT_GT(c.acks, 0u);
                     // Replay-exact: an identical run reproduces the
-                    // counters bit-for-bit.
+                    // counters and the clock bit-for-bit.
                     const auto r2 = run(g, opts);
                     EXPECT_EQ(counters(r2.stats), c);
                     EXPECT_EQ(r2.stats.rounds, r.stats.rounds);
+                    EXPECT_EQ(r2.stats.virtual_time, r.stats.virtual_time);
                 } else {
-                    EXPECT_EQ(c, serial_counters)
-                        << "engine=" << engine_name(engine) << " rate=" << rate
+                    EXPECT_EQ(c, ref_counters)
+                        << "threads=" << ec.threads << " rate=" << rate
                         << " seed=" << seed;
                 }
+                first = false;
             }
             if (rate == 0.0)
                 break;  // seeds are indistinguishable without loss
@@ -139,16 +158,17 @@ TEST(FaultFuzz, ControlledGhsForestInvariantAcrossLossGrid)
         const MstForestResult base = run_controlled_ghs(g, clean);
         for (double rate : kDropRates) {
             for (std::uint64_t seed : kLossSeeds) {
-                for (Engine engine : kEngines) {
+                for (const EngineCase& ec : engine_cases(rate)) {
                     GhsOptions opts;
                     opts.k = 4;
-                    opts.engine = engine;
+                    opts.engine = ec.engine;
+                    opts.threads = ec.threads;
                     opts.faults.drop_rate = rate;
                     opts.faults.loss_seed = seed;
                     const MstForestResult r = run_controlled_ghs(g, opts);
                     EXPECT_EQ(r.fragment_id, base.fragment_id)
-                        << "engine=" << engine_name(engine) << " rate=" << rate
-                        << " seed=" << seed;
+                        << "engine=" << engine_name(ec.engine) << " threads="
+                        << ec.threads << " rate=" << rate << " seed=" << seed;
                     EXPECT_EQ(r.mst_ports, base.mst_ports);
                     EXPECT_EQ(r.parent_port, base.parent_port);
                 }
@@ -176,15 +196,16 @@ TEST(FaultFuzz, VerifierVerdictInvariantAcrossLossGrid)
 
         for (double rate : kDropRates) {
             for (std::uint64_t seed : kLossSeeds) {
-                for (Engine engine : kEngines) {
+                for (const EngineCase& ec : engine_cases(rate)) {
                     VerifyOptions opts;
-                    opts.engine = engine;
+                    opts.engine = ec.engine;
+                    opts.threads = ec.threads;
                     opts.faults.drop_rate = rate;
                     opts.faults.loss_seed = seed;
                     const VerifyMstResult a = run_verify_mst(g, good, opts);
                     EXPECT_TRUE(a.accepted)
-                        << "engine=" << engine_name(engine) << " rate=" << rate
-                        << " seed=" << seed;
+                        << "engine=" << engine_name(ec.engine) << " threads="
+                        << ec.threads << " rate=" << rate << " seed=" << seed;
                     const VerifyMstResult b = run_verify_mst(g, bad, opts);
                     EXPECT_EQ(b.verdict, bad_base.verdict);
                     EXPECT_EQ(b.witness, bad_base.witness);

@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "dmst/congest/faults.h"
-#include "dmst/congest/network.h"
 #include "dmst/core/elkin_mst.h"
 #include "dmst/core/mst_output.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/core/verify_mst.h"
 #include "dmst/graph/generators.h"
 #include "dmst/obs/trace.h"
@@ -31,6 +29,17 @@ FaultConfig lossy(double rate, std::uint64_t seed = 11)
     return fc;
 }
 
+// Options of a driver on the async engine, where loss lives.
+template <typename Opts>
+Opts on_async(FaultConfig faults = {}, int threads = 0)
+{
+    Opts opts;
+    opts.engine = Engine::Async;
+    opts.threads = threads;
+    opts.faults = std::move(faults);
+    return opts;
+}
+
 // ------------------------------------------------------------ the planner
 
 TEST(Faults, PlanMatchesFirstPrinciplesReplay)
@@ -43,9 +52,9 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
         for (int dir = 0; dir < 2; ++dir) {
             std::uint64_t counter = 0;
-            const std::uint64_t one_way = 3;
-            const std::uint64_t rtt = 2 * one_way;
-            FaultPlan plan = lf.plan_transmission(e, dir, one_way, counter);
+            const std::uint64_t one_way = FaultConfig::kOneWay;
+            const std::uint64_t rtt = FaultConfig::kRtt;
+            FaultPlan plan = lf.plan_transmission(e, dir, counter);
 
             // Re-derive the plan from the exposed loss draw.
             std::uint64_t t = 0, window = 0;
@@ -64,7 +73,6 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
                         !forced &&
                         LinkFaults::transmission_lost(fc, e, dir, 1, window);
                     if (!ack_lost) {
-                        expect.completion = t + rtt;
                         expect.attempts = k;
                         done = true;
                     } else {
@@ -82,7 +90,6 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
             }
 
             EXPECT_EQ(plan.delivery, expect.delivery);
-            EXPECT_EQ(plan.completion, expect.completion);
             EXPECT_EQ(plan.attempts, expect.attempts);
             EXPECT_EQ(plan.drops, expect.drops);
             EXPECT_EQ(plan.acks, expect.acks);
@@ -91,15 +98,14 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
             EXPECT_EQ(counter, plan.attempts);
             // The attempt counter advanced once per data attempt.
             EXPECT_GE(plan.delivery, one_way);
-            EXPECT_GE(plan.completion, rtt);
         }
     }
 }
 
 TEST(Faults, BoundedAdversaryForcesDelivery)
 {
-    // Near-certain loss: every plan must still complete, within
-    // max_attempts data transmissions and worst_round_ticks ticks.
+    // Near-certain loss: every plan must still deliver, within
+    // max_attempts data transmissions and worst_round_ticks time units.
     FaultConfig fc = lossy(0.99, 5);
     fc.max_attempts = 4;
     Rng rng(4);
@@ -108,10 +114,10 @@ TEST(Faults, BoundedAdversaryForcesDelivery)
 
     std::uint64_t counter = 0;
     for (int i = 0; i < 64; ++i) {
-        FaultPlan plan = lf.plan_transmission(0, 0, 1, counter);
+        FaultPlan plan = lf.plan_transmission(0, 0, counter);
         EXPECT_LE(plan.attempts, 4u);
-        EXPECT_GT(plan.completion, 0u);
-        EXPECT_LE(plan.completion, fc.worst_round_ticks(1));
+        EXPECT_GT(plan.delivery, 0u);
+        EXPECT_LE(plan.delivery, fc.worst_round_ticks());
     }
 }
 
@@ -137,8 +143,8 @@ TEST(Faults, BurstWindowsShareOneDraw)
     auto g = gen_path(4, rng);
     LinkFaults lf(g, fc);
     std::uint64_t c1 = 0, c2 = 1;  // same window (0..3)
-    FaultPlan a = lf.plan_transmission(0, 0, 1, c1);
-    FaultPlan b = lf.plan_transmission(0, 0, 1, c2);
+    FaultPlan a = lf.plan_transmission(0, 0, c1);
+    FaultPlan b = lf.plan_transmission(0, 0, c2);
     EXPECT_EQ(a.attempts, b.attempts);
 }
 
@@ -211,26 +217,38 @@ TEST(Faults, SeededCrashesAreDeterministicAndInRange)
 
 TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
 {
-    ConditionerConfig cond;
     FaultConfig off;
-    EXPECT_EQ(off.worst_round_ticks(1), 1u);
-    EXPECT_EQ(off.worst_round_ticks(4), 4u);
-    EXPECT_EQ(scaled_round_budget(100, cond, off), scaled_round_budget(100, cond));
+    EXPECT_EQ(off.worst_round_ticks(), 1u);
+    EXPECT_EQ(scaled_round_budget(100, off), 100u);
 
     FaultConfig on = lossy(0.2);
-    EXPECT_GT(on.worst_round_ticks(1), 1u);
-    EXPECT_GT(scaled_round_budget(100, cond, on), 100u);
-    ConditionerConfig lat2;
-    lat2.max_latency = 2;  // stride 3
-    EXPECT_GE(on.worst_round_ticks(3), on.worst_round_ticks(1));
-    EXPECT_GE(scaled_round_budget(100, lat2, on),
-              scaled_round_budget(100, cond, on));
+    EXPECT_GT(on.worst_round_ticks(), 1u);
+    EXPECT_EQ(scaled_round_budget(100, on), 100 * on.worst_round_ticks());
     // Saturates instead of overflowing.
-    EXPECT_EQ(scaled_round_budget(~std::uint64_t{0} / 2, cond, on),
+    EXPECT_EQ(scaled_round_budget(~std::uint64_t{0} / 2, on),
               ~std::uint64_t{0});
 }
 
 // ------------------------------------------------- loss shim on the engines
+
+TEST(Faults, LockStepEnginesRejectLoss)
+{
+    Rng rng(30);
+    auto g = gen_path(6, rng);
+    for (Engine engine : {Engine::Serial, Engine::Parallel}) {
+        NetConfig config;
+        config.engine = engine;
+        config.faults = lossy(0.1);
+        EXPECT_THROW(make_network(g, config), std::invalid_argument)
+            << engine_name(engine);
+
+        ElkinOptions opts;
+        opts.engine = engine;
+        opts.faults = lossy(0.1);
+        EXPECT_THROW(run_elkin_mst(g, opts), std::invalid_argument)
+            << engine_name(engine);
+    }
+}
 
 TEST(Faults, LossPreservesMstAndReplaysExactly)
 {
@@ -238,8 +256,8 @@ TEST(Faults, LossPreservesMstAndReplaysExactly)
     auto g = gen_erdos_renyi(24, 60, rng);
     const MstResult oracle = mst_kruskal(g);
 
-    ElkinOptions clean;
-    const DistributedMstResult base = run_elkin_mst(g, clean);
+    const DistributedMstResult base =
+        run_elkin_mst(g, on_async<ElkinOptions>());
     ASSERT_EQ(base.mst_edges, oracle.edges);
     EXPECT_EQ(base.stats.retransmissions, 0u);
     EXPECT_EQ(base.stats.drops, 0u);
@@ -247,8 +265,7 @@ TEST(Faults, LossPreservesMstAndReplaysExactly)
 
     for (double rate : {0.05, 0.2}) {
         for (std::uint64_t seed : {11ull, 12ull}) {
-            ElkinOptions opts;
-            opts.faults = lossy(rate, seed);
+            const ElkinOptions opts = on_async<ElkinOptions>(lossy(rate, seed));
             const DistributedMstResult a = run_elkin_mst(g, opts);
             EXPECT_EQ(a.mst_edges, oracle.edges)
                 << "rate=" << rate << " seed=" << seed;
@@ -263,54 +280,47 @@ TEST(Faults, LossPreservesMstAndReplaysExactly)
             EXPECT_EQ(a.stats.drops, b.stats.drops);
             EXPECT_EQ(a.stats.acks, b.stats.acks);
             EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+            EXPECT_EQ(a.stats.virtual_time, b.stats.virtual_time);
             EXPECT_EQ(a.stats.messages, b.stats.messages);
         }
     }
 }
 
-TEST(Faults, CountersAgreeAcrossAllThreeEngines)
+TEST(Faults, CountersAgreeAcrossAsyncWorkerCounts)
 {
     Rng rng(32);
     auto g = gen_erdos_renyi(20, 48, rng);
-    ElkinOptions serial;
-    serial.faults = lossy(0.2, 13);
-    const DistributedMstResult s = run_elkin_mst(g, serial);
+    const DistributedMstResult s =
+        run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 13), 1));
+    EXPECT_GT(s.stats.retransmissions, 0u);
 
-    ElkinOptions par = serial;
-    par.engine = Engine::Parallel;
-    par.threads = 3;
-    const DistributedMstResult p = run_elkin_mst(g, par);
-    EXPECT_EQ(p.mst_edges, s.mst_edges);
-    EXPECT_EQ(p.stats.retransmissions, s.stats.retransmissions);
-    EXPECT_EQ(p.stats.drops, s.stats.drops);
-    EXPECT_EQ(p.stats.acks, s.stats.acks);
-    EXPECT_EQ(p.stats.timeouts, s.stats.timeouts);
-    EXPECT_EQ(p.stats.rounds, s.stats.rounds);
-
-    // The async engine delivers on its own clock (so rounds differ), but
-    // the drop decisions depend only on attempt windows — the fault
-    // counters and the MST are identical.
-    ElkinOptions as = serial;
-    as.engine = Engine::Async;
-    const DistributedMstResult a = run_elkin_mst(g, as);
-    EXPECT_EQ(a.mst_edges, s.mst_edges);
-    EXPECT_EQ(a.stats.retransmissions, s.stats.retransmissions);
-    EXPECT_EQ(a.stats.drops, s.stats.drops);
-    EXPECT_EQ(a.stats.acks, s.stats.acks);
-    EXPECT_EQ(a.stats.timeouts, s.stats.timeouts);
+    // The drop decisions depend only on per-link attempt windows, which
+    // the sharded engine advances in the same order at every worker
+    // count: the fault counters, the clock and the MST are identical.
+    for (int threads : {2, 8}) {
+        const DistributedMstResult a =
+            run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 13), threads));
+        EXPECT_EQ(a.mst_edges, s.mst_edges) << threads;
+        EXPECT_EQ(a.stats.retransmissions, s.stats.retransmissions) << threads;
+        EXPECT_EQ(a.stats.drops, s.stats.drops) << threads;
+        EXPECT_EQ(a.stats.acks, s.stats.acks) << threads;
+        EXPECT_EQ(a.stats.timeouts, s.stats.timeouts) << threads;
+        EXPECT_EQ(a.stats.rounds, s.stats.rounds) << threads;
+        EXPECT_EQ(a.stats.virtual_time, s.stats.virtual_time) << threads;
+    }
 }
 
 TEST(Faults, DropRateZeroIsExactNoOp)
 {
     Rng rng(33);
     auto g = gen_grid(4, 5, rng);
-    ElkinOptions clean;
-    const DistributedMstResult a = run_elkin_mst(g, clean);
-    ElkinOptions zero;
-    zero.faults = lossy(0.0, 999);  // seed must not matter at rate 0
-    const DistributedMstResult b = run_elkin_mst(g, zero);
+    const DistributedMstResult a = run_elkin_mst(g, on_async<ElkinOptions>());
+    // The seed must not matter at rate 0.
+    const DistributedMstResult b =
+        run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.0, 999)));
     EXPECT_EQ(a.mst_edges, b.mst_edges);
     EXPECT_EQ(a.stats.rounds, b.stats.rounds);
+    EXPECT_EQ(a.stats.virtual_time, b.stats.virtual_time);
     EXPECT_EQ(a.stats.messages, b.stats.messages);
     EXPECT_EQ(b.stats.retransmissions, 0u);
     EXPECT_EQ(b.stats.drops, 0u);
@@ -324,12 +334,11 @@ TEST(Faults, VerifierVerdictInvariantUnderLoss)
     const MstResult oracle = mst_kruskal(g);
     const auto good = ports_from_edges(g, oracle.edges);
 
-    VerifyOptions clean;
+    const VerifyOptions clean = on_async<VerifyOptions>();
     const VerifyMstResult base = run_verify_mst(g, good, clean);
     ASSERT_TRUE(base.accepted);
 
-    VerifyOptions opts;
-    opts.faults = lossy(0.2, 17);
+    const VerifyOptions opts = on_async<VerifyOptions>(lossy(0.2, 17));
     const VerifyMstResult a = run_verify_mst(g, good, opts);
     EXPECT_TRUE(a.accepted);
     EXPECT_EQ(a.verdict, base.verdict);
@@ -345,71 +354,6 @@ TEST(Faults, VerifierVerdictInvariantUnderLoss)
     EXPECT_FALSE(r0.accepted);
     EXPECT_EQ(r1.verdict, r0.verdict);
     EXPECT_EQ(r1.witness, r0.witness);
-}
-
-// ------------------------------------------- composition with the conditioner
-
-// Streams `count` sequence-numbered words on every port, one per logical
-// round, and logs the payload order each port's inbox delivers.
-class FifoProbeProcess : public Process {
-public:
-    explicit FifoProbeProcess(int count) : count_(count) {}
-
-    void on_round(Context& ctx) override
-    {
-        if (ctx.round() <= static_cast<std::uint64_t>(count_))
-            for (std::size_t p = 0; p < ctx.degree(); ++p)
-                ctx.send(p, Message{1, {ctx.round()}});
-        if (seen_.empty())
-            seen_.resize(ctx.degree());
-        for (const Incoming& in : ctx.inbox())
-            seen_[in.port].push_back(in.msg.words.at(0));
-    }
-
-    bool done() const override { return !seen_.empty(); }
-
-    int count_;
-    std::vector<std::vector<std::uint64_t>> seen_;
-};
-
-TEST(Faults, ConditionerPlusLossKeepsPerLinkFifo)
-{
-    Rng rng(35);
-    auto g = gen_erdos_renyi(12, 30, rng);
-
-    ConditionerConfig cc;
-    cc.max_latency = 3;
-    cc.hetero_bandwidth = true;
-    cc.adversarial_order = true;
-
-    NetConfig config;
-    config.conditioner = cc;
-    config.faults = lossy(0.3, 19);
-    config.max_rounds = scaled_round_budget(64, cc, config.faults);
-    Network net(g, config);
-    const int kCount = 10;
-    net.init([&](VertexId) { return std::make_unique<FifoProbeProcess>(kCount); });
-    RunStats stats = net.run();
-    EXPECT_GT(stats.retransmissions, 0u);
-
-    // Under latency + adversarial order + loss, each link still delivers
-    // its stream gap-free and in send order (the shim masks every drop).
-    for (VertexId v = 0; v < g.vertex_count(); ++v) {
-        const auto& p = static_cast<const FifoProbeProcess&>(net.process(v));
-        ASSERT_EQ(p.seen_.size(), g.degree(v));
-        for (const auto& stream : p.seen_) {
-            ASSERT_EQ(stream.size(), static_cast<std::size_t>(kCount));
-            for (std::size_t i = 0; i < stream.size(); ++i)
-                EXPECT_EQ(stream[i], i + 1);
-        }
-    }
-
-    // And the MST drivers compose with both layers at once.
-    ElkinOptions opts;
-    opts.conditioner = cc;
-    opts.faults = lossy(0.2, 23);
-    const DistributedMstResult r = run_elkin_mst(g, opts);
-    EXPECT_EQ(r.mst_edges, mst_kruskal(g).edges);
 }
 
 // --------------------------------------------------------------- crash-stop
@@ -440,23 +384,6 @@ TEST(Faults, CrashStopYieldsPartialSubforest)
         EXPECT_EQ(r2.stats.rounds, r.stats.rounds);
         EXPECT_EQ(r2.stats.failed_sends, r.stats.failed_sends);
     }
-}
-
-TEST(Faults, CrashStopComposesWithLoss)
-{
-    Rng rng(37);
-    auto g = gen_erdos_renyi(16, 40, rng);
-    const MstResult oracle = mst_kruskal(g);
-    const std::set<EdgeId> oracle_set(oracle.edges.begin(),
-                                      oracle.edges.end());
-
-    SyncBoruvkaOptions opts;
-    opts.faults = lossy(0.1, 29);
-    opts.faults.crashes = parse_crash_spec("2@5");
-    const SyncBoruvkaResult r = run_sync_boruvka(g, opts);
-    EXPECT_TRUE(r.partial);
-    for (EdgeId e : r.mst_edges)
-        EXPECT_TRUE(oracle_set.count(e)) << "edge " << e;
 }
 
 TEST(Faults, NonGracefulCrashThrows)
@@ -490,9 +417,8 @@ TEST(Faults, TraceAttributesRetransmissionsAndConserves)
 {
     Rng rng(40);
     auto g = gen_erdos_renyi(16, 40, rng);
-    ElkinOptions opts;
-    opts.faults = lossy(0.2, 41);
-    const DistributedMstResult r = run_elkin_mst(g, opts);
+    const DistributedMstResult r =
+        run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 41)));
     ASSERT_TRUE(r.stats.trace);  // the driver always records its trace
 
     // finalize() already validated conservation; pin the totals and check

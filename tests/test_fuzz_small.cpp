@@ -94,7 +94,9 @@ TEST_P(SmallFuzz, ControlledGhsInvariantsOnTinyGraphsRandomK)
     for (int i = 0; i < 25; ++i) {
         auto g = tiny_graph(rng);
         std::uint64_t k = 1 + rng.next_below(g.vertex_count() + 4);
-        auto r = run_controlled_ghs(g, GhsOptions{.k = k});
+        GhsOptions opts;
+        opts.k = k;
+        auto r = run_controlled_ghs(g, opts);
         auto s = analyze_forest(g, r.parent_port, r.fragment_id);
 
         // Every fragment-tree edge is an edge of the unique MST.

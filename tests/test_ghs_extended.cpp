@@ -14,6 +14,15 @@
 namespace dmst {
 namespace {
 
+// Controlled-GHS options with the given fragment-diameter budget k.
+GhsOptions ghs_k(std::uint64_t k)
+{
+    GhsOptions opts;
+    opts.k = k;
+    return opts;
+}
+
+
 // ----------------------------------------------------------- GhsSchedule
 
 TEST(GhsSchedule, PhaseCountMatchesCeilLog)
@@ -199,7 +208,7 @@ TEST_P(GhsBandwidthSweep, ForestInvariantsHoldAtAnyBandwidth)
     EXPECT_LE(s.fragment_count, 2u * 128 / 8);
     EXPECT_LE(s.max_height, 3u * 8 + 4);
     // The GHS schedule is bandwidth-independent: identical round counts.
-    auto r1 = run_controlled_ghs(g, GhsOptions{.k = 8});
+    auto r1 = run_controlled_ghs(g, ghs_k(8));
     EXPECT_EQ(r.stats.rounds, r1.stats.rounds);
     EXPECT_EQ(r.fragment_id, r1.fragment_id);
 }
@@ -213,7 +222,7 @@ TEST(GhsEdgeCases, TwoVertices)
 {
     auto g = WeightedGraph::from_edges(2, {{0, 1, 9}});
     for (std::uint64_t k : {2ull, 4ull, 100ull}) {
-        auto r = run_controlled_ghs(g, GhsOptions{.k = k});
+        auto r = run_controlled_ghs(g, ghs_k(k));
         EXPECT_EQ(r.fragment_count(), 1u);
         EXPECT_EQ(r.mst_ports[0].size(), 1u);
         EXPECT_EQ(r.mst_ports[1].size(), 1u);
@@ -224,7 +233,7 @@ TEST(GhsEdgeCases, StarGraphMergesInOnePhase)
 {
     Rng rng(830);
     auto g = gen_star(40, rng);
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 2});
+    auto r = run_controlled_ghs(g, ghs_k(2));
     // Every leaf's MWOE is its only edge; all propose into the center or
     // across it. One phase must already collapse everything connected to
     // the lightest edges; with k=2 a single phase runs.
@@ -242,7 +251,7 @@ TEST(GhsEdgeCases, DenseEqualWeights)
     for (const Edge& e : base.edges())
         edges.push_back({e.u, e.v, 1});
     auto g = WeightedGraph::from_edges(16, std::move(edges));
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 16});
+    auto r = run_controlled_ghs(g, ghs_k(16));
     EXPECT_EQ(r.fragment_count(), 1u);
 }
 
@@ -251,7 +260,7 @@ TEST(GhsEdgeCases, KAtTheoremBoundary)
     // Theorem 4.3 is stated for k <= n/10; check exactly there.
     Rng rng(850);
     auto g = gen_erdos_renyi(200, 600, rng);
-    auto r = run_controlled_ghs(g, GhsOptions{.k = 20});
+    auto r = run_controlled_ghs(g, ghs_k(20));
     auto s = analyze_forest(g, r.parent_port, r.fragment_id);
     EXPECT_LE(s.fragment_count, 2u * 200 / 20);
     EXPECT_LE(s.max_height, 3u * (std::uint64_t{1} << ceil_log2(20)) + 4);
@@ -263,9 +272,9 @@ TEST(GhsEdgeCases, MessagesScaleWithLogK)
     // not much more than double messages.
     Rng rng(860);
     auto g = gen_erdos_renyi(256, 1024, rng);
-    auto r4 = run_controlled_ghs(g, GhsOptions{.k = 4});     // log k = 2
-    auto r16 = run_controlled_ghs(g, GhsOptions{.k = 16});   // log k = 4
-    auto r256 = run_controlled_ghs(g, GhsOptions{.k = 256}); // log k = 8
+    auto r4 = run_controlled_ghs(g, ghs_k(4));     // log k = 2
+    auto r16 = run_controlled_ghs(g, ghs_k(16));   // log k = 4
+    auto r256 = run_controlled_ghs(g, ghs_k(256)); // log k = 8
     EXPECT_LE(r16.stats.messages, 3 * r4.stats.messages);
     EXPECT_LE(r256.stats.messages, 3 * r16.stats.messages);
 }

@@ -1,19 +1,18 @@
-// Round-budget regression tests for the conditioned substrate: every
-// driver's runaway guard must fire with a diagnostic — never hang — when
-// latency makes its budget insufficient, and the scaled budget formula
-// scaled_round_budget(R, config) = R * stride must be tight on a path
-// graph: R logical rounds cost exactly (R-1)*stride + 1 ticks, so budget
-// R passes while budget R-1 trips the guard.
+// Round-budget regression tests: every driver's runaway guard must fire
+// with a diagnostic — never hang — when its budget is insufficient, and
+// the budget must be tight: a run of R rounds passes with budget R while
+// budget R-1 trips the guard.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "dmst/congest/conditioner.h"
-#include "dmst/congest/network.h"
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/elkin_mst.h"
+#include "dmst/core/ghs_native.h"
 #include "dmst/core/mst_output.h"
 #include "dmst/core/pipeline_mst.h"
 #include "dmst/core/sync_boruvka.h"
@@ -28,63 +27,7 @@
 namespace dmst {
 namespace {
 
-// Ping process: vertex 0 bounces a token to vertex n-1 and back, a fixed
-// number of logical rounds, so the ideal round count is exact.
-class RelayProcess : public Process {
-public:
-    void on_round(Context& ctx) override
-    {
-        if (ctx.id() == 0 && ctx.round() == 1) {
-            ctx.send(0, Message{1, {}});
-            done_ = true;
-            return;
-        }
-        for (const Incoming& in : ctx.inbox()) {
-            (void)in;
-            // Forward away from the sender (path graph: the other port).
-            if (ctx.degree() > 1)
-                ctx.send(in.port == 0 ? 1 : 0, Message{1, {}});
-            done_ = true;
-        }
-    }
-    bool done() const override { return done_; }
-
-private:
-    bool done_ = false;
-};
-
-TEST(RoundBudget, UnscaledIdealBudgetTripsTheGuardUnderLatency)
-{
-    // At the NetConfig level: a budget sufficient on the ideal substrate
-    // becomes insufficient once the conditioner stretches rounds into
-    // ticks, and the guard must throw its diagnostic instead of hanging.
-    Rng rng(7);
-    auto g = gen_path(12, rng);
-
-    Network ideal(g, NetConfig{});
-    ideal.init([](VertexId) { return std::make_unique<RelayProcess>(); });
-    const std::uint64_t r_ideal = ideal.run().rounds;
-    ASSERT_GT(r_ideal, 2u);
-
-    NetConfig config;
-    config.conditioner.max_latency = 2;
-    config.max_rounds = r_ideal;  // NOT scaled: latency makes it short
-    Network cond(g, config);
-    cond.init([](VertexId) { return std::make_unique<RelayProcess>(); });
-    try {
-        cond.run();
-        FAIL() << "guard did not fire";
-    } catch (const InvariantViolation& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("round limit exceeded"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find("max_rounds=" + std::to_string(r_ideal)),
-                  std::string::npos)
-            << what;
-    }
-}
-
-TEST(RoundBudget, ScaledBudgetIsTightOnAPathGraph)
+TEST(RoundBudget, BudgetIsTightOnAPathGraph)
 {
     Rng rng(8);
     auto g = gen_path(24, rng);
@@ -92,38 +35,46 @@ TEST(RoundBudget, ScaledBudgetIsTightOnAPathGraph)
     ElkinOptions ideal;
     auto base = run_elkin_mst(g, ideal);
     const std::uint64_t r = base.stats.rounds;
+    ASSERT_GT(r, 2u);
 
-    ElkinOptions cond = ideal;
-    cond.conditioner.max_latency = 3;
-    const std::uint64_t stride = cond.conditioner.stride();
-
-    // Budget R (scaled to R*stride ticks by the driver) is exactly enough:
-    // the run needs (R-1)*stride + 1 ticks.
-    cond.max_rounds = r;
-    auto run = run_elkin_mst(g, cond);
-    EXPECT_EQ(run.stats.rounds, (r - 1) * stride + 1);
+    // Budget R is exactly enough.
+    ElkinOptions budget = ideal;
+    budget.max_rounds = r;
+    auto run = run_elkin_mst(g, budget);
+    EXPECT_EQ(run.stats.rounds, r);
     EXPECT_EQ(run.mst_edges, base.mst_edges);
 
-    // Budget R-1 (scaled to (R-1)*stride ticks) is one tick short.
-    cond.max_rounds = r - 1;
-    EXPECT_THROW(run_elkin_mst(g, cond), InvariantViolation);
+    // Budget R-1 is one round short: the guard throws its diagnostic.
+    budget.max_rounds = r - 1;
+    try {
+        run_elkin_mst(g, budget);
+        FAIL() << "guard did not fire";
+    } catch (const InvariantViolation& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("round limit exceeded"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("max_rounds=" + std::to_string(r - 1)),
+                  std::string::npos)
+            << what;
+    }
 }
 
 // Every driver must propagate the guard as a diagnostic exception under an
-// insufficient conditioned budget, and succeed with the exact budget.
+// insufficient budget on a conditioned substrate, and succeed with the
+// exact budget.
 TEST(RoundBudget, EveryDriverGuardFiresWithDiagnosticNotHang)
 {
     auto g = make_workload("er", 48, 21);
     auto oracle = mst_kruskal(g);
     auto claimed = ports_from_edges(g, oracle.edges);
 
-    ConditionerConfig lat2;
-    lat2.max_latency = 2;
+    ConditionerConfig adv;
+    adv.adversarial_order = true;
 
     auto expect_guard = [](auto&& run_with_budget, std::uint64_t r) {
-        // Exact logical budget passes...
+        // Exact budget passes...
         EXPECT_NO_THROW(run_with_budget(r));
-        // ...one logical round less trips the guard with its diagnostic.
+        // ...one round less trips the guard with its diagnostic.
         try {
             run_with_budget(r - 1);
             FAIL() << "guard did not fire";
@@ -136,69 +87,93 @@ TEST(RoundBudget, EveryDriverGuardFiresWithDiagnosticNotHang)
 
     {
         ElkinOptions o;
-        o.conditioner = lat2;
+        o.conditioner = adv;
         const std::uint64_t r = run_elkin_mst(g, o).stats.rounds;
-        const std::uint64_t logical = (r - 1) / lat2.stride() + 1;
         expect_guard(
             [&](std::uint64_t budget) {
                 ElkinOptions b = o;
                 b.max_rounds = budget;
                 run_elkin_mst(g, b);
             },
-            logical);
+            r);
     }
     {
         PipelineMstOptions o;
-        o.conditioner = lat2;
+        o.conditioner = adv;
         const std::uint64_t r = run_pipeline_mst(g, o).stats.rounds;
-        const std::uint64_t logical = (r - 1) / lat2.stride() + 1;
         expect_guard(
             [&](std::uint64_t budget) {
                 PipelineMstOptions b = o;
                 b.max_rounds = budget;
                 run_pipeline_mst(g, b);
             },
-            logical);
+            r);
     }
     {
         SyncBoruvkaOptions o;
-        o.conditioner = lat2;
+        o.conditioner = adv;
         const std::uint64_t r = run_sync_boruvka(g, o).stats.rounds;
-        const std::uint64_t logical = (r - 1) / lat2.stride() + 1;
         expect_guard(
             [&](std::uint64_t budget) {
                 SyncBoruvkaOptions b = o;
                 b.max_rounds = budget;
                 run_sync_boruvka(g, b);
             },
-            logical);
+            r);
     }
     {
         GhsOptions o;
         o.k = 8;
-        o.conditioner = lat2;
+        o.conditioner = adv;
         const std::uint64_t r = run_controlled_ghs(g, o).stats.rounds;
-        const std::uint64_t logical = (r - 1) / lat2.stride() + 1;
         expect_guard(
             [&](std::uint64_t budget) {
                 GhsOptions b = o;
                 b.max_rounds = budget;
                 run_controlled_ghs(g, b);
             },
-            logical);
+            r);
     }
     {
         VerifyOptions o;
-        o.conditioner = lat2;
+        o.conditioner = adv;
         const std::uint64_t r = run_verify_mst(g, claimed, o).stats.rounds;
-        const std::uint64_t logical = (r - 1) / lat2.stride() + 1;
         expect_guard(
             [&](std::uint64_t budget) {
                 VerifyOptions b = o;
                 b.max_rounds = budget;
                 run_verify_mst(g, claimed, b);
             },
-            logical);
+            r);
+    }
+}
+
+// Bandwidth is validated once, in make_network, for every engine: each
+// driver surfaces bad input as std::invalid_argument, never as an
+// internal invariant failure.
+TEST(DriverValidation, BandwidthBelowOneIsRejectedOnEveryEngine)
+{
+    auto g = make_workload("er", 16, 5);
+    auto claimed = ports_from_edges(g, mst_kruskal(g).edges);
+    for (Engine engine : {Engine::Serial, Engine::Async}) {
+        SCOPED_TRACE(engine_name(engine));
+        auto opts = [engine](auto o) {
+            o.bandwidth = 0;
+            o.engine = engine;
+            return o;
+        };
+        EXPECT_THROW(run_elkin_mst(g, opts(ElkinOptions{})),
+                     std::invalid_argument);
+        EXPECT_THROW(run_pipeline_mst(g, opts(PipelineMstOptions{})),
+                     std::invalid_argument);
+        EXPECT_THROW(run_sync_boruvka(g, opts(SyncBoruvkaOptions{})),
+                     std::invalid_argument);
+        EXPECT_THROW(run_controlled_ghs(g, opts(GhsOptions{})),
+                     std::invalid_argument);
+        EXPECT_THROW(run_ghs_native(g, opts(GhsNativeOptions{})),
+                     std::invalid_argument);
+        EXPECT_THROW(run_verify_mst(g, claimed, opts(VerifyOptions{})),
+                     std::invalid_argument);
     }
 }
 

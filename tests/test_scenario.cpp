@@ -194,7 +194,6 @@ TEST(Scenario, ConditionerAxesSweepInvariantCells)
     spec.families = {"er"};
     spec.sizes = {48};
     spec.bandwidths = {2};
-    spec.latencies = {0, 2};
     spec.hetero_bs = {0, 1};
     spec.adversarial_orders = {0, 1};
     spec.engines = {Engine::Serial, Engine::Parallel};
@@ -202,8 +201,8 @@ TEST(Scenario, ConditionerAxesSweepInvariantCells)
     spec.model_verify = true;
 
     auto cells = run_scenarios(spec);
-    // 2 latency x 2 hetero x 2 adversarial x (serial + parallel).
-    ASSERT_EQ(cells.size(), 2u * 2 * 2 * 2);
+    // 2 hetero x 2 adversarial x (serial + parallel).
+    ASSERT_EQ(cells.size(), 2u * 2 * 2);
     const std::uint64_t ideal_weight = cells[0].mst_weight;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const auto& cell = cells[i];
@@ -217,17 +216,10 @@ TEST(Scenario, ConditionerAxesSweepInvariantCells)
             EXPECT_EQ(cell.stats.rounds, cells[i - 1].stats.rounds) << i;
             EXPECT_EQ(cell.stats.messages, cells[i - 1].stats.messages) << i;
         }
-        // Latency inflates ticks by exactly the stride on pure-latency
-        // cells.
-        if (cell.latency == 2 && !cell.hetero_b && !cell.adversarial_order) {
-            EXPECT_EQ(cell.stats.rounds,
-                      (cells[0].stats.rounds - 1) * 3 + 1);
-        }
     }
 
     const std::string json = cell_json(cells.back());
-    for (const char* token :
-         {"\"latency\":2", "\"hetero_b\":true", "\"adversarial_order\":true"})
+    for (const char* token : {"\"hetero_b\":true", "\"adversarial_order\":true"})
         EXPECT_NE(json.find(token), std::string::npos) << token;
 }
 
@@ -237,7 +229,7 @@ TEST(Scenario, AsyncAxesSweepInvariantCellsAtIdealConditionerOnly)
     spec.algorithm = "elkin";
     spec.families = {"er"};
     spec.sizes = {48};
-    spec.latencies = {0, 2};
+    spec.adversarial_orders = {0, 1};
     spec.max_delays = {1, 3};
     spec.event_seeds = {1, 2};
     spec.engines = {Engine::Serial, Engine::Async};
@@ -245,9 +237,9 @@ TEST(Scenario, AsyncAxesSweepInvariantCellsAtIdealConditionerOnly)
     spec.model_verify = true;
 
     auto cells = run_scenarios(spec);
-    // Serial runs once per latency point (async axes and the thread axis
-    // collapse); async runs once per (max_delay, event_seed, threads)
-    // point at the ideal conditioner only.
+    // Serial runs once per adversarial-order point (async axes and the
+    // thread axis collapse); async runs once per (max_delay, event_seed,
+    // threads) point at the ideal conditioner only.
     ASSERT_EQ(cells.size(), 2u + 2 * 2 * 2);
     std::vector<const ScenarioCell*> asyncs;
     const std::uint64_t ideal_weight = cells[0].mst_weight;
@@ -259,7 +251,7 @@ TEST(Scenario, AsyncAxesSweepInvariantCellsAtIdealConditionerOnly)
         if (cell.engine != Engine::Async)
             continue;
         asyncs.push_back(&cell);
-        EXPECT_EQ(cell.latency, 0);
+        EXPECT_FALSE(cell.adversarial_order);
         EXPECT_EQ(cell.stats.messages, cells[0].stats.messages);
         EXPECT_EQ(cell.stats.words, cells[0].stats.words);
         EXPECT_GT(cell.stats.events, 0u);
@@ -369,21 +361,31 @@ TEST(Scenario, FaultAxesSweepLossAndCrashCells)
     spec.families = {"er"};
     spec.sizes = {48};
     spec.engines = {Engine::Serial, Engine::Parallel, Engine::Async};
-    spec.thread_counts = {2};
+    spec.thread_counts = {1, 2};
     spec.drop_rates = {0.0, 0.1};
     spec.loss_seeds = {11, 12};
     spec.crash_specs = {"", "5@3"};
 
     auto cells = run_scenarios(spec);
-    // Fault grid per engine slice: (drop 0, first seed) + 2 lossy seeds =
-    // 3 loss points, each crossed with {clean, crash} — but async skips
-    // the 3 crash cells. 3 engines x 6 - 3 = 15.
-    ASSERT_EQ(cells.size(), 15u);
+    // Fault grid: (drop 0, first seed) + 2 lossy seeds = 3 loss points,
+    // each crossed with {clean, crash}. Loss is async-only and crash-stop
+    // lock-step-only. Serial runs once; parallel and async once per
+    // thread count. The clean point runs on all 3 engines (5 cells), the
+    // crash point on serial and parallel (3), and each lossy clean point
+    // on async at both thread counts (2 x 2).
+    ASSERT_EQ(cells.size(), 5u + 3 + 2 * 2);
     for (const auto& cell : cells) {
         EXPECT_TRUE(cell.verified)
             << cell_json(cell);  // loss exact, crash containment
-        if (cell.engine == Engine::Async)
+        // Loss never changes the MST (crash cells are partial forests).
+        if (cell.crash.empty()) {
+            EXPECT_EQ(cell.mst_weight, cells[0].mst_weight);
+        }
+        if (cell.engine == Engine::Async) {
             EXPECT_TRUE(cell.crash.empty());
+        } else {
+            EXPECT_EQ(cell.drop_rate, 0.0);
+        }
         if (cell.drop_rate == 0.0) {
             EXPECT_EQ(cell.stats.drops, 0u);
             EXPECT_EQ(cell.stats.retransmissions, 0u);
@@ -398,21 +400,31 @@ TEST(Scenario, FaultAxesSweepLossAndCrashCells)
             EXPECT_FALSE(cell.partial);
         }
     }
-    // Grid order is (drop_rate, loss_seed, crash, engine): within every
-    // fault point the engines must agree counter for counter.
-    for (std::size_t i = 0; i < cells.size();) {
-        const auto& base = cells[i];
-        std::size_t span = base.crash.empty() ? 3 : 2;  // async skipped
-        for (std::size_t j = 1; j < span; ++j) {
-            EXPECT_EQ(cells[i + j].stats.drops, base.stats.drops);
-            EXPECT_EQ(cells[i + j].stats.retransmissions,
-                      base.stats.retransmissions);
-            EXPECT_EQ(cells[i + j].stats.acks, base.stats.acks);
-            EXPECT_EQ(cells[i + j].mst_weight, base.mst_weight);
-            EXPECT_EQ(cells[i + j].partial, base.partial);
-        }
-        i += span;
+    // Grid order is (drop_rate, loss_seed, crash, engine, threads):
+    // within every fault point the engines and worker counts must agree
+    // counter for counter, crash cells on the same partial forest.
+    std::size_t compared = 0;
+    std::size_t lossy_compared = 0;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+        const auto& prev = cells[i - 1];
+        const auto& cell = cells[i];
+        if (cell.drop_rate != prev.drop_rate ||
+            cell.loss_seed != prev.loss_seed || cell.crash != prev.crash)
+            continue;
+        EXPECT_EQ(cell.stats.drops, prev.stats.drops);
+        EXPECT_EQ(cell.stats.retransmissions, prev.stats.retransmissions);
+        EXPECT_EQ(cell.stats.acks, prev.stats.acks);
+        EXPECT_EQ(cell.stats.failed_sends, prev.stats.failed_sends);
+        EXPECT_EQ(cell.stats.crashed_vertices, prev.stats.crashed_vertices);
+        EXPECT_EQ(cell.mst_weight, prev.mst_weight);
+        EXPECT_EQ(cell.partial, prev.partial);
+        ++compared;
+        if (cell.drop_rate > 0)
+            ++lossy_compared;
     }
+    // 4 clean pairs + 2 crash pairs + 1 pair per lossy point.
+    EXPECT_EQ(compared, 4u + 2 + 2);
+    EXPECT_EQ(lossy_compared, 2u);
 }
 
 TEST(Scenario, CellJsonEmitsFaultFieldsOnlyWhenActive)
@@ -421,9 +433,11 @@ TEST(Scenario, CellJsonEmitsFaultFieldsOnlyWhenActive)
     spec.algorithm = "boruvka";
     spec.families = {"er"};
     spec.sizes = {48};
+    spec.engines = {Engine::Serial, Engine::Async};
     spec.drop_rates = {0.0, 0.1};
     spec.crash_specs = {"", "5@3"};
     auto cells = run_scenarios(spec);
+    // Clean on both engines, crash on serial, loss on async.
     ASSERT_EQ(cells.size(), 4u);
     for (const auto& cell : cells) {
         const std::string json = cell_json(cell);

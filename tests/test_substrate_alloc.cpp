@@ -152,18 +152,16 @@ TEST(SubstrateAlloc, HighDegreeHubStaysAllocationFree)
 
 TEST(SubstrateAlloc, ConditionedSteadyStateIsAllocationFree)
 {
-    // The conditioner's tick machinery and adversarial permutation run
-    // through reusable scratch (PermuteScratch) and the same arena
-    // datapath: once warm, a conditioned steady state allocates nothing
-    // either.
+    // The conditioner's adversarial permutation runs through reusable
+    // scratch (PermuteScratch) and the same arena datapath: once warm, a
+    // conditioned steady state allocates nothing either.
     Rng rng(34);
     auto g = gen_erdos_renyi(200, 800, rng);
     NetConfig config;
-    config.conditioner.max_latency = 1;  // stride 2: the tick path too
     config.conditioner.adversarial_order = true;
     Network net(g, config);
-    // 8 warmup ticks = 4 logical rounds reach every high-water mark.
-    EXPECT_EQ(measure_steady_state_allocs(net, 8, 8), 0u);
+    // 4 warmup rounds reach every high-water mark.
+    EXPECT_EQ(measure_steady_state_allocs(net, 4, 8), 0u);
 }
 
 TEST(SubstrateAlloc, TraceEnabledSteadyStateIsAllocationFree)

@@ -420,7 +420,7 @@ TEST(AsyncNetwork, EngineSelectionAndCompositionRules)
 
     // The lock-step conditioner does not compose with the async engine.
     NetConfig conditioned = config;
-    conditioned.conditioner.max_latency = 2;
+    conditioned.conditioner.adversarial_order = true;
     EXPECT_THROW(make_network(g, conditioned), std::invalid_argument);
 
     // Delay bound must be positive.

@@ -45,7 +45,6 @@ void expect_conserves(const RunStats& stats)
         span_messages += s.messages;
         span_words += s.words;
         EXPECT_LE(s.first_round, s.last_round);
-        EXPECT_LE(s.first_tick, s.last_tick);
     }
     EXPECT_EQ(span_messages, stats.messages);
     EXPECT_EQ(span_words, stats.words);
@@ -192,89 +191,78 @@ TEST(TraceConservation, ElkinUnderConditioner)
     Rng rng(7007);
     auto g = gen_erdos_renyi(48, 140, rng);
     ElkinOptions opts;
-    opts.conditioner.max_latency = 2;
+    opts.bandwidth = 2;
+    opts.conditioner.hetero_bandwidth = true;
     opts.conditioner.adversarial_order = true;
     auto r = run_elkin_mst(g, opts);
     expect_conserves(r.stats);
-    // Ticks run `stride` times faster than logical rounds under the
-    // conditioner; span rounds stay on the logical clock, so every span
-    // bound sits strictly inside the (tick-denominated) run length.
-    ASSERT_GT(opts.conditioner.stride(), 1u);
-    for (const TraceSpan& s : r.stats.trace->spans) {
-        EXPECT_LT(s.last_round, r.stats.rounds);
-        EXPECT_LE(s.last_tick, r.stats.rounds);
-    }
+    // Every span bound sits inside the run length.
+    for (const TraceSpan& s : r.stats.trace->spans)
+        EXPECT_LE(s.last_round, r.stats.rounds);
 }
 
 // ------------------------------------------- span-derived phase2 split
 
 // The span-derived Elkin phase split: derived from the actual
-// Registration/Boruvka/Finish spans, not the legacy tick-window
-// approximation (everything past (bfs_rounds + ecc + 2 + ghs_rounds) *
-// stride). The two must agree to within one logical round — phase 2's
-// first send lands either in the schedule's last logical round or the
-// one after it, depending on when the root's control pass fires — and
-// the span-derived message count is the window sum corrected by exactly
-// that boundary round's phase-2 traffic.
-void expect_phase2_refines_tick_window(const WeightedGraph& g,
-                                       const ElkinOptions& opts)
+// Registration/Boruvka/Finish spans, not the legacy round-window
+// approximation (everything past bfs_rounds + ecc + 2 + ghs_rounds). The
+// two must agree to within one round — phase 2's first send lands either
+// in the schedule's last round or the one after it, depending on when the
+// root's control pass fires — and the span-derived message count is the
+// window sum corrected by exactly that boundary round's phase-2 traffic.
+void expect_phase2_refines_round_window(const WeightedGraph& g,
+                                        const ElkinOptions& opts)
 {
     auto r = run_elkin_mst(g, opts);
     ASSERT_TRUE(r.stats.trace);
 
     // phase2_* must be exactly the span-derived quantities.
     std::uint64_t span_messages = 0;
-    std::uint64_t first_tick = ~std::uint64_t{0};
+    std::uint64_t first_round = ~std::uint64_t{0};
     for (const TraceSpan& s : r.stats.trace->spans) {
         if (s.phase != TracePhase::Registration &&
             s.phase != TracePhase::Boruvka && s.phase != TracePhase::Finish)
             continue;
         span_messages += s.messages;
-        first_tick = std::min(first_tick, s.first_tick);
+        first_round = std::min(first_round, s.first_round);
     }
-    ASSERT_NE(first_tick, ~std::uint64_t{0});
+    ASSERT_NE(first_round, ~std::uint64_t{0});
     EXPECT_EQ(r.phase2_messages, span_messages);
-    EXPECT_EQ(r.phase2_rounds, r.stats.rounds - (first_tick - 1));
+    EXPECT_EQ(r.phase2_rounds, r.stats.rounds - (first_round - 1));
 
-    // Agreement with the legacy window to within one logical round.
-    const std::uint64_t stride = opts.conditioner.stride();
-    std::uint64_t ghs_end =
-        (r.bfs_rounds + r.bfs_ecc + 2 + r.ghs_rounds) * stride;
-    ghs_end = std::min<std::uint64_t>(ghs_end, r.stats.rounds);
-    const std::uint64_t start_round = (first_tick + stride - 1) / stride;
-    const std::uint64_t ghs_end_round = ghs_end / stride;
-    EXPECT_GE(start_round, ghs_end_round);
-    EXPECT_LE(start_round, ghs_end_round + 1);
+    // Agreement with the legacy window to within one round.
+    const std::uint64_t ghs_end = std::min<std::uint64_t>(
+        r.bfs_rounds + r.bfs_ecc + 2 + r.ghs_rounds, r.stats.rounds);
+    EXPECT_GE(first_round, ghs_end);
+    EXPECT_LE(first_round, ghs_end + 1);
 
-    // Window sum over ticks (ghs_end, rounds] vs the span count: the
+    // Window sum over rounds (ghs_end, rounds] vs the span count: the
     // spans may additionally include phase-2 sends from the boundary
-    // logical round (ticks (ghs_end - stride, ghs_end]), and nothing
-    // else.
+    // round ghs_end, and nothing else.
     std::uint64_t window = 0, boundary = 0;
     const auto& per_round = r.stats.messages_per_round;
     for (std::uint64_t t = ghs_end; t < per_round.size(); ++t)
         window += per_round[t];
-    for (std::uint64_t t = ghs_end < stride ? 0 : ghs_end - stride;
-         t < std::min<std::uint64_t>(ghs_end, per_round.size()); ++t)
-        boundary += per_round[t];
+    if (ghs_end > 0 && ghs_end <= per_round.size())
+        boundary = per_round[ghs_end - 1];
     EXPECT_GE(r.phase2_messages, window);
     EXPECT_LE(r.phase2_messages, window + boundary);
 }
 
-TEST(TracePhase2, SpanSplitRefinesLegacyTickWindow)
+TEST(TracePhase2, SpanSplitRefinesLegacyRoundWindow)
 {
     Rng rng(7101);
-    expect_phase2_refines_tick_window(gen_erdos_renyi(64, 200, rng),
-                                      ElkinOptions{});
-    expect_phase2_refines_tick_window(gen_grid(8, 8, rng), ElkinOptions{});
+    expect_phase2_refines_round_window(gen_erdos_renyi(64, 200, rng),
+                                       ElkinOptions{});
+    expect_phase2_refines_round_window(gen_grid(8, 8, rng), ElkinOptions{});
 }
 
-TEST(TracePhase2, SpanSplitRefinesLegacyTickWindowUnderConditioner)
+TEST(TracePhase2, SpanSplitRefinesLegacyRoundWindowUnderConditioner)
 {
     Rng rng(7102);
     ElkinOptions opts;
-    opts.conditioner.max_latency = 3;
-    expect_phase2_refines_tick_window(gen_erdos_renyi(48, 150, rng), opts);
+    opts.conditioner.adversarial_order = true;
+    expect_phase2_refines_round_window(gen_erdos_renyi(48, 150, rng), opts);
 }
 
 // ------------------------------------------------- tri-engine parity
@@ -502,6 +490,9 @@ TEST(TraceScopeNesting, InnerScopeRestoresOuterSpan)
 
     for (bool lossy : {false, true}) {
         for (auto [name, config] : engines) {
+            // Loss lives on the async engine only.
+            if (lossy && config.engine != Engine::Async)
+                continue;
             if (lossy)
                 config.faults.drop_rate = 0.2;
             SCOPED_TRACE(name + (lossy ? " lossy" : ""));
@@ -568,8 +559,8 @@ TEST(TraceExport, JsonlRoundTrip)
 
     ASSERT_EQ(back.spans.size(), t.spans.size());
     for (std::size_t i = 0; i < t.spans.size(); ++i) {
-        EXPECT_EQ(back.spans[i].first_tick, t.spans[i].first_tick);
-        EXPECT_EQ(back.spans[i].last_tick, t.spans[i].last_tick);
+        EXPECT_EQ(back.spans[i].first_round, t.spans[i].first_round);
+        EXPECT_EQ(back.spans[i].last_round, t.spans[i].last_round);
         EXPECT_EQ(back.spans[i].first_vtime, t.spans[i].first_vtime);
         EXPECT_EQ(back.spans[i].last_vtime, t.spans[i].last_vtime);
         EXPECT_EQ(back.spans[i].instants, t.spans[i].instants);

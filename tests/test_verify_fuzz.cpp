@@ -121,13 +121,15 @@ TEST(VerifyFuzz, MatchesTheSequentialOracle)
         auto mst = mst_kruskal(g);
 
         // A mix of claims: the MST, a random spanning tree, the MST with
-        // random drops, and a random edge subset.
-        std::vector<EdgeId> claimed;
+        // random drops, and a random edge subset. The MST-based claims are
+        // copy-constructed: gcc 12 misreads a copy-assignment into the
+        // empty vector as a memmove to null (-Wnonnull).
+        std::vector<EdgeId> claimed =
+            iter % 2 == 0 ? mst.edges : std::vector<EdgeId>{};
         switch (iter % 4) {
-            case 0: claimed = mst.edges; break;
+            case 0: break;
             case 1: claimed = random_spanning_tree(g, rng); break;
             case 2: {
-                claimed = mst.edges;
                 std::size_t drops = 1 + rng.next_below(3);
                 for (std::size_t d = 0; d < drops && !claimed.empty(); ++d)
                     claimed.erase(claimed.begin() +
