@@ -32,16 +32,6 @@ int Context::bandwidth(std::size_t port) const
     return net_->link_bandwidth(vertex_, port);
 }
 
-std::size_t Context::degree() const
-{
-    return net_->graph_.degree(vertex_);
-}
-
-Weight Context::weight(std::size_t port) const
-{
-    return net_->graph_.weight(vertex_, port);
-}
-
 VertexId Context::neighbor_id(std::size_t port) const
 {
     DMST_ASSERT_MSG(net_->config_.knowledge == Knowledge::KT1,
@@ -53,12 +43,6 @@ InboxView Context::inbox() const
 {
     const NetworkBase::InboxSpan& span = net_->inbox_span_[vertex_];
     return InboxView(span.data, span.len);
-}
-
-void Context::send(std::size_t port, Message msg)
-{
-    DMST_ASSERT_MSG(port < degree(), "send: port out of range");
-    net_->send_from(vertex_, port, std::move(msg));
 }
 
 void Context::set_timer(std::uint64_t delay, std::uint64_t timer_id)
@@ -135,46 +119,18 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
     inbox_span_.resize(n);
     inbox_count_.assign(n, 0);
     scatter_off_.assign(n, 0);
-    words_this_round_.resize(n);
-    for (VertexId v = 0; v < n; ++v)
-        words_this_round_[v].assign(graph_.degree(v), 0);
-
-    // Precompute reverse ports: the port at which a message sent by v via
-    // its port p arrives at the neighbor.
-    reverse_port_.resize(n);
-    for (VertexId v = 0; v < n; ++v)
-        reverse_port_[v].assign(graph_.degree(v), 0);
+    words_this_round_.assign(2 * graph_.edge_count(), 0);
     if (config_.record_per_edge)
         stats_.messages_per_edge.assign(graph_.edge_count(), 0);
-    // For each vertex u and each of its ports q, record that edge_id ->
-    // (u, q); then match from the other side.
-    std::vector<std::pair<std::size_t, std::size_t>> by_edge(graph_.edge_count(),
-                                                             {0, 0});
-    std::vector<bool> first_side(graph_.edge_count(), true);
-    for (VertexId v = 0; v < n; ++v) {
-        for (std::size_t p = 0; p < graph_.degree(v); ++p) {
-            EdgeId e = graph_.edge_id(v, p);
-            if (first_side[e]) {
-                by_edge[e] = {v, p};
-                first_side[e] = false;
-            } else {
-                auto [u, q] = by_edge[e];
-                reverse_port_[v][p] = q;
-                reverse_port_[u][q] = p;
-            }
-        }
-    }
 
-    // Per-(vertex, port) view of the conditioner's per-edge caps, so the
-    // send path never hashes or maps edge ids.
+    // Per-half-edge view of the conditioner's per-edge caps, so the send
+    // path never hashes or maps edge ids.
     if (config_.conditioner.hetero_bandwidth && config_.bandwidth > 1) {
-        link_cap_.resize(n);
-        for (VertexId v = 0; v < n; ++v) {
-            link_cap_[v].resize(graph_.degree(v));
+        link_cap_.resize(2 * graph_.edge_count());
+        for (VertexId v = 0; v < n; ++v)
             for (std::size_t p = 0; p < graph_.degree(v); ++p)
-                link_cap_[v][p] = static_cast<std::uint16_t>(
+                link_cap_[graph_.adj_index(v, p)] = static_cast<std::uint16_t>(
                     cond_.bandwidth_cap(graph_.edge_id(v, p)));
-        }
     }
 }
 
@@ -187,22 +143,6 @@ void NetworkBase::init(const Factory& factory)
         processes_.push_back(factory(v));
         DMST_ASSERT_MSG(processes_.back() != nullptr, "factory returned null process");
     }
-}
-
-std::size_t NetworkBase::reverse_port(VertexId v, std::size_t port) const
-{
-    return reverse_port_[v][port];
-}
-
-void NetworkBase::charge_bandwidth(VertexId from, std::size_t port,
-                                   std::size_t size)
-{
-    const std::size_t budget =
-        kWordsPerUnit * static_cast<std::size_t>(link_bandwidth(from, port));
-    std::size_t& used = words_this_round_[from][port];
-    DMST_ASSERT_MSG(used + size <= budget,
-                    "per-edge bandwidth budget exceeded (CONGEST violation)");
-    used += size;
 }
 
 void NetworkBase::schedule_timer(VertexId v, std::uint64_t delay,
@@ -227,11 +167,6 @@ void NetworkBase::take_due_timers(VertexId v, std::uint64_t now,
             pending[kept++] = pending[i];
     }
     pending.resize(kept);
-}
-
-void NetworkBase::reset_round_words(VertexId v)
-{
-    std::fill(words_this_round_[v].begin(), words_this_round_[v].end(), 0);
 }
 
 void NetworkBase::sort_span_by_port(Incoming* first, std::size_t n,

@@ -14,6 +14,7 @@
 #include "dmst/congest/message.h"
 #include "dmst/graph/graph.h"
 #include "dmst/obs/phase.h"
+#include "dmst/util/assert.h"
 
 namespace dmst {
 
@@ -412,7 +413,11 @@ private:
 // the engines' staging buffers — the slab and every staging vector retain
 // their capacity across rounds, so the bandwidth=1 steady state performs
 // zero per-message heap allocations (message payloads are inline in
-// WordBuf; see congest/message.h).
+// WordBuf; see congest/message.h). Per-(vertex, port) state — the
+// bandwidth ledger, the link caps, and the async engine's send-order, FIFO
+// and loss-shim clocks — is one flat array per table over the graph's
+// half-edge index (WeightedGraph::adj_index), so a send resolves its
+// target, arrival port and ledger slot from one CSR record and one index.
 class NetworkBase {
 public:
     using Factory = std::function<std::unique_ptr<Process>(VertexId)>;
@@ -501,7 +506,10 @@ public:
     virtual std::uint64_t virtual_now() const { return 0; }
 
     // Port at which a message sent by v through its port `port` arrives.
-    std::size_t reverse_port(VertexId v, std::size_t port) const;
+    std::size_t reverse_port(VertexId v, std::size_t port) const
+    {
+        return graph_.reverse_port(v, port);
+    }
 
 protected:
     // One staged send: where it is going and at which port it arrives.
@@ -603,9 +611,25 @@ protected:
     // Charges `size` words against (from, port) for this round; throws
     // InvariantViolation past the per-edge-per-direction budget (the
     // conditioner's per-link cap when hetero_bandwidth is on).
-    void charge_bandwidth(VertexId from, std::size_t port, std::size_t size);
+    void charge_bandwidth(VertexId from, std::size_t port, std::size_t size)
+    {
+        const std::size_t budget =
+            kWordsPerUnit *
+            static_cast<std::size_t>(link_bandwidth(from, port));
+        std::uint32_t& used = words_this_round_[graph_.adj_index(from, port)];
+        DMST_ASSERT_MSG(used + size <= budget,
+                        "per-edge bandwidth budget exceeded "
+                        "(CONGEST violation)");
+        used = static_cast<std::uint32_t>(used + size);
+    }
 
-    void reset_round_words(VertexId v);
+    void reset_round_words(VertexId v) { zero_row(words_this_round_, v); }
+
+    // Zeroes vertex v's row of a per-half-edge counter table.
+    void zero_row(std::vector<std::uint32_t>& table, VertexId v) const
+    {
+        std::fill_n(table.data() + graph_.adj_begin(v), graph_.degree(v), 0);
+    }
 
     // ---- timer plumbing (Context::set_timer) ----------------------------
     // Engine hook behind Context::set_timer. The base implementation books
@@ -626,7 +650,8 @@ protected:
     // Per-link bandwidth in units, for Context::bandwidth(port).
     int link_bandwidth(VertexId v, std::size_t port) const
     {
-        return link_cap_.empty() ? config_.bandwidth : link_cap_[v][port];
+        return link_cap_.empty() ? config_.bandwidth
+                                 : link_cap_[graph_.adj_index(v, port)];
     }
 
     // Applies the adversarial permutation to vertex v's freshly sorted
@@ -753,11 +778,11 @@ protected:
     std::vector<std::uint32_t> inbox_count_;
     std::vector<std::size_t> scatter_off_;
 
-    // Words sent this round per (vertex, port), for bandwidth enforcement.
-    // Only the shard stepping `vertex` ever touches row `vertex`, so the
-    // parallel engine shares this accounting without synchronization.
-    std::vector<std::vector<std::size_t>> words_this_round_;
-    std::vector<std::vector<std::size_t>> reverse_port_;
+    // Words sent this round per half-edge (vertex, port), for bandwidth
+    // enforcement. Only the shard stepping `vertex` ever touches row
+    // `vertex`, so the parallel engine shares this accounting without
+    // synchronization.
+    std::vector<std::uint32_t> words_this_round_;
 
     // Sleep scheduler state per vertex (lock-step engines; only the lane
     // owning the vertex touches its entries): the booked wakeup round
@@ -766,11 +791,11 @@ protected:
     std::vector<std::uint64_t> wake_;
     std::vector<std::uint64_t> stamp_;
 
-    // The conditioner and its per-(vertex, port) cap view (built once;
-    // empty unless hetero caps bite, so the hot path pays one emptiness
-    // test, no hash).
+    // The conditioner and its per-half-edge cap view (built once; empty
+    // unless hetero caps bite, so the hot path pays one emptiness test, no
+    // hash).
     LinkConditioner cond_;
-    std::vector<std::vector<std::uint16_t>> link_cap_;
+    std::vector<std::uint16_t> link_cap_;
     // Rounds run so far == Context::round() on the lock-step engines. The
     // async engine keeps its runaway-guard clock here instead (pulse
     // levels, or virtual time under native dispatch).
@@ -823,6 +848,23 @@ inline std::uint64_t Context::round() const
 {
     return net_->round_by_vertex_ ? net_->round_by_vertex_[vertex_]
                                   : net_->round_;
+}
+
+// Inline, like the graph lookups behind them: the send path.
+inline std::size_t Context::degree() const
+{
+    return net_->graph_.degree(vertex_);
+}
+
+inline Weight Context::weight(std::size_t port) const
+{
+    return net_->graph_.weight(vertex_, port);
+}
+
+inline void Context::send(std::size_t port, Message msg)
+{
+    DMST_ASSERT_MSG(port < degree(), "send: port out of range");
+    net_->send_from(vertex_, port, std::move(msg));
 }
 
 }  // namespace dmst

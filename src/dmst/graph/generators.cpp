@@ -1,7 +1,9 @@
 #include "dmst/graph/generators.h"
 
-#include <set>
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "dmst/util/assert.h"
@@ -26,6 +28,12 @@ void require(bool cond, const char* msg)
 VertexId vid(std::size_t v)
 {
     return static_cast<VertexId>(v);
+}
+
+// Dedup key of the undirected edge {a, b}: the packed endpoint pair.
+std::uint64_t pair_key(VertexId a, VertexId b)
+{
+    return (std::uint64_t{std::min(a, b)} << 32) | std::max(a, b);
 }
 
 }  // namespace
@@ -119,12 +127,13 @@ WeightedGraph gen_erdos_renyi(std::size_t n, std::size_t m, Rng& rng)
     require(m >= n - 1, "gen_erdos_renyi: m must be >= n-1 for connectivity");
     require(m <= n * (n - 1) / 2, "gen_erdos_renyi: m exceeds simple-graph maximum");
 
-    std::set<std::pair<VertexId, VertexId>> used;
+    std::unordered_set<std::uint64_t> used;
+    used.reserve(m);
     std::vector<Edge> edges;
     edges.reserve(m);
     for (std::size_t i = 1; i < n; ++i) {
         VertexId parent = vid(rng.next_below(i));
-        used.insert({std::min(parent, vid(i)), std::max(parent, vid(i))});
+        used.insert(pair_key(parent, vid(i)));
         edges.push_back({parent, vid(i), rand_weight(rng)});
     }
     while (edges.size() < m) {
@@ -132,8 +141,7 @@ WeightedGraph gen_erdos_renyi(std::size_t n, std::size_t m, Rng& rng)
         VertexId b = vid(rng.next_below(n));
         if (a == b)
             continue;
-        auto key = std::pair{std::min(a, b), std::max(a, b)};
-        if (!used.insert(key).second)
+        if (!used.insert(pair_key(a, b)).second)
             continue;
         edges.push_back({a, b, rand_weight(rng)});
     }
@@ -146,8 +154,10 @@ WeightedGraph gen_random_regular(std::size_t n, std::size_t d, Rng& rng)
     require(d >= 2 && d % 2 == 0, "gen_random_regular: d must be even and >= 2");
     require(d < n, "gen_random_regular: d must be < n");
 
-    std::set<std::pair<VertexId, VertexId>> used;
+    std::unordered_set<std::uint64_t> used;
+    used.reserve(n * d / 2);
     std::vector<Edge> edges;
+    edges.reserve(n * d / 2);
     std::vector<VertexId> perm(n);
     for (std::size_t i = 0; i < n; ++i)
         perm[i] = vid(i);
@@ -161,8 +171,7 @@ WeightedGraph gen_random_regular(std::size_t n, std::size_t d, Rng& rng)
         for (std::size_t i = 0; i < n; ++i) {
             VertexId a = perm[i];
             VertexId b = perm[(i + 1) % n];
-            auto key = std::pair{std::min(a, b), std::max(a, b)};
-            if (!used.insert(key).second)
+            if (!used.insert(pair_key(a, b)).second)
                 continue;  // duplicate across cycles: skip (degree drops by 1)
             edges.push_back({a, b, rand_weight(rng)});
         }

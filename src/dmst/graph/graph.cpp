@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "dmst/util/assert.h"
-
 namespace dmst {
 
 EdgeKey edge_key(const Edge& e)
@@ -43,51 +41,21 @@ WeightedGraph WeightedGraph::from_edges(std::size_t n, std::vector<Edge> edges)
     for (std::size_t v = 0; v < n; ++v)
         g.offsets_[v + 1] += g.offsets_[v];
 
-    g.adj_vertex_.resize(2 * g.edges_.size());
-    g.adj_edge_.resize(2 * g.edges_.size());
+    // Edges are visited in id order, so each endpoint's ports are handed
+    // out in that order too; both halves learn each other's port here.
+    g.adj_.resize(2 * g.edges_.size());
     std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
     for (std::size_t i = 0; i < g.edges_.size(); ++i) {
         const Edge& e = g.edges_[i];
-        g.adj_vertex_[cursor[e.u]] = e.v;
-        g.adj_edge_[cursor[e.u]++] = static_cast<EdgeId>(i);
-        g.adj_vertex_[cursor[e.v]] = e.u;
-        g.adj_edge_[cursor[e.v]++] = static_cast<EdgeId>(i);
+        const std::size_t at_u = cursor[e.u]++;
+        const std::size_t at_v = cursor[e.v]++;
+        const auto id = static_cast<EdgeId>(i);
+        g.adj_[at_u] = HalfEdge{
+            e.v, static_cast<std::uint32_t>(at_v - g.offsets_[e.v]), id};
+        g.adj_[at_v] = HalfEdge{
+            e.u, static_cast<std::uint32_t>(at_u - g.offsets_[e.u]), id};
     }
     return g;
-}
-
-std::size_t WeightedGraph::degree(VertexId v) const
-{
-    DMST_ASSERT(v < vertex_count());
-    return offsets_[v + 1] - offsets_[v];
-}
-
-std::size_t WeightedGraph::adj_index(VertexId v, std::size_t port) const
-{
-    DMST_ASSERT(v < vertex_count());
-    DMST_ASSERT_MSG(port < degree(v), "port out of range");
-    return offsets_[v] + port;
-}
-
-VertexId WeightedGraph::neighbor(VertexId v, std::size_t port) const
-{
-    return adj_vertex_[adj_index(v, port)];
-}
-
-Weight WeightedGraph::weight(VertexId v, std::size_t port) const
-{
-    return edges_[adj_edge_[adj_index(v, port)]].w;
-}
-
-EdgeId WeightedGraph::edge_id(VertexId v, std::size_t port) const
-{
-    return adj_edge_[adj_index(v, port)];
-}
-
-const Edge& WeightedGraph::edge(EdgeId e) const
-{
-    DMST_ASSERT(e < edges_.size());
-    return edges_[e];
 }
 
 std::size_t WeightedGraph::port_of(VertexId v, VertexId u) const

@@ -5,6 +5,8 @@
 #include <tuple>
 #include <vector>
 
+#include "dmst/util/assert.h"
+
 namespace dmst {
 
 using VertexId = std::uint32_t;
@@ -57,6 +59,12 @@ constexpr EdgeKey kMinEdgeKey{0, 0, 0};
 // Immutable undirected weighted graph in CSR form. Vertices are 0..n-1.
 // Each vertex addresses its incident edges through ports 0..degree-1; the
 // CONGEST simulator exposes exactly this port interface to processes.
+//
+// Half-edges: adj_index(v, port) = offsets_[v] + port numbers the (v, port)
+// pairs, v's row being [adj_begin(v), adj_begin(v) + degree(v)); the rows
+// partition [0, 2m) in vertex order. The simulator lays every per-port
+// table out as one flat array over this index. A half-edge is one 12-byte
+// record (neighbor, reverse port, edge id); weights stay in the edge list.
 class WeightedGraph {
 public:
     // Validates and builds: endpoints in range, no self-loops, no parallel
@@ -66,12 +74,51 @@ public:
     std::size_t vertex_count() const { return offsets_.size() - 1; }
     std::size_t edge_count() const { return edges_.size(); }
 
-    std::size_t degree(VertexId v) const;
-    VertexId neighbor(VertexId v, std::size_t port) const;
-    Weight weight(VertexId v, std::size_t port) const;
-    EdgeId edge_id(VertexId v, std::size_t port) const;
+    std::size_t degree(VertexId v) const
+    {
+        DMST_ASSERT(v < vertex_count());
+        return offsets_[v + 1] - offsets_[v];
+    }
 
-    const Edge& edge(EdgeId e) const;
+    // First half-edge index of v's row.
+    std::size_t adj_begin(VertexId v) const
+    {
+        DMST_ASSERT(v < vertex_count());
+        return offsets_[v];
+    }
+
+    // Half-edge index of (v, port), in [0, 2m).
+    std::size_t adj_index(VertexId v, std::size_t port) const
+    {
+        DMST_ASSERT(v < vertex_count());
+        const std::size_t i = offsets_[v] + port;
+        DMST_ASSERT_MSG(i < offsets_[v + 1], "port out of range");
+        return i;
+    }
+
+    VertexId neighbor(VertexId v, std::size_t port) const
+    {
+        return adj_[adj_index(v, port)].neighbor;
+    }
+    // Port at which neighbor(v, port) sees the edge back to v.
+    std::size_t reverse_port(VertexId v, std::size_t port) const
+    {
+        return adj_[adj_index(v, port)].reverse_port;
+    }
+    Weight weight(VertexId v, std::size_t port) const
+    {
+        return edges_[adj_[adj_index(v, port)].edge].w;
+    }
+    EdgeId edge_id(VertexId v, std::size_t port) const
+    {
+        return adj_[adj_index(v, port)].edge;
+    }
+
+    const Edge& edge(EdgeId e) const
+    {
+        DMST_ASSERT(e < edges_.size());
+        return edges_[e];
+    }
     const std::vector<Edge>& edges() const { return edges_; }
 
     // Port of v whose other endpoint is u, or throws if not adjacent.
@@ -79,14 +126,18 @@ public:
     std::size_t port_of(VertexId v, VertexId u) const;
 
 private:
+    struct HalfEdge {
+        VertexId neighbor;
+        std::uint32_t reverse_port;
+        EdgeId edge;
+    };
+    static_assert(sizeof(HalfEdge) == 12, "one 12-byte record per half-edge");
+
     WeightedGraph() = default;
 
-    std::size_t adj_index(VertexId v, std::size_t port) const;
-
-    std::vector<Edge> edges_;          // canonical (u < v), sorted by (u, v)
+    std::vector<Edge> edges_;           // canonical (u < v), sorted by (u, v)
     std::vector<std::size_t> offsets_;  // CSR offsets, size n+1
-    std::vector<VertexId> adj_vertex_;  // CSR targets, size 2m
-    std::vector<EdgeId> adj_edge_;      // CSR edge ids, size 2m
+    std::vector<HalfEdge> adj_;         // CSR half-edges, size 2m
 };
 
 }  // namespace dmst

@@ -66,9 +66,7 @@ AsyncNetwork::AsyncNetwork(const WeightedGraph& g, NetConfig config,
     loss_on_ = faults_.loss_enabled();
     if (loss_on_) {
         queue_span += static_cast<int>(config_.faults.worst_round_ticks());
-        fault_attempts_.resize(n);
-        for (VertexId v = 0; v < n; ++v)
-            fault_attempts_[v].assign(graph_.degree(v), 0);
+        fault_attempts_.assign(2 * graph_.edge_count(), 0);
     }
     // Native mode books Context::set_timer timers as future events; give
     // them scheduling room up to the wheel's efficient span (longer
@@ -100,15 +98,13 @@ AsyncNetwork::AsyncNetwork(const WeightedGraph& g, NetConfig config,
     touch_stamp_.assign(n, 0);
     vertex_level_.assign(n, 0);
     round_by_vertex_ = vertex_level_.data();
-    send_seq_.resize(n);
-    for (VertexId v = 0; v < n; ++v)
-        send_seq_[v].assign(graph_.degree(v), 0);
-
-    if (native_) {
-        link_last_.resize(n);
-        for (VertexId v = 0; v < n; ++v)
-            link_last_[v].assign(graph_.degree(v), 0);
-    }
+    // Native payloads carry their sender's half-edge index in the 32-bit
+    // Event::link_seq.
+    DMST_ASSERT(2 * graph_.edge_count() <= ~std::uint32_t{0});
+    if (native_)
+        link_last_.assign(2 * graph_.edge_count(), 0);
+    else
+        send_seq_.assign(2 * graph_.edge_count(), 0);
 }
 
 bool AsyncNetwork::wheel_queue() const
@@ -153,15 +149,18 @@ void AsyncNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
     if (trace_)
         trace_->on_send(from, msg.tag, size);
 
-    ShardState& st = shard_states_[static_cast<std::size_t>(shard_of_[from])];
+    const int shard = shard_for(from);
+    ShardState& st = shard_states_[static_cast<std::size_t>(shard)];
     Event ev;
     ev.kind = EventKind::Payload;
     ev.target = graph_.neighbor(from, port);
     ev.port = static_cast<std::uint32_t>(reverse_port(from, port));
     ev.sender = from;
     ev.level = native_ ? 0 : sync_->pulse(from);
-    ev.link_seq = send_seq_[from][port]++;
-    ev.owner = static_cast<std::uint8_t>(shard_of_[from]);
+    const std::size_t half = graph_.adj_index(from, port);
+    ev.link_seq =
+        native_ ? static_cast<std::uint32_t>(half) : send_seq_[half]++;
+    ev.owner = static_cast<std::uint8_t>(shard);
     ev.payload = st.pool.acquire(std::move(msg));
     // Loss shim: plan the transmission (kOneWay hops — the seeded event
     // delay models the wire) and charge the retransmission wait to
@@ -199,8 +198,8 @@ std::uint64_t AsyncNetwork::plan_fault_delivery(VertexId from, std::size_t port,
 {
     const EdgeId e = graph_.edge_id(from, port);
     const int direction = from < graph_.neighbor(from, port) ? 0 : 1;
-    const FaultPlan plan =
-        faults_.plan_transmission(e, direction, fault_attempts_[from][port]);
+    const FaultPlan plan = faults_.plan_transmission(
+        e, direction, fault_attempts_[graph_.adj_index(from, port)]);
     st.drops += plan.drops;
     st.retransmissions += plan.retransmissions;
     st.acks += plan.acks;
@@ -221,7 +220,7 @@ void AsyncNetwork::schedule_timer(VertexId v, std::uint64_t delay,
     }
     DMST_ASSERT_MSG(delay <= static_cast<std::uint64_t>(queue_span_),
                     "native timer delay exceeds the scheduling window");
-    ShardState& st = shard_states_[static_cast<std::size_t>(shard_of_[v])];
+    ShardState& st = shard_states_[static_cast<std::size_t>(shard_for(v))];
     Event ev;
     ev.kind = EventKind::Timer;
     ev.target = v;
@@ -312,18 +311,19 @@ void AsyncNetwork::dispatch_native(Event& ev, ShardState& st)
     st.cause_seq = ev.seq;
     ++st.activations;
     Context ctx = context_for(v);
+    MessageProcess* proc = native_procs_[v];
     if (ev.kind == EventKind::Payload) {
         Message msg = std::move(*ev.payload);
         st.freed[ev.owner].push_back(ev.payload);
         st.in_flight -= 1;
-        native_procs_[v]->on_message(ctx, ev.port, std::move(msg));
+        proc->on_message(ctx, ev.port, std::move(msg));
     } else {
         DMST_ASSERT_MSG(ev.kind == EventKind::Timer,
                         "synchronizer event in native mode");
-        native_procs_[v]->on_wakeup(ctx, ev.level);
+        proc->on_wakeup(ctx, ev.level);
     }
     st.in_apply = false;
-    const bool now_done = processes_[v]->done();
+    const bool now_done = proc->done();
     if (now_done != (done_cache_[v] != 0)) {
         done_cache_[v] = now_done ? 1 : 0;
         st.not_done += now_done ? -1 : 1;
@@ -334,7 +334,7 @@ void AsyncNetwork::execute_pulse(VertexId v, ShardState& st)
 {
     const std::uint64_t level = sync_->pulse(v) + 1;
     reset_round_words(v);
-    std::fill(send_seq_[v].begin(), send_seq_[v].end(), 0);
+    zero_row(send_seq_, v);
 
     // Canonical inbox: the consumed tag's payloads in (port, link order),
     // moved out of their pool slots; the slots return to their owning
@@ -428,6 +428,13 @@ void AsyncNetwork::start_shard(int s)
     // global id order, independent of the shard partition.
     ShardState& st = shard_states_[static_cast<std::size_t>(s)];
     try {
+        // A wakeup fan usually greets every neighbor: stage one send per
+        // port in a single allocation. Grown by doubling instead, the
+        // fan's freed buffers fragment the heap and lift the peak RSS.
+        std::size_t ports = 0;
+        for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v)
+            ports += graph_.degree(v);
+        st.staged_pulse.reserve(ports);
         for (VertexId v = bounds_[s]; v < bounds_[s + 1]; ++v) {
             reset_round_words(v);
             vertex_level_[v] = 1;  // the wakeup is activation 1
@@ -437,7 +444,7 @@ void AsyncNetwork::start_shard(int s)
             ++st.activations;
             Context ctx = context_for(v);
             native_procs_[v]->on_start(ctx);
-            const bool now_done = processes_[v]->done();
+            const bool now_done = native_procs_[v]->done();
             if (now_done != (done_cache_[v] != 0)) {
                 done_cache_[v] = now_done ? 1 : 0;
                 st.not_done += now_done ? -1 : 1;
@@ -465,12 +472,12 @@ void AsyncNetwork::schedule(Event&& ev)
             // payload. Ties are safe — same-timestamp events apply in seq
             // order and seq respects send order. Synchronized modes stay
             // unclamped so their event schedules match their baselines.
-            std::uint64_t& last = link_last_[ev.target][ev.port];
+            std::uint64_t& last = link_last_[ev.link_seq];
             ev.time = std::max(ev.time, last);
             last = ev.time;
         }
     }
-    shard_states_[static_cast<std::size_t>(shard_of_[ev.target])].queue.push(
+    shard_states_[static_cast<std::size_t>(shard_for(ev.target))].queue.push(
         std::move(ev));
 }
 

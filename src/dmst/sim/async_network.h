@@ -158,8 +158,10 @@ private:
         // Payload: arrival port at the target. Synchronizer control
         // events (EventKind::Safe) carry the SyncEmit ctrl code here.
         std::uint32_t port = 0;
-        // Payload: send order on the link. Timer events carry the
-        // requested delay here (applied verbatim at schedule()).
+        // Payload: send order on the link in synchronized modes; in
+        // native mode the sender's half-edge index, the slot of the FIFO
+        // clamp. Timer events carry the requested delay here (applied
+        // verbatim at schedule()).
         std::uint32_t link_seq = 0;
         // Loss-shim wait (congest/faults.h): the retransmission delay the
         // reliable-delivery shim charges this payload before its final
@@ -169,6 +171,8 @@ private:
         EventKind kind = EventKind::Payload;
         std::uint8_t owner = 0;      // Payload: shard owning the pool slot
     };
+    // The in-flight event vectors set the native engine's peak memory.
+    static_assert(sizeof(Event) <= 56, "Event must stay within 56 bytes");
 
     // One executed pulse, folded into the level/trace accounting at the
     // merge barrier.
@@ -258,22 +262,25 @@ private:
     // Cached MessageProcess surface of every process (native mode only);
     // built — and type-checked — lazily at the first step.
     std::vector<MessageProcess*> native_procs_;
-    // Per-(target, arrival-port) last payload delivery time: the FIFO
-    // clamp of native mode. Untouched in synchronized modes, whose event
-    // schedules must stay bit-identical to their existing baselines.
-    std::vector<std::vector<std::uint64_t>> link_last_;
+    // Last payload delivery time per directed link, indexed by the
+    // sender's half-edge: the FIFO clamp of native mode. Empty in
+    // synchronized modes, whose event schedules must stay bit-identical to
+    // their existing baselines.
+    std::vector<std::uint64_t> link_last_;
     // Loss shim armed (drop_rate > 0): sends plan transmissions.
     bool loss_on_ = false;
-    // Burst-window clocks of the loss shim, one per (vertex, port);
-    // advanced only by the shard owning the sender, so no locking and
-    // bit-identical schedules across thread counts.
-    std::vector<std::vector<std::uint64_t>> fault_attempts_;
+    // Burst-window clocks of the loss shim, one per half-edge (vertex,
+    // port); advanced only by the shard owning the sender, so no locking
+    // and bit-identical schedules across thread counts.
+    std::vector<std::uint64_t> fault_attempts_;
 
     int threads_ = 1;
     int shards_ = 1;
     int queue_span_ = 1;  // shard queue window (bounds native timer delays)
     std::vector<VertexId> bounds_;  // size shards_+1; shard s = [b[s], b[s+1])
     std::vector<int> shard_of_;     // vertex -> owning shard
+    // Owning shard of v; a single-shard run skips the table.
+    int shard_for(VertexId v) const { return shards_ == 1 ? 0 : shard_of_[v]; }
     std::vector<ShardState> shard_states_;
     std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
     std::vector<std::size_t> merge_cursor_;  // barrier k-way merge scratch
@@ -309,9 +316,10 @@ private:
     std::vector<std::uint64_t> vertex_level_;
 
     // Per-vertex inbox storage (grow-only) backing inbox_span_, and the
-    // per-(vertex, port) payload send-order counters of the current pulse.
+    // per-half-edge payload send-order counters of the current pulse
+    // (synchronized modes only).
     std::vector<std::vector<Incoming>> inbox_store_;
-    std::vector<std::vector<std::uint32_t>> send_seq_;
+    std::vector<std::uint32_t> send_seq_;
 };
 
 }  // namespace dmst

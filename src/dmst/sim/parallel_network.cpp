@@ -91,7 +91,7 @@ void ParallelNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
         return;
     }
     st.out[static_cast<std::size_t>(shard_of_[target])].emplace(
-        target, static_cast<std::uint32_t>(reverse_port_[from][port]),
+        target, static_cast<std::uint32_t>(reverse_port(from, port)),
         std::move(msg));
 }
 

@@ -164,7 +164,7 @@ BetaSynchronizer::BetaSynchronizer(const WeightedGraph& g)
                     continue;
                 seen[w] = 1;
                 beta_[w].parent = u;
-                beta_[w].parent_port = g.port_of(w, u);
+                beta_[w].parent_port = g.reverse_port(u, p);
                 beta_[u].children.push_back(w);
                 frontier.push(w);
             }

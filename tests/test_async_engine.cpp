@@ -56,6 +56,10 @@ struct RunOutput {
     RunStats stats;
 };
 
+// One worker unless a case says otherwise: at 24-40 vertices a
+// multi-worker async run pays a pool barrier per timestamp for nothing.
+// RunStatsBitIdenticalAcrossThreadCounts and ShardOverrideInvariance carry
+// the multi-worker coverage.
 RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
                    Engine engine, const AsyncConfig& ac)
 {
@@ -64,6 +68,7 @@ RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
         ElkinOptions o;
         o.engine = engine;
         o.async = ac;
+        o.threads = 1;
         auto r = run_elkin_mst(g, o);
         out.edges = std::move(r.mst_edges);
         out.stats = std::move(r.stats);
@@ -71,6 +76,7 @@ RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
         PipelineMstOptions o;
         o.engine = engine;
         o.async = ac;
+        o.threads = 1;
         auto r = run_pipeline_mst(g, o);
         out.edges = std::move(r.mst_edges);
         out.stats = std::move(r.stats);
@@ -78,6 +84,7 @@ RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
         SyncBoruvkaOptions o;
         o.engine = engine;
         o.async = ac;
+        o.threads = 1;
         auto r = run_sync_boruvka(g, o);
         out.edges = std::move(r.mst_edges);
         out.stats = std::move(r.stats);
@@ -155,6 +162,7 @@ TEST(AsyncFuzz, FiveDriversBitIdenticalBehindBothSynchronizers)
         {
             GhsOptions o;
             o.k = 4;
+            o.threads = 1;
             auto serial = run_controlled_ghs(g, o);
             o.engine = Engine::Async;
             auto alpha = run_controlled_ghs(g, o);
@@ -170,6 +178,7 @@ TEST(AsyncFuzz, FiveDriversBitIdenticalBehindBothSynchronizers)
             auto oracle = mst_kruskal(g);
             auto claimed = ports_from_edges(g, oracle.edges);
             VerifyOptions vo;
+            vo.threads = 1;
             auto serial = run_verify_mst(g, claimed, vo);
             vo.engine = Engine::Async;
             auto alpha = run_verify_mst(g, claimed, vo);
@@ -221,6 +230,7 @@ TEST(AsyncFuzz, VerifyVerdictsMatchSerialAcrossEventSeeds)
         for (std::uint64_t event_seed : kEventSeeds) {
             VerifyOptions vo;
             vo.engine = Engine::Async;
+            vo.threads = 1;
             vo.async.max_delay = 3;
             vo.async.event_seed = event_seed;
             auto ok = run_verify_mst(fg.g, claimed, vo);
@@ -247,6 +257,7 @@ TEST(AsyncFuzz, SameSeedReplaysBitIdenticalRunStats)
         for (std::uint64_t event_seed : kEventSeeds) {
             ElkinOptions o;
             o.engine = Engine::Async;
+            o.threads = 1;
             o.record_per_edge = true;
             o.async.max_delay = 4;
             o.async.event_seed = event_seed;
@@ -400,6 +411,7 @@ TEST(AsyncFuzz, PerLevelTraceMatchesSerialPerRoundTrace)
     auto s = run_elkin_mst(g, serial);
     ElkinOptions as;
     as.engine = Engine::Async;
+    as.threads = 1;
     auto a = run_elkin_mst(g, as);
     ASSERT_GE(a.stats.messages_per_round.size(),
               s.stats.messages_per_round.size());

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
+#include "dmst/exp/workloads.h"
 #include "dmst/graph/generators.h"
 #include "dmst/graph/metrics.h"
 #include "dmst/util/rng.h"
@@ -150,6 +153,52 @@ TEST(Generators, WeightsInDeclaredRange)
     for (const Edge& e : g.edges()) {
         EXPECT_GE(e.w, 1u);
         EXPECT_LE(e.w, Weight{1} << 40);
+    }
+}
+
+// FNV-1a over the canonical edge list (endpoints and weights, in EdgeId
+// order): any change to the generators' accept/reject sequence or to the
+// weight draws moves it.
+std::uint64_t edge_list_digest(const WeightedGraph& g)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](std::uint64_t x) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (x >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    mix(g.vertex_count());
+    mix(g.edge_count());
+    for (const Edge& e : g.edges()) {
+        mix(e.u);
+        mix(e.v);
+        mix(e.w);
+    }
+    return h;
+}
+
+// Pinned edge-list digests of the deduplicating random families at fixed
+// seeds: the generators must stay bit-identical across refactors of their
+// dedup structure.
+TEST(Generators, PinnedEdgeListDigests)
+{
+    struct Pin {
+        const char* family;
+        std::size_t n;
+        std::uint64_t seed;
+        std::uint64_t digest;
+    };
+    const Pin pins[] = {
+        {"er", 1000, 1, 18285326235602003816ULL},
+        {"er", 4096, 7, 13485031027022586487ULL},
+        {"regular4", 1000, 1, 17485786254766388946ULL},
+        {"regular4", 4096, 7, 639618315887562785ULL},
+    };
+    for (const Pin& p : pins) {
+        const WeightedGraph g = make_workload(p.family, p.n, p.seed);
+        EXPECT_EQ(edge_list_digest(g), p.digest)
+            << p.family << " n=" << p.n << " seed=" << p.seed;
     }
 }
 

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
+#include "dmst/congest/network_base.h"
+#include "dmst/exp/workloads.h"
 #include "dmst/graph/graph.h"
 #include "dmst/graph/metrics.h"
+#include "dmst/sim/engine.h"
+#include "dmst/util/assert.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -47,6 +53,53 @@ TEST(Graph, PortOfRoundTrips)
         }
     }
     EXPECT_THROW(g.port_of(0, 0), std::invalid_argument);
+}
+
+// The half-edge index space every per-(vertex, port) table of the
+// simulator is laid out on: rows partition [0, 2m) in CSR order, each
+// half-edge's reverse port leads back to it, both halves name the same
+// edge and weight, and the engines' reverse_port is the graph's.
+TEST(Graph, HalfEdgeLayoutOnEveryWorkloadFamily)
+{
+    for (const std::string& family : workload_families()) {
+        SCOPED_TRACE(family);
+        const WeightedGraph g = make_workload(family, 64, 3);
+        NetConfig serial;
+        NetConfig async;
+        async.engine = Engine::Async;
+        async.threads = 1;
+        const auto net_serial = make_network(g, serial);
+        const auto net_async = make_network(g, async);
+        std::size_t next = 0;
+        for (VertexId v = 0; v < g.vertex_count(); ++v) {
+            ASSERT_EQ(g.adj_begin(v), next);
+            for (std::size_t p = 0; p < g.degree(v); ++p) {
+                ASSERT_EQ(g.adj_index(v, p), next++);
+                const VertexId u = g.neighbor(v, p);
+                const std::size_t q = g.reverse_port(v, p);
+                ASSERT_LT(q, g.degree(u));
+                EXPECT_EQ(g.neighbor(u, q), v);
+                EXPECT_EQ(g.reverse_port(u, q), p);
+                EXPECT_EQ(g.edge_id(u, q), g.edge_id(v, p));
+                EXPECT_EQ(g.weight(u, q), g.weight(v, p));
+                const Edge& e = g.edge(g.edge_id(v, p));
+                EXPECT_EQ(e.w, g.weight(v, p));
+                EXPECT_EQ(std::min(u, v), e.u);
+                EXPECT_EQ(std::max(u, v), e.v);
+                EXPECT_EQ(net_serial->reverse_port(v, p), q);
+                EXPECT_EQ(net_async->reverse_port(v, p), q);
+            }
+            // The inline lookups keep their range checks.
+            EXPECT_THROW(g.neighbor(v, g.degree(v)), InvariantViolation);
+            EXPECT_THROW(g.adj_index(v, g.degree(v)), InvariantViolation);
+        }
+        EXPECT_EQ(next, 2 * g.edge_count());
+        const auto n = static_cast<VertexId>(g.vertex_count());
+        EXPECT_THROW(g.degree(n), InvariantViolation);
+        EXPECT_THROW(g.adj_begin(n), InvariantViolation);
+        EXPECT_THROW(g.edge(static_cast<EdgeId>(g.edge_count())),
+                     InvariantViolation);
+    }
 }
 
 TEST(Graph, CanonicalizesEndpointOrder)
