@@ -61,7 +61,6 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     const std::size_t n = args.get_int("n");
     const std::uint64_t seed = args.get_int("seed");
 
@@ -75,13 +74,11 @@ int main(int argc, char** argv)
             const int phases = ceil_log2(k);
             GhsOptions ghs_opts;
             ghs_opts.k = k;
-            ghs_opts.engine = eng;
-            ghs_opts.threads = threads;
+            read_engine_flags(args, ghs_opts);
             auto ghs = run_controlled_ghs(g, ghs_opts);
             SyncBoruvkaOptions wild_opts;
             wild_opts.max_phases = phases;
-            wild_opts.engine = eng;
-            wild_opts.threads = threads;
+            read_engine_flags(args, wild_opts);
             auto wild = run_sync_boruvka(g, wild_opts);
             a.new_row()
                 .add(std::string(family))
@@ -104,8 +101,7 @@ int main(int argc, char** argv)
         const std::uint64_t k = isqrt(g.vertex_count());
         ElkinOptions routed_opts;
         routed_opts.k_override = k;
-        routed_opts.engine = eng;
-        routed_opts.threads = threads;
+        read_engine_flags(args, routed_opts);
         auto routed = run_elkin_mst(g, routed_opts);
         ElkinOptions flooded_opts = routed_opts;
         flooded_opts.broadcast_downcast = true;

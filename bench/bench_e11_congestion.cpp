@@ -31,10 +31,8 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     ElkinOptions elkin_opts;
-    elkin_opts.engine = eng;
-    elkin_opts.threads = threads;
+    read_engine_flags(args, elkin_opts);
     elkin_opts.record_per_edge = true;
     const std::size_t n = args.get_int("n");
     const std::uint64_t seed = args.get_int("seed");

@@ -46,7 +46,6 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     const std::uint64_t seed = args.get_int("seed");
     const std::size_t max_n = args.get_int("max_n");
 
@@ -60,14 +59,12 @@ int main(int argc, char** argv)
             for (std::int64_t b : split_int_list(args.get("bandwidths"))) {
                 ElkinOptions build_opts;
                 build_opts.bandwidth = static_cast<int>(b);
-                build_opts.engine = eng;
-                build_opts.threads = threads;
+                read_engine_flags(args, build_opts);
                 auto built = run_elkin_mst(g, build_opts);
 
                 VerifyOptions opts;
                 opts.bandwidth = static_cast<int>(b);
-                opts.engine = eng;
-                opts.threads = threads;
+                read_engine_flags(args, opts);
                 auto r = run_verify_mst(
                     g, ports_from_edges(g, built.mst_edges), opts);
                 if (!r.accepted) {

@@ -68,7 +68,6 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     const std::uint64_t seed = args.get_int("seed");
     const std::uint64_t cond_seed = args.get_int("cond_seed");
     const std::size_t max_n = static_cast<std::size_t>(args.get_int("max_n"));
@@ -90,8 +89,7 @@ int main(int argc, char** argv)
 
             ElkinOptions ideal;
             ideal.bandwidth = bandwidth;
-            ideal.engine = eng;
-            ideal.threads = threads;
+            read_engine_flags(args, ideal);
             auto base = run_elkin_mst(g, ideal);
 
             for (const CondCase& cs : cond_cases(cond_seed, bandwidth)) {

@@ -33,10 +33,8 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     ElkinOptions elkin_opts;
-    elkin_opts.engine = eng;
-    elkin_opts.threads = threads;
+    read_engine_flags(args, elkin_opts);
 
     std::cout << "E1: Theorem 3.1 (time) — rounds vs (D + sqrt(n)) log n\n";
     Table table({"family", "n", "m", "D", "k", "phases", "rounds", "bound",

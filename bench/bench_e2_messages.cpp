@@ -44,10 +44,8 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     ElkinOptions elkin_opts;
-    elkin_opts.engine = eng;
-    elkin_opts.threads = threads;
+    read_engine_flags(args, elkin_opts);
     const std::uint64_t seed = args.get_int("seed");
     const std::size_t max_n = args.get_int("max_n");
 

@@ -31,7 +31,6 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     const std::size_t n = args.get_int("n");
     const std::uint64_t seed = args.get_int("seed");
 
@@ -43,8 +42,7 @@ int main(int argc, char** argv)
         for (std::uint64_t k = 2; k <= 256 && k <= n / 4; k *= 4) {
             GhsOptions opts;
             opts.k = k;
-            opts.engine = eng;
-            opts.threads = threads;
+            read_engine_flags(args, opts);
             auto r = run_controlled_ghs(g, opts);
             auto stats = analyze_forest(g, r.parent_port, r.fragment_id);
             std::uint64_t frag_bound = std::max<std::uint64_t>(1, 2 * n / k);

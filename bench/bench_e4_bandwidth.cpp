@@ -31,7 +31,6 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     const std::size_t n = args.get_int("n");
     const std::uint64_t seed = args.get_int("seed");
 
@@ -44,8 +43,7 @@ int main(int argc, char** argv)
             auto r = run_elkin_mst(g, [&] {
                 ElkinOptions o;
                 o.bandwidth = b;
-                o.engine = eng;
-                o.threads = threads;
+                read_engine_flags(args, o);
                 return o;
             }());
             double bound =

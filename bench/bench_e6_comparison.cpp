@@ -36,13 +36,10 @@ int main(int argc, char** argv)
         return 1;
     }
 
-    const auto [eng, threads] = engine_from_args(args);
     ElkinOptions elkin_opts;
-    elkin_opts.engine = eng;
-    elkin_opts.threads = threads;
+    read_engine_flags(args, elkin_opts);
     PipelineMstOptions gkp_opts;
-    gkp_opts.engine = eng;
-    gkp_opts.threads = threads;
+    read_engine_flags(args, gkp_opts);
     const std::size_t n = args.get_int("n");
     const std::uint64_t seed = args.get_int("seed");
 
@@ -55,8 +52,7 @@ int main(int argc, char** argv)
         auto elkin = run_elkin_mst(g, elkin_opts);
         auto gkp = run_pipeline_mst(g, gkp_opts);
         SyncBoruvkaOptions boruvka_opts;
-        boruvka_opts.engine = eng;
-        boruvka_opts.threads = threads;
+        read_engine_flags(args, boruvka_opts);
         auto boruvka = run_sync_boruvka(g, boruvka_opts);
         if (elkin.mst_edges != gkp.mst_edges ||
             elkin.mst_edges != boruvka.mst_edges) {

@@ -4,13 +4,13 @@
 // (unique) MST; they differ in round and message complexity.
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
-#include "dmst/core/elkin_mst.h"
-#include "dmst/core/pipeline_mst.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/exp/workloads.h"
 #include "dmst/graph/metrics.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/cli.h"
 #include "dmst/util/table.h"
 
@@ -35,24 +35,21 @@ int main(int argc, char** argv)
               << " m=" << g.edge_count()
               << " D=" << hop_diameter_estimate(g) << "\n\n";
 
-    auto elkin = run_elkin_mst(g, ElkinOptions{});
-    auto gkp = run_pipeline_mst(g, {});
-    auto boruvka = run_sync_boruvka(g);
-
+    const std::pair<const char*, const char*> runs[] = {
+        {"elkin", "elkin"}, {"gkp_pipeline", "pipeline"},
+        {"sync_boruvka", "boruvka"}};
     Table t({"algorithm", "rounds", "messages", "mst_weight"});
-    t.new_row().add(std::string("elkin")).add(elkin.stats.rounds)
-        .add(elkin.stats.messages)
-        .add(total_weight(g, elkin.mst_edges));
-    t.new_row().add(std::string("gkp_pipeline")).add(gkp.stats.rounds)
-        .add(gkp.stats.messages)
-        .add(total_weight(g, gkp.mst_edges));
-    t.new_row().add(std::string("sync_boruvka")).add(boruvka.stats.rounds)
-        .add(boruvka.stats.messages)
-        .add(total_weight(g, boruvka.mst_edges));
+    std::vector<std::vector<EdgeId>> trees;
+    for (const auto& [label, algo] : runs) {
+        AlgorithmRun r = run_algorithm(algo, g, NetConfig{});
+        t.new_row().add(std::string(label)).add(r.stats.rounds)
+            .add(r.stats.messages)
+            .add(total_weight(g, r.edges));
+        trees.push_back(std::move(r.edges));
+    }
     t.print(std::cout);
 
-    bool agree =
-        elkin.mst_edges == gkp.mst_edges && elkin.mst_edges == boruvka.mst_edges;
+    const bool agree = trees[1] == trees[0] && trees[2] == trees[0];
     std::cout << "\nall algorithms agree: " << (agree ? "yes" : "NO") << "\n";
     return agree ? 0 : 1;
 }

@@ -1,7 +1,5 @@
 #include "dmst/core/controlled_ghs.h"
 
-#include "dmst/sim/engine.h"
-
 #include <algorithm>
 
 #include "dmst/congest/codec.h"
@@ -712,6 +710,11 @@ public:
         return ghs_.next_wakeup(ctx.round());
     }
 
+    std::uint64_t fragment_id() const { return ghs_.fragment_id(); }
+    std::size_t parent_port() const { return ghs_.parent_port(); }
+    const std::set<std::size_t>& mst_ports() const { return ghs_.mst_ports(); }
+
+private:
     GhsVertex ghs_;
 };
 
@@ -719,30 +722,12 @@ public:
 
 MstForestResult run_controlled_ghs(const WeightedGraph& g, const GhsOptions& opts)
 {
-    const NetConfig config = opts.to_net_config();
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
     const std::uint64_t n = g.vertex_count();
-    net.init([&](VertexId v) { return std::make_unique<GhsProcess>(v, n, opts.k); });
-    RunStats stats = net.run();
-
-    MstForestResult result;
-    result.stats = stats;
-    result.partial = stats.stalled || stats.crashed_vertices > 0;
-    result.fragment_id.resize(n);
-    result.parent_port.resize(n);
-    result.mst_ports.resize(n);
-    // A sharded engine (Engine::Socket) fills the local span only; remote
-    // vertices keep the zero defaults and the caller merges across ranks.
-    for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-        const auto& ghs = static_cast<const GhsProcess&>(net.process(v)).ghs_;
-        if (!result.partial)
-            DMST_ASSERT(ghs.finished());
-        result.fragment_id[v] = ghs.fragment_id();
-        result.parent_port[v] = ghs.parent_port();
-        result.mst_ports[v].assign(ghs.mst_ports().begin(), ghs.mst_ports().end());
-    }
-    return result;
+    DriverHarness<GhsProcess> h(g, opts.to_net_config(), {}, [&](VertexId v) {
+        return std::make_unique<GhsProcess>(v, n, opts.k);
+    });
+    h.run();
+    return h.collect<MstForestResult>();
 }
 
 }  // namespace dmst

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "dmst/congest/network.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/graph/graph.h"
 #include "dmst/proto/bfs.h"
 
@@ -250,6 +250,8 @@ private:
 // Standalone runner: executes Controlled-GHS on a graph and returns the
 // resulting MST forest, for tests, benches and the GKP baseline.
 
+// The forest output of Controlled-GHS and GHS-native. It names no edge
+// ids: collect_claimed_edges(g, mst_ports) does, when a caller needs them.
 struct MstForestResult {
     std::vector<std::uint64_t> fragment_id;   // per vertex
     std::vector<std::size_t> parent_port;     // per vertex; kNoPort at roots
@@ -262,9 +264,9 @@ struct MstForestResult {
     std::size_t fragment_count() const;
 };
 
-// Substrate knobs (bandwidth/engine/conditioner/faults/...) are inherited
-// from DriverOptions. A sharded run (Engine::Socket) fills fragment_id/
-// parent_port/mst_ports on [local_begin, local_end) only.
+// Substrate knobs come from DriverOptions (core/driver_harness.h). A
+// sharded run (Engine::Socket) fills the per-vertex views of the local
+// shard only (see DriverHarness).
 struct GhsOptions : DriverOptions {
     std::uint64_t k = 2;
 };

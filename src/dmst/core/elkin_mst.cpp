@@ -1,15 +1,10 @@
 #include "dmst/core/elkin_mst.h"
 
-#include "dmst/sim/engine.h"
-
 #include <algorithm>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 #include "dmst/congest/codec.h"
-#include "dmst/core/mst_output.h"
-#include "dmst/graph/metrics.h"
 #include "dmst/obs/trace.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/dsu.h"
@@ -552,50 +547,27 @@ void ElkinProcess::finish(Context& ctx)
 
 DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& opts)
 {
-    if (opts.root >= g.vertex_count())
-        throw std::invalid_argument("root out of range");
-    if (!is_connected(g))
-        throw std::invalid_argument("MST requires a connected graph");
-
     NetConfig config = opts.to_net_config();
     config.record_per_round = true;  // per-round trace for tests and sweeps
     // The span trace drives the phase-1/phase-2 split; external callers can
     // also request it for export, but the driver always needs it.
     config.trace.enabled = true;
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
     const std::uint64_t n = g.vertex_count();
-    net.init([&](VertexId v) { return std::make_unique<ElkinProcess>(v, n, opts); });
-    RunStats stats = net.run();
+    DriverHarness<ElkinProcess> h(
+        g, config, {opts.root, true},
+        [&](VertexId v) { return std::make_unique<ElkinProcess>(v, n, opts); });
+    h.run();
+    auto result = h.collect<DistributedMstResult>();
+    h.harvest_edges(result);
+    const RunStats& stats = result.stats;
 
-    DistributedMstResult result;
-    result.stats = stats;
-    result.partial = stats.stalled || stats.crashed_vertices > 0;
-    result.mst_ports.resize(n);
-    for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-        const auto& p = static_cast<const ElkinProcess&>(net.process(v));
-        if (!result.partial)
-            DMST_ASSERT(p.done());
-        result.mst_ports[v].assign(p.mst_ports().begin(), p.mst_ports().end());
-    }
-    // A shard harvests permissively (the edges its vertices claim; the
-    // cross-rank union is the MST) — remote vertices' port sets are empty
-    // here, so the spanning-tree assertion of collect_mst_edges cannot hold.
-    result.mst_edges = result.partial || net.rank_sharded()
-                           ? collect_claimed_edges(g, result.mst_ports)
-                           : collect_mst_edges(g, result.mst_ports);
-
-    // Root milestones live in the root's process state; a shard that does
-    // not own the root reports the zero defaults.
-    if (net.owns(opts.root)) {
-        const auto& root =
-            static_cast<const ElkinProcess&>(net.process(opts.root));
-        result.k_used = root.k_used();
-        result.bfs_ecc = root.bfs_ecc();
-        result.base_fragments = root.base_fragments();
-        result.boruvka_phases = root.boruvka_phases() + 1;
-        result.bfs_rounds = root.bfs_rounds();
-        result.ghs_rounds = root.ghs_rounds();
+    if (const ElkinProcess* root = h.root_process(opts.root)) {
+        result.k_used = root->k_used();
+        result.bfs_ecc = root->bfs_ecc();
+        result.base_fragments = root->base_fragments();
+        result.boruvka_phases = root->boruvka_phases() + 1;
+        result.bfs_rounds = root->bfs_rounds();
+        result.ghs_rounds = root->ghs_rounds();
     }
 
     // Phase split, derived from the span trace: phase 2 is everything the

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "dmst/congest/network.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/graph/graph.h"
 #include "dmst/proto/bfs.h"
@@ -44,13 +44,13 @@ namespace dmst {
 // Documented deviations (DESIGN.md §3): designated root instead of leader
 // election; k from ecc(rt) instead of the unknown D.
 
-// Substrate knobs are inherited from DriverOptions. The MST output is
-// invariant across engines, conditioners, and async delay points; a
-// sharded run (Engine::Socket) returns the local shard's view (mst_ports
-// on [local_begin, local_end), locally claimed mst_edges, root milestones
-// only on the rank owning the root). Note the driver enables the span
-// trace unconditionally — it drives the phase-1/phase-2 split — so the
-// inherited `trace` flag is effectively always on here.
+// Substrate knobs come from DriverOptions (core/driver_harness.h). The
+// MST output is invariant across engines, conditioners, and async delay
+// points; a sharded run (Engine::Socket) returns the local shard's view
+// (see DriverHarness) and root milestones only on the rank owning the
+// root. The driver enables the span trace unconditionally — it drives the
+// phase-1/phase-2 split — so the inherited `trace` is effectively always
+// on here; it also forces record_per_round.
 struct ElkinOptions : DriverOptions {
     VertexId root = 0;          // designated BFS root
     std::optional<std::uint64_t> k_override;  // force the base-forest k
@@ -63,20 +63,9 @@ struct ElkinOptions : DriverOptions {
     bool broadcast_downcast = false;
 };
 
-struct DistributedMstResult {
-    // Per-vertex ports of incident MST edges (the required CONGEST output:
-    // "every vertex knows which among the edges incident on it belong").
-    std::vector<std::vector<std::size_t>> mst_ports;
-    // The same edges as global edge ids, sorted (derived; endpoints must
-    // agree, which the runner asserts).
-    std::vector<EdgeId> mst_edges;
-    RunStats stats;
-    // Crash-stop graceful degradation: the run stalled (or lost vertices)
-    // before completing, and mst_ports/mst_edges hold the partial forest
-    // built so far — a subset of the true MST by the cut property. The
-    // milestone fields below reflect progress at the stall point.
-    bool partial = false;
-
+// DriverMstResult carries the ports, edges, stats and `partial`; on a
+// partial run the milestone fields below reflect progress at the stall.
+struct DistributedMstResult : DriverMstResult {
     // Milestones for the experiment harness.
     std::uint64_t k_used = 0;
     std::uint32_t bfs_ecc = 0;

@@ -7,7 +7,6 @@
 #include "dmst/congest/codec.h"
 #include "dmst/obs/trace.h"
 #include "dmst/proto/bfs.h"  // kNoPort
-#include "dmst/sim/engine.h"
 #include "dmst/util/assert.h"
 
 namespace dmst {
@@ -138,9 +137,9 @@ public:
     bool done() const override { return halted_; }
 
     // ---- harvest (after the run) ---------------------------------------
-    std::uint64_t fragment_root() const { return halted_ ? root_ : id_; }
+    std::uint64_t fragment_id() const { return halted_ ? root_ : id_; }
     std::size_t parent_port() const { return parent_port_; }
-    std::vector<std::size_t> branch_ports() const
+    std::vector<std::size_t> mst_ports() const
     {
         std::vector<std::size_t> out;
         for (std::size_t p = 0; p < se_.size(); ++p)
@@ -470,33 +469,14 @@ private:
 MstForestResult run_ghs_native(const WeightedGraph& g,
                                const GhsNativeOptions& opts)
 {
-    const NetConfig config = opts.to_net_config();
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
-    net.init([&](VertexId v) { return std::make_unique<GhsNativeProcess>(v); });
-    RunStats stats = net.run();
-
-    const std::uint64_t n = g.vertex_count();
-    MstForestResult result;
-    result.stats = stats;
-    result.partial = stats.stalled || stats.crashed_vertices > 0;
-    result.fragment_id.resize(n);
-    result.parent_port.assign(n, kNoPort);
-    result.mst_ports.resize(n);
-    // A sharded engine (Engine::Socket) fills the local span only; remote
-    // vertices keep the defaults and the caller merges across ranks.
-    for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-        const auto& p = static_cast<const GhsNativeProcess&>(net.process(v));
-        if (!result.partial) {
-            DMST_ASSERT(p.done());
-            DMST_ASSERT_MSG(p.quiesced(),
-                            "ghs_native: deferred messages left at halt");
-        }
-        result.fragment_id[v] = p.fragment_root();
-        result.parent_port[v] = p.parent_port();
-        result.mst_ports[v] = p.branch_ports();
-    }
-    return result;
+    DriverHarness<GhsNativeProcess> h(
+        g, opts.to_net_config(), {},
+        [](VertexId v) { return std::make_unique<GhsNativeProcess>(v); });
+    h.run();
+    return h.collect<MstForestResult>([](const GhsNativeProcess& p) {
+        DMST_ASSERT_MSG(p.quiesced(),
+                        "ghs_native: deferred messages left at halt");
+    });
 }
 
 }  // namespace dmst

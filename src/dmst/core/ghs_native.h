@@ -2,7 +2,7 @@
 #define DMST_CORE_GHS_NATIVE_H
 
 #include "dmst/core/controlled_ghs.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/graph/graph.h"
 
 namespace dmst {
@@ -38,9 +38,9 @@ namespace dmst {
 struct GhsNativeOptions : DriverOptions {};
 
 // Runs GHS to completion and harvests the forest (one fragment per
-// connected component; degree-0 vertices halt as singletons). See
-// run_controlled_ghs for the sharded-harvest and partial-result rules —
-// they are identical here.
+// connected component; degree-0 vertices halt as singletons). The
+// sharded-harvest and partial-result rules are DriverHarness's, as for
+// run_controlled_ghs.
 MstForestResult run_ghs_native(const WeightedGraph& g,
                                const GhsNativeOptions& opts);
 

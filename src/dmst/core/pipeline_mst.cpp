@@ -1,13 +1,8 @@
 #include "dmst/core/pipeline_mst.h"
 
-#include "dmst/sim/engine.h"
-
 #include <map>
-#include <stdexcept>
 
 #include "dmst/congest/codec.h"
-#include "dmst/core/mst_output.h"
-#include "dmst/graph/metrics.h"
 #include "dmst/obs/trace.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/intmath.h"
@@ -192,46 +187,25 @@ void PipelineMstProcess::on_round(Context& ctx)
 PipelineMstResult run_pipeline_mst(const WeightedGraph& g,
                                    const PipelineMstOptions& opts)
 {
-    if (opts.root >= g.vertex_count())
-        throw std::invalid_argument("root out of range");
-    if (!is_connected(g))
-        throw std::invalid_argument("MST requires a connected graph");
-
     NetConfig config = opts.to_net_config();
     config.record_per_round = true;  // enables the phase-1/phase-2 split
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
     const std::uint64_t n = g.vertex_count();
-    net.init([&](VertexId v) {
-        return std::make_unique<PipelineMstProcess>(v, n, opts);
-    });
-    RunStats stats = net.run();
+    DriverHarness<PipelineMstProcess> h(
+        g, config, {opts.root, true}, [&](VertexId v) {
+            return std::make_unique<PipelineMstProcess>(v, n, opts);
+        });
+    h.run();
+    auto result = h.collect<PipelineMstResult>();
+    h.harvest_edges(result);
 
-    PipelineMstResult result;
-    result.stats = stats;
-    result.partial = stats.stalled || stats.crashed_vertices > 0;
-    result.mst_ports.resize(n);
-    for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-        const auto& p = static_cast<const PipelineMstProcess&>(net.process(v));
-        if (!result.partial)
-            DMST_ASSERT(p.done());
-        result.mst_ports[v].assign(p.mst_ports().begin(), p.mst_ports().end());
-    }
-    // A shard harvests permissively (locally claimed edges; the cross-rank
-    // union is the MST) — remote vertices' port sets are empty here.
-    result.mst_edges = result.partial || net.rank_sharded()
-                           ? collect_claimed_edges(g, result.mst_ports)
-                           : collect_mst_edges(g, result.mst_ports);
-
-    // Root milestones (and the phase split derived from them) live in the
-    // root's process state; a shard without the root reports the defaults.
-    if (net.owns(opts.root)) {
-        const auto& root =
-            static_cast<const PipelineMstProcess&>(net.process(opts.root));
-        result.k_used = root.k_used();
-        result.pipeline_edges = root.pipeline_edges();
+    // The phase split derives from a root milestone, so a shard without the
+    // root reports the defaults.
+    if (const PipelineMstProcess* root = h.root_process(opts.root)) {
+        const RunStats& stats = result.stats;
+        result.k_used = root->k_used();
+        result.pipeline_edges = root->pipeline_edges();
         std::uint64_t ghs_end =
-            std::min<std::uint64_t>(root.ghs_end_round(), stats.rounds);
+            std::min<std::uint64_t>(root->ghs_end_round(), stats.rounds);
         result.phase2_rounds = stats.rounds - ghs_end;
         for (std::uint64_t r = ghs_end; r < stats.messages_per_round.size(); ++r)
             result.phase2_messages += stats.messages_per_round[r];

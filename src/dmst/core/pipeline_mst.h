@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "dmst/congest/network.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/graph/graph.h"
 #include "dmst/proto/bfs.h"
@@ -33,22 +33,16 @@ namespace dmst {
 // edges, and the final broadcast costs O(n sqrt(n)) more. Experiment E6
 // contrasts this with the near-linear message count of the Elkin algorithm.
 
-// Substrate knobs are inherited from DriverOptions. A sharded run
-// (Engine::Socket) returns the local shard's view: mst_ports filled on
-// [local_begin, local_end), mst_edges holding the locally claimed edges,
-// and root-derived milestones only on the rank that owns the root.
+// Substrate knobs come from DriverOptions (core/driver_harness.h); the
+// driver forces record_per_round. A sharded run (Engine::Socket) returns
+// the local shard's view (see DriverHarness) and root-derived milestones
+// only on the rank that owns the root.
 struct PipelineMstOptions : DriverOptions {
     VertexId root = 0;
     std::optional<std::uint64_t> k_override;
 };
 
-struct PipelineMstResult {
-    std::vector<std::vector<std::size_t>> mst_ports;
-    std::vector<EdgeId> mst_edges;
-    RunStats stats;
-    // Crash-stop graceful degradation: the run stalled before completing;
-    // mst_edges holds the partial forest (a subset of the true MST).
-    bool partial = false;
+struct PipelineMstResult : DriverMstResult {
     std::uint64_t k_used = 0;
     std::uint64_t pipeline_edges = 0;  // edges that reached the root
     // Everything after the Controlled-GHS schedule ends: the Pipeline

@@ -1,15 +1,10 @@
 #include "dmst/core/sync_boruvka.h"
 
-#include "dmst/sim/engine.h"
-
 #include <algorithm>
 #include <map>
 #include <set>
-#include <stdexcept>
 
 #include "dmst/congest/codec.h"
-#include "dmst/core/mst_output.h"
-#include "dmst/graph/metrics.h"
 #include "dmst/obs/trace.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/intmath.h"
@@ -245,20 +240,16 @@ void SyncBoruvkaProcess::on_round(Context& ctx)
 SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
                                    const SyncBoruvkaOptions& opts)
 {
-    if (!is_connected(g))
-        throw std::invalid_argument("MST requires a connected graph");
-
-    const NetConfig config = opts.to_net_config();
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
+    DriverHarness<SyncBoruvkaProcess> h(
+        g, opts.to_net_config(), {std::nullopt, true},
+        [](VertexId v) { return std::make_unique<SyncBoruvkaProcess>(v); });
+    NetworkBase& net = h.net();
     const std::size_t n = g.vertex_count();
-    net.init([](VertexId v) { return std::make_unique<SyncBoruvkaProcess>(v); });
 
     auto fragment_count = [&] {
         std::set<std::uint64_t> ids;
         for (VertexId v = 0; v < n; ++v)
-            ids.insert(
-                static_cast<const SyncBoruvkaProcess&>(net.process(v)).fragment_id());
+            ids.insert(h.process(v).fragment_id());
         return ids.size();
     };
 
@@ -274,9 +265,7 @@ SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
         bool first = true;
         std::uint64_t first_fid = 0;
         for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-            const std::uint64_t fid =
-                static_cast<const SyncBoruvkaProcess&>(net.process(v))
-                    .fragment_id();
+            const std::uint64_t fid = h.process(v).fragment_id();
             words[1] |= fid;
             words[2] |= ~fid;
             if (first) {
@@ -296,7 +285,8 @@ SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
     // composes with a sharded engine, so the global count stays valid.
     std::size_t fragments =
         opts.faults.crash_enabled() ? fragment_count() : 0;
-    while (multiple_fragments()) {
+    bool converged = !multiple_fragments();
+    while (!converged) {
         if (opts.max_phases > 0 && phases >= opts.max_phases)
             break;
         // Under crash-stop the guard is a degradation point, not an
@@ -305,7 +295,7 @@ SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
             break;
         DMST_ASSERT_MSG(phases < phase_guard, "Boruvka did not converge");
         for (VertexId v = net.local_begin(); v < net.local_end(); ++v)
-            static_cast<SyncBoruvkaProcess&>(net.process(v)).kick(phases);
+            h.process(v).kick(phases);
         net.run();
         ++phases;
         // A crash-stalled network never merges further, and neither does a
@@ -319,30 +309,12 @@ SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
                 break;
             fragments = now;
         }
+        converged = !multiple_fragments();
     }
 
-    SyncBoruvkaResult result;
-    result.stats = net.stats();
-    result.partial =
-        result.stats.stalled || result.stats.crashed_vertices > 0;
+    auto result = h.collect<SyncBoruvkaResult>();
     result.phases = phases;
-    result.mst_ports.resize(n);
-    result.fragment_id.resize(n);
-    result.parent_port.resize(n);
-    for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-        const auto& p = static_cast<const SyncBoruvkaProcess&>(net.process(v));
-        result.mst_ports[v].assign(p.mst_ports().begin(), p.mst_ports().end());
-        result.fragment_id[v] = p.fragment_id();
-        result.parent_port[v] = p.parent_port();
-    }
-    if (result.partial || net.rank_sharded()) {
-        // A shard harvests permissively: the edges its own vertices claim,
-        // with the cross-rank union (and dedup) left to the caller merging
-        // the ranks' results.
-        result.mst_edges = collect_claimed_edges(g, result.mst_ports);
-    } else if (fragment_count() == 1) {
-        result.mst_edges = collect_mst_edges(g, result.mst_ports);
-    }
+    h.harvest_edges(result, converged);
     return result;
 }
 

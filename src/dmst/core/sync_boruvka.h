@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "dmst/congest/network.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/graph/graph.h"
 #include "dmst/proto/bfs.h"
 
@@ -95,14 +95,10 @@ private:
     std::optional<std::uint64_t> newid_;
 };
 
-struct SyncBoruvkaResult {
-    std::vector<std::vector<std::size_t>> mst_ports;
-    std::vector<EdgeId> mst_edges;  // empty unless the run converged
-    RunStats stats;
-    // Crash-stop graceful degradation: the run stalled before converging
-    // and mst_edges holds the partial forest (a subset of the true MST by
-    // the cut property) instead of staying empty.
-    bool partial = false;
+// mst_edges stays empty unless the run converged to one fragment; a
+// crash-stop partial run (the run stalled before converging) holds the
+// partial forest instead (a subset of the true MST by the cut property).
+struct SyncBoruvkaResult : DriverMstResult {
     int phases = 0;
     // Fragment structure at the end of the run (useful with max_phases,
     // ablation E10a: uncontrolled merging blows fragment heights up).
@@ -110,11 +106,10 @@ struct SyncBoruvkaResult {
     std::vector<std::size_t> parent_port;
 };
 
-// Substrate knobs are inherited from DriverOptions (max_rounds is the
-// budget summed across all phases). A sharded run (Engine::Socket)
-// returns the local shard's view: mst_ports/fragment_id/parent_port
-// filled on [local_begin, local_end) and mst_edges holding the locally
-// claimed edges, to be unioned across ranks.
+// Substrate knobs come from DriverOptions (core/driver_harness.h);
+// max_rounds is the budget summed across all phases. A sharded run
+// (Engine::Socket) returns the local shard's view (see DriverHarness):
+// mst_edges holds the locally claimed edges, to be unioned across ranks.
 struct SyncBoruvkaOptions : DriverOptions {
     // Stop after this many phases even if several fragments remain
     // (0 = run to a single fragment). With a cap, mst_edges stays empty.

@@ -5,9 +5,7 @@
 #include <tuple>
 
 #include "dmst/congest/codec.h"
-#include "dmst/graph/metrics.h"
 #include "dmst/obs/trace.h"
-#include "dmst/sim/engine.h"
 #include "dmst/util/assert.h"
 
 namespace dmst {
@@ -410,59 +408,43 @@ VerifyMstResult run_verify_mst(
     const VerifyOptions& opts)
 {
     const std::uint64_t n = g.vertex_count();
-    if (opts.root >= n)
-        throw std::invalid_argument("root out of range");
     if (claimed_ports.size() != n)
         throw std::invalid_argument("claimed_ports must have one entry per vertex");
     for (VertexId v = 0; v < n; ++v)
         for (std::size_t p : claimed_ports[v])
             if (p >= g.degree(v))
                 throw std::invalid_argument("claimed port out of range");
-    if (!is_connected(g))
-        throw std::invalid_argument("MST verification requires a connected graph");
-
-    const NetConfig config = opts.to_net_config();
-    std::unique_ptr<NetworkBase> net_ptr = make_network(g, config);
-    NetworkBase& net = *net_ptr;
-    net.init([&](VertexId v) {
-        return std::make_unique<VerifyMstProcess>(v, n, claimed_ports[v], opts);
-    });
-
-    VerifyMstResult result;
-    result.stats = net.run();
-    result.partial =
-        result.stats.stalled || result.stats.crashed_vertices > 0;
+    DriverHarness<VerifyMstProcess> h(
+        g, opts.to_net_config(), {opts.root, true}, [&](VertexId v) {
+            return std::make_unique<VerifyMstProcess>(v, n, claimed_ports[v],
+                                                      opts);
+        });
+    h.run();
 
     // The CONGEST output requirement: every vertex knows the verdict —
     // which is what lets a sharded engine (Engine::Socket) report it from
     // any local vertex instead of the possibly-remote root. A
     // crash-stalled run never reaches agreement, so the check (and the
     // verdict itself) is void — see the VerifyOptions::faults comment.
-    const auto& local = static_cast<const VerifyMstProcess&>(
-        net.process(net.owns(opts.root) ? opts.root : net.local_begin()));
-    if (!result.partial) {
-        for (VertexId v = net.local_begin(); v < net.local_end(); ++v) {
-            const auto& p = static_cast<const VerifyMstProcess&>(net.process(v));
-            DMST_ASSERT(p.done());
-            DMST_ASSERT_MSG(p.verdict() == local.verdict() &&
-                                p.witness() == local.witness() &&
-                                p.offender() == local.offender(),
-                            "verdict disagreement between vertices");
-        }
-    }
+    NetworkBase& net = h.net();
+    const VerifyMstProcess& local =
+        h.process(net.owns(opts.root) ? opts.root : net.local_begin());
+    auto result = h.collect<VerifyMstResult>([&](const VerifyMstProcess& p) {
+        DMST_ASSERT_MSG(p.verdict() == local.verdict() &&
+                            p.witness() == local.witness() &&
+                            p.offender() == local.offender(),
+                        "verdict disagreement between vertices");
+    });
     result.verdict = local.verdict();
     result.accepted = !result.partial && result.verdict == VerifyVerdict::Accept;
     result.witness = local.witness();
     result.offender = local.offender();
-    // Milestones below live in the root's process state only.
-    if (net.owns(opts.root)) {
-        const auto& root =
-            static_cast<const VerifyMstProcess&>(net.process(opts.root));
-        result.component_size = root.component_size();
-        result.claimed_edges = root.claimed_edges();
-        result.nontree_edges = root.nontree_edges();
-        result.tau_height = root.tau_height();
-        result.claimed_height = root.claimed_height();
+    if (const VerifyMstProcess* root = h.root_process(opts.root)) {
+        result.component_size = root->component_size();
+        result.claimed_edges = root->claimed_edges();
+        result.nontree_edges = root->nontree_edges();
+        result.tau_height = root->tau_height();
+        result.claimed_height = root->claimed_height();
     }
     return result;
 }

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "dmst/congest/network.h"
-#include "dmst/core/driver_options.h"
+#include "dmst/core/driver_harness.h"
 #include "dmst/graph/graph.h"
 #include "dmst/proto/bfs.h"
 #include "dmst/proto/intervals.h"
@@ -72,14 +72,15 @@ enum class VerifyVerdict : std::uint8_t {
 
 const char* verify_verdict_name(VerifyVerdict verdict);
 
-// Substrate knobs are inherited from DriverOptions; the verdict and
-// witness are invariant under conditioning, async delay points, and loss.
-// Crash-stop is NOT meaningfully supported here: a verifier cannot produce
-// a verdict about vertices that stopped answering, so a crash-stalled run
-// returns partial = true with accepted = false and an unspecified verdict.
-// On Engine::Socket the verdict is flooded to every vertex, so a sharded
-// run still reports it (read from a local vertex); the root-only milestone
-// fields are filled only on the rank that owns the root.
+// Substrate knobs come from DriverOptions (core/driver_harness.h); the
+// verdict and witness are invariant under conditioning, async delay
+// points, and loss. Crash-stop is NOT meaningfully supported here: a
+// verifier cannot produce a verdict about vertices that stopped
+// answering, so a crash-stalled run returns partial = true with accepted
+// = false and an unspecified verdict. On Engine::Socket the verdict is
+// flooded to every vertex, so a sharded run still reports it (read from a
+// local vertex); the root-only milestone fields are filled only on the
+// rank that owns the root.
 struct VerifyOptions : DriverOptions {
     VertexId root = 0;  // designated verification root (any vertex works)
 };

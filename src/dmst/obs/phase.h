@@ -38,6 +38,10 @@ const char* trace_phase_name(TracePhase phase);
 // datapath then pays exactly one null-pointer test per send and performs
 // no allocation (the counting-allocator test pins that down).
 struct TraceConfig {
+    // Implicit from bool on purpose: driver Options inherit NetConfig, and
+    // `opts.trace = true` is how callers switch a driver's trace on.
+    TraceConfig(bool on = false) : enabled(on) {}
+
     bool enabled = false;
 };
 

@@ -118,82 +118,10 @@ void define_engine_flags(Args& args)
                 "parallel/async engine workers (0 = hardware concurrency)");
 }
 
-EngineSelection engine_from_args(const Args& args)
+void read_engine_flags(const Args& args, NetConfig& config)
 {
-    EngineSelection sel;
-    sel.engine = parse_engine(args.get("engine"));
-    sel.threads = static_cast<int>(args.get_int("threads"));
-    return sel;
-}
-
-void define_conditioner_flags(Args& args)
-{
-    args.define("hetero_b", "false",
-                "conditioner: hash per-link bandwidth caps in [1, b]");
-    args.define("adversarial_order", "false",
-                "conditioner: adversarial (seeded) inbox delivery order");
-    args.define("cond_seed", "7", "conditioner assignment seed");
-}
-
-ConditionerConfig conditioner_from_args(const Args& args)
-{
-    ConditionerConfig cc;
-    cc.hetero_bandwidth = args.get_bool("hetero_b");
-    cc.adversarial_order = args.get_bool("adversarial_order");
-    cc.seed = static_cast<std::uint64_t>(args.get_int("cond_seed"));
-    return cc;
-}
-
-void define_async_flags(Args& args)
-{
-    args.define("max_delay", "4",
-                "async engine: per-message delay bound in virtual time");
-    args.define("event_seed", "1", "async engine: delay-stream seed");
-    args.define("sync", "alpha",
-                "async engine: synchronizer (alpha|beta) or native "
-                "message-driven dispatch (none)");
-}
-
-AsyncConfig async_from_args(const Args& args)
-{
-    AsyncConfig ac;
-    ac.max_delay = static_cast<int>(args.get_int("max_delay"));
-    ac.event_seed = static_cast<std::uint64_t>(args.get_int("event_seed"));
-    ac.sync = parse_sync(args.get("sync"));
-    if (ac.max_delay < 1)
-        throw std::invalid_argument("--max_delay must be >= 1");
-    return ac;
-}
-
-void define_fault_flags(Args& args)
-{
-    args.define("drop_rate", "0",
-                "faults: per-transmission loss probability in [0, 1) "
-                "(async engine only)");
-    args.define("loss_seed", "11", "faults: loss-draw seed");
-    args.define("burst_len", "1",
-                "faults: consecutive transmissions sharing one loss draw");
-    args.define("crash", "none",
-                "faults: crash-stop spec v@r[+v@r...] (lock-step engines "
-                "only), or none");
-}
-
-FaultConfig faults_from_args(const Args& args)
-{
-    FaultConfig fc;
-    try {
-        fc.drop_rate = std::stod(args.get("drop_rate"));
-    } catch (const std::exception&) {
-        throw std::invalid_argument("--drop_rate: not a number");
-    }
-    if (fc.drop_rate < 0.0 || fc.drop_rate >= 1.0)
-        throw std::invalid_argument("--drop_rate must be in [0, 1)");
-    fc.loss_seed = static_cast<std::uint64_t>(args.get_int("loss_seed"));
-    fc.burst_len = static_cast<int>(args.get_int("burst_len"));
-    if (fc.burst_len < 1)
-        throw std::invalid_argument("--burst_len must be >= 1");
-    fc.crashes = parse_crash_spec(args.get("crash"));
-    return fc;
+    config.engine = parse_engine(args.get("engine"));
+    config.threads = static_cast<int>(args.get_int("threads"));
 }
 
 void define_socket_flags(Args& args)

@@ -39,36 +39,11 @@ const char* sync_name(SyncMode sync);
 class Args;
 
 // The shared --engine/--threads CLI surface of the bench binaries:
-// define_engine_flags declares both flags, engine_from_args reads them
-// back. Keeps every bench's engine selection identical.
-struct EngineSelection {
-    Engine engine = Engine::Serial;
-    int threads = 0;
-};
+// define_engine_flags declares both flags, read_engine_flags writes them
+// into a NetConfig — a driver's Options is one. Keeps every bench's
+// engine selection identical.
 void define_engine_flags(Args& args);
-EngineSelection engine_from_args(const Args& args);
-
-// The shared --hetero_b/--adversarial_order/--cond_seed CLI
-// surface of the bench binaries (single values; the scenario runner sweeps
-// its own comma-list axes). Keeps every bench's conditioner selection
-// identical.
-void define_conditioner_flags(Args& args);
-ConditionerConfig conditioner_from_args(const Args& args);
-
-// The shared --max_delay/--event_seed/--sync CLI surface of the bench
-// binaries (single values; the scenario runner sweeps its own comma-list
-// axes). Only the async engine reads them; --sync picks the synchronizer
-// (alpha | beta) or the native message-driven dispatch (none — requires
-// every process to implement the MessageProcess surface).
-void define_async_flags(Args& args);
-AsyncConfig async_from_args(const Args& args);
-
-// The shared --drop_rate/--loss_seed/--burst_len/--crash CLI surface of
-// the bench binaries (single values; the scenario runner sweeps its own
-// comma-list axes). See congest/faults.h for the model; --crash takes the
-// "v@r[+v@r...]" spec grammar, or "none".
-void define_fault_flags(Args& args);
-FaultConfig faults_from_args(const Args& args);
+void read_engine_flags(const Args& args, NetConfig& config);
 
 // The shared --procs/--rank/--transport/--host/--base_port/
 // --round_timeout_ms CLI surface of the bench binaries. Only the socket

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <queue>
 #include <set>
 #include <sstream>
@@ -26,89 +27,14 @@ namespace dmst {
 
 namespace {
 
-struct AlgoRun {
-    std::vector<EdgeId> edges;  // edges the algorithm selected
-    RunStats stats;
-    bool partial = false;  // crash-stop degraded the run to a subforest
-};
-
-// Fills the shared DriverOptions base of any driver's Options struct with
-// one cell's substrate point; algorithm-specific knobs stay at the call
-// site. This is what the consolidated options hierarchy buys the harness:
-// one writer for the substrate surface instead of five copies.
+// A driver's Options with its substrate slice set to `config` and its own
+// knobs at their defaults.
 template <typename Opts>
-Opts cell_options(int bandwidth, Engine engine, int threads,
-                  const ConditionerConfig& cc, const AsyncConfig& ac,
-                  const FaultConfig& fc, const SocketConfig& sc, bool trace,
-                  bool record_per_edge)
+Opts driver_options(const NetConfig& config)
 {
     Opts opts;
-    opts.bandwidth = bandwidth;
-    opts.engine = engine;
-    opts.threads = threads;
-    opts.conditioner = cc;
-    opts.async = ac;
-    opts.faults = fc;
-    opts.socket = sc;
-    opts.trace = trace;
-    opts.record_per_edge = record_per_edge;
+    static_cast<NetConfig&>(opts) = config;
     return opts;
-}
-
-AlgoRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
-                      int bandwidth, Engine engine, int threads,
-                      std::uint64_t ghs_k, const ConditionerConfig& cc,
-                      const AsyncConfig& ac, const FaultConfig& fc,
-                      const SocketConfig& sc, bool trace, bool record_per_edge)
-{
-    AlgoRun out;
-    if (algorithm == "elkin") {
-        auto opts = cell_options<ElkinOptions>(bandwidth, engine, threads, cc,
-                                               ac, fc, sc, trace,
-                                               record_per_edge);
-        auto r = run_elkin_mst(g, opts);  // always records the span trace
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-        out.partial = r.partial;
-    } else if (algorithm == "pipeline") {
-        auto opts = cell_options<PipelineMstOptions>(bandwidth, engine,
-                                                     threads, cc, ac, fc, sc,
-                                                     trace, record_per_edge);
-        auto r = run_pipeline_mst(g, opts);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-        out.partial = r.partial;
-    } else if (algorithm == "boruvka") {
-        auto opts = cell_options<SyncBoruvkaOptions>(bandwidth, engine,
-                                                     threads, cc, ac, fc, sc,
-                                                     trace, record_per_edge);
-        auto r = run_sync_boruvka(g, opts);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-        out.partial = r.partial;
-    } else if (algorithm == "ghs") {
-        auto opts = cell_options<GhsOptions>(bandwidth, engine, threads, cc,
-                                             ac, fc, sc, trace,
-                                             record_per_edge);
-        opts.k = ghs_k;
-        auto r = run_controlled_ghs(g, opts);
-        out.edges = collect_claimed_edges(g, r.mst_ports);
-        out.stats = std::move(r.stats);
-        out.partial = r.partial;
-    } else if (algorithm == "ghs_native") {
-        auto opts = cell_options<GhsNativeOptions>(bandwidth, engine, threads,
-                                                   cc, ac, fc, sc, trace,
-                                                   record_per_edge);
-        auto r = run_ghs_native(g, opts);
-        out.edges = collect_claimed_edges(g, r.mst_ports);
-        out.stats = std::move(r.stats);
-        out.partial = r.partial;
-    } else {
-        throw std::invalid_argument(
-            "unknown algorithm '" + algorithm +
-            "' (expected elkin|pipeline|boruvka|ghs|ghs_native)");
-    }
-    return out;
 }
 
 // The k edges with the highest construction-run message counts, ties
@@ -186,6 +112,45 @@ EdgeId min_nontree_edge(const WeightedGraph& g, const std::set<EdgeId>& tree)
 }
 
 }  // namespace
+
+const std::vector<std::string>& algorithm_names()
+{
+    static const std::vector<std::string> names = {
+        "elkin", "pipeline", "boruvka", "ghs", "ghs_native"};
+    return names;
+}
+
+AlgorithmRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
+                           const NetConfig& config, std::uint64_t ghs_k)
+{
+    auto tree = [](DriverMstResult&& r) {
+        return AlgorithmRun{std::move(r.mst_edges), std::move(r.stats),
+                            r.partial};
+    };
+    auto forest = [&](MstForestResult&& r) {
+        return AlgorithmRun{collect_claimed_edges(g, r.mst_ports),
+                            std::move(r.stats), r.partial};
+    };
+    if (algorithm == "elkin")
+        return tree(run_elkin_mst(g, driver_options<ElkinOptions>(config)));
+    if (algorithm == "pipeline")
+        return tree(
+            run_pipeline_mst(g, driver_options<PipelineMstOptions>(config)));
+    if (algorithm == "boruvka")
+        return tree(
+            run_sync_boruvka(g, driver_options<SyncBoruvkaOptions>(config)));
+    if (algorithm == "ghs") {
+        auto opts = driver_options<GhsOptions>(config);
+        opts.k = ghs_k;
+        return forest(run_controlled_ghs(g, opts));
+    }
+    if (algorithm == "ghs_native")
+        return forest(
+            run_ghs_native(g, driver_options<GhsNativeOptions>(config)));
+    throw std::invalid_argument(
+        "unknown algorithm '" + algorithm +
+        "' (expected elkin|pipeline|boruvka|ghs|ghs_native)");
+}
 
 const std::vector<ForestMutation>& forest_mutations()
 {
@@ -347,24 +312,30 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                 if (drop_rate == 0.0 && loss_seed != spec.loss_seeds.front())
                     continue;
             for (const std::string& crash_spec : spec.crash_specs) {
-                FaultConfig fc;
-                fc.drop_rate = drop_rate;
-                fc.loss_seed = loss_seed;
-                fc.burst_len = spec.fault_burst;
-                fc.crashes = parse_crash_spec(crash_spec);
-                ConditionerConfig cc;
-                cc.hetero_bandwidth = hetero != 0;
-                cc.adversarial_order = adversarial != 0;
-                cc.seed = spec.conditioner_seed;
-                const bool ideal_conditioner = !cc.enabled();
+                // The cell's substrate point; the engine loop fills in
+                // engine and threads, and the same NetConfig then feeds
+                // the driver and the verifier.
+                NetConfig point;
+                point.bandwidth = bandwidth;
+                point.conditioner.hetero_bandwidth = hetero != 0;
+                point.conditioner.adversarial_order = adversarial != 0;
+                point.conditioner.seed = spec.conditioner_seed;
+                point.async.max_delay = max_delay;
+                point.async.event_seed = event_seed;
+                point.async.sync = sync;
+                point.faults.drop_rate = drop_rate;
+                point.faults.loss_seed = loss_seed;
+                point.faults.burst_len = spec.fault_burst;
+                point.faults.crashes = parse_crash_spec(crash_spec);
+                point.socket = spec.socket;
+                point.trace = spec.trace;
+                point.record_per_edge = spec.record_per_edge;
+                const FaultConfig& fc = point.faults;
+                const bool ideal_conditioner = !point.conditioner.enabled();
                 const bool first_async_point =
                     max_delay == spec.max_delays.front() &&
                     event_seed == spec.event_seeds.front() &&
                     sync == spec.syncs.front();
-                AsyncConfig ac;
-                ac.max_delay = max_delay;
-                ac.event_seed = event_seed;
-                ac.sync = sync;
                 for (Engine engine : spec.engines) {
                     const bool is_async = engine == Engine::Async;
                     const bool is_socket = engine == Engine::Socket;
@@ -414,8 +385,8 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                         cell.n = g.vertex_count();
                         cell.m = g.edge_count();
                         cell.bandwidth = bandwidth;
-                        cell.hetero_b = cc.hetero_bandwidth;
-                        cell.adversarial_order = cc.adversarial_order;
+                        cell.hetero_b = hetero != 0;
+                        cell.adversarial_order = adversarial != 0;
                         if (is_async) {
                             cell.max_delay = max_delay;
                             cell.event_seed = event_seed;
@@ -437,11 +408,12 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                             cell.rank = spec.socket.rank;
                         }
 
+                        NetConfig config = point;
+                        config.engine = engine;
+                        config.threads = threads;
                         auto t0 = std::chrono::steady_clock::now();
-                        AlgoRun run = run_algorithm(
-                            spec.algorithm, g, bandwidth, engine, threads,
-                            spec.ghs_k, cc, ac, fc, spec.socket, spec.trace,
-                            spec.record_per_edge);
+                        AlgorithmRun run = run_algorithm(spec.algorithm, g,
+                                                         config, spec.ghs_k);
                         auto t1 = std::chrono::steady_clock::now();
                         cell.wall_ms =
                             std::chrono::duration<double, std::milli>(t1 - t0)
@@ -454,24 +426,19 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                             cell.stats.trace.reset();
                         // A sharded rank harvests the edges incident to
                         // its vertex block; boundary edges appear on both
-                        // ranks. Count an edge on the rank owning its
-                        // lower endpoint so the ranks' weights partition
+                        // ranks. An edge belongs to the rank owning its
+                        // lower endpoint, so the ranks' weights partition
                         // the total: Σ_rank mst_weight == the serial cell.
-                        std::vector<EdgeId> owned = run.edges;
-                        if (sharded) {
-                            PeerTable table(g.vertex_count(),
-                                            spec.socket.procs);
-                            owned.erase(
-                                std::remove_if(
-                                    owned.begin(), owned.end(),
-                                    [&](EdgeId e) {
-                                        VertexId lo = std::min(g.edge(e).u,
-                                                               g.edge(e).v);
-                                        return table.owner(lo) !=
-                                               spec.socket.rank;
-                                    }),
-                                owned.end());
-                        }
+                        const PeerTable table(g.vertex_count(),
+                                              sharded ? spec.socket.procs : 1);
+                        auto owned_here = [&](EdgeId e) {
+                            VertexId lo = std::min(g.edge(e).u, g.edge(e).v);
+                            return !sharded ||
+                                   table.owner(lo) == spec.socket.rank;
+                        };
+                        std::vector<EdgeId> owned;
+                        std::copy_if(run.edges.begin(), run.edges.end(),
+                                     std::back_inserter(owned), owned_here);
                         for (EdgeId e : owned)
                             cell.mst_weight += g.edge(e).w;
                         if (spec.record_per_edge)
@@ -496,16 +463,11 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                     });
                                 if (sharded && spec.algorithm != "ghs" &&
                                     !run.partial) {
-                                    PeerTable table(g.vertex_count(),
-                                                    spec.socket.procs);
                                     std::vector<EdgeId> ref_owned;
-                                    for (EdgeId e : reference.edges) {
-                                        VertexId lo = std::min(g.edge(e).u,
-                                                               g.edge(e).v);
-                                        if (table.owner(lo) ==
-                                            spec.socket.rank)
-                                            ref_owned.push_back(e);
-                                    }
+                                    std::copy_if(reference.edges.begin(),
+                                                 reference.edges.end(),
+                                                 std::back_inserter(ref_owned),
+                                                 owned_here);
                                     std::vector<EdgeId> got = owned;
                                     std::sort(got.begin(), got.end());
                                     std::sort(ref_owned.begin(),
@@ -530,19 +492,12 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                             // rejected with a correct witness — under the
                             // cell's own conditioner.
                             cell.model_verify_ran = true;
-                            VerifyOptions vo;
-                            vo.bandwidth = bandwidth;
-                            vo.engine = engine;
-                            vo.threads = threads;
-                            vo.conditioner = cc;
-                            vo.async = ac;
+                            auto vo = driver_options<VerifyOptions>(config);
                             // The verification protocol is round-programmed;
                             // on a native (sync = none) cell it still needs
                             // a synchronizer to host it.
                             if (vo.async.sync == SyncMode::None)
                                 vo.async.sync = SyncMode::Alpha;
-                            vo.faults = fc;  // crash-free here by the gate
-                            vo.socket = spec.socket;
                             // A sharded rank only harvested its slice of
                             // the forest; the verifier needs the whole
                             // claim as input, so sharded cells verify the

@@ -159,6 +159,28 @@ struct ScenarioCell {
     std::vector<HotEdge> top_edges;
 };
 
+// The names run_algorithm dispatches on: the three MST builders, then the
+// two forest drivers.
+const std::vector<std::string>& algorithm_names();
+
+// One driver run as the sweeps see it.
+struct AlgorithmRun {
+    // The edges the driver selected, sorted: the MST for elkin, pipeline
+    // and boruvka (a rank's claimed slice on a sharded run, empty for an
+    // unconverged boruvka); the claimed forest edges for ghs and
+    // ghs_native.
+    std::vector<EdgeId> edges;
+    RunStats stats;
+    bool partial = false;  // crash-stop degraded the run to a subforest
+};
+
+// The one name → driver dispatch: runs `algorithm` (one of
+// algorithm_names()) on g over the substrate `config`, whose max_rounds
+// is an ideal-substrate budget (each driver scales it for loss). ghs_k is
+// the k of Controlled-GHS. Throws std::invalid_argument on an unknown name.
+AlgorithmRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
+                           const NetConfig& config, std::uint64_t ghs_k = 8);
+
 // Forest perturbations for the self-checking sweeps: each mutates a
 // correct MST claim in a way the verification protocol must reject with a
 // localized witness.

@@ -14,13 +14,12 @@
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/elkin_mst.h"
 #include "dmst/core/mst_output.h"
-#include "dmst/core/pipeline_mst.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/core/verify_mst.h"
 #include "dmst/exp/workloads.h"
 #include "dmst/seq/mst.h"
 #include "dmst/sim/async_network.h"
 #include "dmst/sim/engine.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -51,45 +50,18 @@ std::vector<FuzzGraph> fuzz_graphs()
     return graphs;
 }
 
-struct RunOutput {
-    std::vector<EdgeId> edges;
-    RunStats stats;
-};
-
 // One worker unless a case says otherwise: at 24-40 vertices a
 // multi-worker async run pays a pool barrier per timestamp for nothing.
 // RunStatsBitIdenticalAcrossThreadCounts and ShardOverrideInvariance carry
 // the multi-worker coverage.
-RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
-                   Engine engine, const AsyncConfig& ac)
+AlgorithmRun run_algo(const std::string& algo, const WeightedGraph& g,
+                      Engine engine, const AsyncConfig& ac, int threads = 1)
 {
-    RunOutput out;
-    if (algo == "elkin") {
-        ElkinOptions o;
-        o.engine = engine;
-        o.async = ac;
-        o.threads = 1;
-        auto r = run_elkin_mst(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    } else if (algo == "pipeline") {
-        PipelineMstOptions o;
-        o.engine = engine;
-        o.async = ac;
-        o.threads = 1;
-        auto r = run_pipeline_mst(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    } else {
-        SyncBoruvkaOptions o;
-        o.engine = engine;
-        o.async = ac;
-        o.threads = 1;
-        auto r = run_sync_boruvka(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    }
-    return out;
+    NetConfig config;
+    config.engine = engine;
+    config.async = ac;
+    config.threads = threads;
+    return run_algorithm(algo, g, config);
 }
 
 TEST(AsyncFuzz, MstInvariantAcrossEventSeedsAndOracle)
@@ -299,29 +271,7 @@ TEST(AsyncFuzz, RunStatsBitIdenticalAcrossThreadCounts)
             ac.event_seed = event_seed;
             auto base = run_algo(algo, g, Engine::Async, ac);
             for (int threads : {2, 3, 8}) {
-                RunOutput out;
-                if (algo == "elkin") {
-                    ElkinOptions o;
-                    o.engine = Engine::Async;
-                    o.async = ac;
-                    o.threads = threads;
-                    auto r = run_elkin_mst(g, o);
-                    out = {std::move(r.mst_edges), std::move(r.stats)};
-                } else if (algo == "pipeline") {
-                    PipelineMstOptions o;
-                    o.engine = Engine::Async;
-                    o.async = ac;
-                    o.threads = threads;
-                    auto r = run_pipeline_mst(g, o);
-                    out = {std::move(r.mst_edges), std::move(r.stats)};
-                } else {
-                    SyncBoruvkaOptions o;
-                    o.engine = Engine::Async;
-                    o.async = ac;
-                    o.threads = threads;
-                    auto r = run_sync_boruvka(g, o);
-                    out = {std::move(r.mst_edges), std::move(r.stats)};
-                }
+                auto out = run_algo(algo, g, Engine::Async, ac, threads);
                 EXPECT_EQ(out.edges, base.edges)
                     << family << " " << algo << " threads " << threads;
                 EXPECT_EQ(out.stats.rounds, base.stats.rounds);

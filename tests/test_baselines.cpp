@@ -25,12 +25,6 @@ TEST(PipelineMst, SmallGraphs)
     EXPECT_EQ(r.mst_edges.size(), 1u);
 }
 
-TEST(PipelineMst, DisconnectedThrows)
-{
-    auto g = WeightedGraph::from_edges(4, {{0, 1, 1}, {2, 3, 1}});
-    EXPECT_THROW(run_pipeline_mst(g, {}), std::invalid_argument);
-}
-
 TEST(PipelineMst, UsesSqrtNFragments)
 {
     Rng rng(600);
@@ -93,12 +87,6 @@ TEST(SyncBoruvka, SmallGraphs)
     auto r = run_sync_boruvka(pair);
     EXPECT_EQ(r.mst_edges.size(), 1u);
     EXPECT_EQ(r.phases, 1);
-}
-
-TEST(SyncBoruvka, DisconnectedThrows)
-{
-    auto g = WeightedGraph::from_edges(4, {{0, 1, 1}, {2, 3, 1}});
-    EXPECT_THROW(run_sync_boruvka(g), std::invalid_argument);
 }
 
 TEST(SyncBoruvka, PhasesLogarithmic)

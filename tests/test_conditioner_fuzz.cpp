@@ -8,17 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
 #include "dmst/congest/conditioner.h"
 #include "dmst/core/controlled_ghs.h"
-#include "dmst/core/elkin_mst.h"
 #include "dmst/core/mst_output.h"
-#include "dmst/core/pipeline_mst.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/core/verify_mst.h"
 #include "dmst/exp/workloads.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -56,45 +55,16 @@ std::vector<ConditionerConfig> fuzz_configs(std::uint64_t seed)
     return {hetero, adv, all};
 }
 
-struct RunOutput {
-    std::vector<EdgeId> edges;
-    RunStats stats;
-};
-
-RunOutput run_algo(const std::string& algo, const WeightedGraph& g,
-                   int bandwidth, const EngineCase& ec,
-                   const ConditionerConfig& cc)
+AlgorithmRun run_algo(const std::string& algo, const WeightedGraph& g,
+                      int bandwidth, const EngineCase& ec,
+                      const ConditionerConfig& cc)
 {
-    RunOutput out;
-    if (algo == "elkin") {
-        ElkinOptions o;
-        o.bandwidth = bandwidth;
-        o.engine = ec.engine;
-        o.threads = ec.threads;
-        o.conditioner = cc;
-        auto r = run_elkin_mst(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    } else if (algo == "pipeline") {
-        PipelineMstOptions o;
-        o.bandwidth = bandwidth;
-        o.engine = ec.engine;
-        o.threads = ec.threads;
-        o.conditioner = cc;
-        auto r = run_pipeline_mst(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    } else if (algo == "boruvka") {
-        SyncBoruvkaOptions o;
-        o.bandwidth = bandwidth;
-        o.engine = ec.engine;
-        o.threads = ec.threads;
-        o.conditioner = cc;
-        auto r = run_sync_boruvka(g, o);
-        out.edges = std::move(r.mst_edges);
-        out.stats = std::move(r.stats);
-    }
-    return out;
+    NetConfig config;
+    config.bandwidth = bandwidth;
+    config.engine = ec.engine;
+    config.threads = ec.threads;
+    config.conditioner = cc;
+    return run_algorithm(algo, g, config);
 }
 
 void expect_stats_eq(const RunStats& a, const RunStats& b, const char* what)
@@ -120,7 +90,7 @@ TEST(ConditionerFuzz, MstInvariantAcrossConfigsEnginesAndOracle)
                     << algo << " " << family << " seed " << seed;
 
                 for (const ConditionerConfig& cc : fuzz_configs(seed + 100)) {
-                    RunOutput first;
+                    AlgorithmRun first;
                     for (std::size_t i = 0; i < engine_cases().size(); ++i) {
                         auto out =
                             run_algo(algo, g, 2, engine_cases()[i], cc);

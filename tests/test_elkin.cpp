@@ -76,12 +76,6 @@ TEST(ElkinMst, EqualWeightsResolvedByEdgeKey)
     expect_exact_mst(g, r);
 }
 
-TEST(ElkinMst, DisconnectedThrows)
-{
-    auto g = WeightedGraph::from_edges(4, {{0, 1, 1}, {2, 3, 1}});
-    EXPECT_THROW(run_elkin_mst(g, ElkinOptions{}), std::invalid_argument);
-}
-
 TEST(ElkinMst, BadOptionsThrow)
 {
     auto g = WeightedGraph::from_edges(2, {{0, 1, 1}});

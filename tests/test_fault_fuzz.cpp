@@ -7,12 +7,11 @@
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/elkin_mst.h"
 #include "dmst/core/mst_output.h"
-#include "dmst/core/pipeline_mst.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/core/verify_mst.h"
 #include "dmst/graph/generators.h"
 #include "dmst/seq/mst.h"
 #include "dmst/sim/engine.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -66,85 +65,54 @@ FaultCounters counters(const RunStats& s)
     return FaultCounters{s.drops, s.retransmissions, s.acks, s.timeouts};
 }
 
-template <typename Opts, typename Run>
-void sweep_loss_grid(const WeightedGraph& g, Run run,
-                     const std::vector<EdgeId>& oracle)
+TEST(FaultFuzz, MstBuildersInvariantAcrossLossGrid)
 {
-    for (double rate : kDropRates) {
-        // The counters of the first (single-worker) run pin every other
-        // worker count at the same grid point; at rate 0 extra seeds are
-        // no-ops.
-        for (std::uint64_t seed : kLossSeeds) {
-            FaultCounters ref_counters{};
-            bool first = true;
-            for (const EngineCase& ec : engine_cases(rate)) {
-                Opts opts;
-                opts.engine = ec.engine;
-                opts.threads = ec.threads;
-                opts.faults.drop_rate = rate;
-                opts.faults.loss_seed = seed;
-                const auto r = run(g, opts);
-                EXPECT_EQ(r.mst_edges, oracle)
-                    << "engine=" << engine_name(ec.engine) << " threads="
-                    << ec.threads << " rate=" << rate << " seed=" << seed;
-                const FaultCounters c = counters(r.stats);
-                if (rate == 0.0) {
-                    EXPECT_EQ(c, (FaultCounters{0, 0, 0, 0}));
-                } else if (first) {
-                    ref_counters = c;
-                    EXPECT_GT(c.acks, 0u);
-                    // Replay-exact: an identical run reproduces the
-                    // counters and the clock bit-for-bit.
-                    const auto r2 = run(g, opts);
-                    EXPECT_EQ(counters(r2.stats), c);
-                    EXPECT_EQ(r2.stats.rounds, r.stats.rounds);
-                    EXPECT_EQ(r2.stats.virtual_time, r.stats.virtual_time);
-                } else {
-                    EXPECT_EQ(c, ref_counters)
-                        << "threads=" << ec.threads << " rate=" << rate
-                        << " seed=" << seed;
+    for (const char* algo : {"elkin", "boruvka", "pipeline"}) {
+        for (const auto& g : fuzz_graphs()) {
+            const MstResult oracle = mst_kruskal(g);
+            for (double rate : kDropRates) {
+                // The counters of the first (single-worker) run pin every
+                // other worker count at the same grid point; at rate 0
+                // extra seeds are no-ops.
+                for (std::uint64_t seed : kLossSeeds) {
+                    FaultCounters ref_counters{};
+                    bool first = true;
+                    for (const EngineCase& ec : engine_cases(rate)) {
+                        NetConfig config;
+                        config.engine = ec.engine;
+                        config.threads = ec.threads;
+                        config.faults.drop_rate = rate;
+                        config.faults.loss_seed = seed;
+                        const auto r = run_algorithm(algo, g, config);
+                        EXPECT_EQ(r.edges, oracle.edges)
+                            << algo << " engine=" << engine_name(ec.engine)
+                            << " threads=" << ec.threads << " rate=" << rate
+                            << " seed=" << seed;
+                        const FaultCounters c = counters(r.stats);
+                        if (rate == 0.0) {
+                            EXPECT_EQ(c, (FaultCounters{0, 0, 0, 0}));
+                        } else if (first) {
+                            ref_counters = c;
+                            EXPECT_GT(c.acks, 0u);
+                            // Replay-exact: an identical run reproduces the
+                            // counters and the clock bit-for-bit.
+                            const auto r2 = run_algorithm(algo, g, config);
+                            EXPECT_EQ(counters(r2.stats), c);
+                            EXPECT_EQ(r2.stats.rounds, r.stats.rounds);
+                            EXPECT_EQ(r2.stats.virtual_time,
+                                      r.stats.virtual_time);
+                        } else {
+                            EXPECT_EQ(c, ref_counters)
+                                << algo << " threads=" << ec.threads
+                                << " rate=" << rate << " seed=" << seed;
+                        }
+                        first = false;
+                    }
+                    if (rate == 0.0)
+                        break;  // seeds are indistinguishable without loss
                 }
-                first = false;
             }
-            if (rate == 0.0)
-                break;  // seeds are indistinguishable without loss
         }
-    }
-}
-
-TEST(FaultFuzz, ElkinInvariantAcrossLossGrid)
-{
-    for (const auto& g : fuzz_graphs()) {
-        const MstResult oracle = mst_kruskal(g);
-        sweep_loss_grid<ElkinOptions>(
-            g, [](const WeightedGraph& gr, const ElkinOptions& o) {
-                return run_elkin_mst(gr, o);
-            },
-            oracle.edges);
-    }
-}
-
-TEST(FaultFuzz, BoruvkaInvariantAcrossLossGrid)
-{
-    for (const auto& g : fuzz_graphs()) {
-        const MstResult oracle = mst_kruskal(g);
-        sweep_loss_grid<SyncBoruvkaOptions>(
-            g, [](const WeightedGraph& gr, const SyncBoruvkaOptions& o) {
-                return run_sync_boruvka(gr, o);
-            },
-            oracle.edges);
-    }
-}
-
-TEST(FaultFuzz, PipelineInvariantAcrossLossGrid)
-{
-    for (const auto& g : fuzz_graphs()) {
-        const MstResult oracle = mst_kruskal(g);
-        sweep_loss_grid<PipelineMstOptions>(
-            g, [](const WeightedGraph& gr, const PipelineMstOptions& o) {
-                return run_pipeline_mst(gr, o);
-            },
-            oracle.edges);
     }
 }
 
@@ -247,25 +215,11 @@ TEST(FaultFuzz, SeededCrashesDegradeToSubforestsEverywhere)
             EXPECT_EQ(p.stats.failed_sends, s.stats.failed_sends);
             EXPECT_EQ(p.stats.crashed_vertices, s.stats.crashed_vertices);
 
-            SyncBoruvkaOptions bo;
-            bo.faults.crashes = crashes;
-            const SyncBoruvkaResult b = run_sync_boruvka(g, bo);
-            for (EdgeId e : b.mst_edges)
-                EXPECT_TRUE(oracle_set.count(e));
-
-            GhsOptions go;
-            go.k = 4;
-            go.faults.crashes = crashes;
-            const MstForestResult f = run_controlled_ghs(g, go);
-            const auto forest_edges = collect_claimed_edges(g, f.mst_ports);
-            for (EdgeId e : forest_edges)
-                EXPECT_TRUE(oracle_set.count(e));
-
-            PipelineMstOptions po;
-            po.faults.crashes = crashes;
-            const PipelineMstResult pl = run_pipeline_mst(g, po);
-            for (EdgeId e : pl.mst_edges)
-                EXPECT_TRUE(oracle_set.count(e));
+            NetConfig crashing;
+            crashing.faults.crashes = crashes;
+            for (const char* algo : {"boruvka", "ghs", "pipeline"})
+                for (EdgeId e : run_algorithm(algo, g, crashing, 4).edges)
+                    EXPECT_TRUE(oracle_set.count(e)) << algo;
         }
     }
 }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "dmst/congest/faults.h"
@@ -227,6 +228,55 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
     // Saturates instead of overflowing.
     EXPECT_EQ(scaled_round_budget(~std::uint64_t{0} / 2, on),
               ~std::uint64_t{0});
+
+    // A driver's options lower to their NetConfig slice unchanged, field
+    // by field, except max_rounds: the one place the budget is scaled.
+    auto slice = [](const NetConfig& c) {
+        return std::make_tuple(
+            c.bandwidth, c.knowledge, c.record_per_round, c.record_per_edge,
+            c.engine, c.threads, c.conditioner.hetero_bandwidth,
+            c.conditioner.adversarial_order, c.conditioner.seed,
+            c.faults.drop_rate, c.faults.burst_len, c.faults.loss_seed,
+            c.faults.rto_base, c.faults.rto_cap, c.faults.max_attempts,
+            c.faults.crashes.size(), c.faults.crashes.at(0).vertex,
+            c.faults.crashes.at(0).round, c.faults.graceful,
+            c.faults.stall_window, c.async.max_delay, c.async.event_seed,
+            c.async.sync, c.socket.procs, c.socket.rank, c.socket.transport,
+            c.socket.host, c.socket.base_port, c.socket.handshake_timeout_ms,
+            c.socket.round_timeout_ms, c.trace.enabled);
+    };
+    for (const FaultConfig& faults : {off, on}) {
+        ElkinOptions o;  // every field off its default
+        o.bandwidth = 3;
+        o.knowledge = Knowledge::KT1;
+        o.max_rounds = 1234;
+        o.record_per_round = true;
+        o.record_per_edge = true;
+        o.engine = Engine::Async;
+        o.threads = 5;
+        o.conditioner = {true, true, 99};
+        o.faults = faults;
+        o.faults.burst_len = 3;
+        o.faults.rto_base = 5;
+        o.faults.rto_cap = 77;
+        o.faults.max_attempts = 9;
+        o.faults.crashes = {{4, 6}};
+        o.faults.graceful = false;
+        o.faults.stall_window = 13;
+        o.async = {7, 8, SyncMode::Beta};
+        o.socket.procs = 4;
+        o.socket.rank = 2;
+        o.socket.transport = SocketConfig::Transport::Tcp;
+        o.socket.host = "10.0.0.1";
+        o.socket.base_port = 4000;
+        o.socket.handshake_timeout_ms = 11;
+        o.socket.round_timeout_ms = 12;
+        o.trace = true;
+        const NetConfig c = o.to_net_config();
+        EXPECT_EQ(slice(c), slice(o)) << "loss " << faults.loss_enabled();
+        EXPECT_EQ(c.max_rounds, scaled_round_budget(1234, o.faults));
+        EXPECT_EQ(c.max_rounds == 1234, !faults.loss_enabled());
+    }
 }
 
 // ------------------------------------------------- loss shim on the engines

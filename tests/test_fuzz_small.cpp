@@ -7,15 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/elkin_mst.h"
 #include "dmst/core/forest_stats.h"
-#include "dmst/core/pipeline_mst.h"
-#include "dmst/core/sync_boruvka.h"
 #include "dmst/graph/generators.h"
 #include "dmst/graph/metrics.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/intmath.h"
 #include "dmst/util/rng.h"
 
@@ -52,39 +52,18 @@ WeightedGraph tiny_graph(Rng& rng)
 
 class SmallFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(SmallFuzz, ElkinMatchesKruskalOnTinyGraphs)
+TEST_P(SmallFuzz, MstBuildersMatchKruskalOnTinyGraphs)
 {
-    Rng rng(10000 + GetParam());
-    for (int i = 0; i < 25; ++i) {
-        auto g = tiny_graph(rng);
-        auto mst = mst_kruskal(g);
-        auto r = run_elkin_mst(g, ElkinOptions{});
-        ASSERT_EQ(r.mst_edges, mst.edges)
-            << "instance " << i << " n=" << g.vertex_count();
-    }
-}
-
-TEST_P(SmallFuzz, PipelineMatchesKruskalOnTinyGraphs)
-{
-    Rng rng(20000 + GetParam());
-    for (int i = 0; i < 25; ++i) {
-        auto g = tiny_graph(rng);
-        auto mst = mst_kruskal(g);
-        auto r = run_pipeline_mst(g, {});
-        ASSERT_EQ(r.mst_edges, mst.edges)
-            << "instance " << i << " n=" << g.vertex_count();
-    }
-}
-
-TEST_P(SmallFuzz, SyncBoruvkaMatchesKruskalOnTinyGraphs)
-{
-    Rng rng(30000 + GetParam());
-    for (int i = 0; i < 25; ++i) {
-        auto g = tiny_graph(rng);
-        auto mst = mst_kruskal(g);
-        auto r = run_sync_boruvka(g);
-        ASSERT_EQ(r.mst_edges, mst.edges)
-            << "instance " << i << " n=" << g.vertex_count();
+    const std::pair<const char*, std::uint64_t> drivers[] = {
+        {"elkin", 10000}, {"pipeline", 20000}, {"boruvka", 30000}};
+    for (const auto& [algo, seed_base] : drivers) {
+        Rng rng(seed_base + GetParam());
+        for (int i = 0; i < 25; ++i) {
+            auto g = tiny_graph(rng);
+            auto mst = mst_kruskal(g);
+            ASSERT_EQ(run_algorithm(algo, g, NetConfig{}).edges, mst.edges)
+                << algo << " instance " << i << " n=" << g.vertex_count();
+        }
     }
 }
 

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "dmst/congest/conditioner.h"
 #include "dmst/core/controlled_ghs.h"
@@ -21,6 +23,7 @@
 #include "dmst/graph/generators.h"
 #include "dmst/seq/mst.h"
 #include "dmst/sim/engine.h"
+#include "dmst/sim/scenario.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/rng.h"
 
@@ -65,86 +68,36 @@ TEST(RoundBudget, BudgetIsTightOnAPathGraph)
 TEST(RoundBudget, EveryDriverGuardFiresWithDiagnosticNotHang)
 {
     auto g = make_workload("er", 48, 21);
-    auto oracle = mst_kruskal(g);
-    auto claimed = ports_from_edges(g, oracle.edges);
+    auto claimed = ports_from_edges(g, mst_kruskal(g).edges);
 
-    ConditionerConfig adv;
-    adv.adversarial_order = true;
+    // One run of `driver` with the given budget; returns its rounds.
+    auto run = [&](const std::string& driver, std::uint64_t budget) {
+        NetConfig config;
+        config.conditioner.adversarial_order = true;
+        config.max_rounds = budget;
+        if (driver != "verify")
+            return run_algorithm(driver, g, config).stats.rounds;
+        VerifyOptions o;
+        static_cast<NetConfig&>(o) = config;
+        return run_verify_mst(g, claimed, o).stats.rounds;
+    };
 
-    auto expect_guard = [](auto&& run_with_budget, std::uint64_t r) {
+    std::vector<std::string> drivers = algorithm_names();
+    drivers.push_back("verify");
+    for (const std::string& driver : drivers) {
+        SCOPED_TRACE(driver);
+        const std::uint64_t r = run(driver, NetConfig{}.max_rounds);
         // Exact budget passes...
-        EXPECT_NO_THROW(run_with_budget(r));
+        EXPECT_NO_THROW(run(driver, r));
         // ...one round less trips the guard with its diagnostic.
         try {
-            run_with_budget(r - 1);
-            FAIL() << "guard did not fire";
+            run(driver, r - 1);
+            ADD_FAILURE() << "guard did not fire";
         } catch (const InvariantViolation& e) {
             EXPECT_NE(std::string(e.what()).find("round limit exceeded"),
                       std::string::npos)
                 << e.what();
         }
-    };
-
-    {
-        ElkinOptions o;
-        o.conditioner = adv;
-        const std::uint64_t r = run_elkin_mst(g, o).stats.rounds;
-        expect_guard(
-            [&](std::uint64_t budget) {
-                ElkinOptions b = o;
-                b.max_rounds = budget;
-                run_elkin_mst(g, b);
-            },
-            r);
-    }
-    {
-        PipelineMstOptions o;
-        o.conditioner = adv;
-        const std::uint64_t r = run_pipeline_mst(g, o).stats.rounds;
-        expect_guard(
-            [&](std::uint64_t budget) {
-                PipelineMstOptions b = o;
-                b.max_rounds = budget;
-                run_pipeline_mst(g, b);
-            },
-            r);
-    }
-    {
-        SyncBoruvkaOptions o;
-        o.conditioner = adv;
-        const std::uint64_t r = run_sync_boruvka(g, o).stats.rounds;
-        expect_guard(
-            [&](std::uint64_t budget) {
-                SyncBoruvkaOptions b = o;
-                b.max_rounds = budget;
-                run_sync_boruvka(g, b);
-            },
-            r);
-    }
-    {
-        GhsOptions o;
-        o.k = 8;
-        o.conditioner = adv;
-        const std::uint64_t r = run_controlled_ghs(g, o).stats.rounds;
-        expect_guard(
-            [&](std::uint64_t budget) {
-                GhsOptions b = o;
-                b.max_rounds = budget;
-                run_controlled_ghs(g, b);
-            },
-            r);
-    }
-    {
-        VerifyOptions o;
-        o.conditioner = adv;
-        const std::uint64_t r = run_verify_mst(g, claimed, o).stats.rounds;
-        expect_guard(
-            [&](std::uint64_t budget) {
-                VerifyOptions b = o;
-                b.max_rounds = budget;
-                run_verify_mst(g, claimed, b);
-            },
-            r);
     }
 }
 
@@ -174,6 +127,64 @@ TEST(DriverValidation, BandwidthBelowOneIsRejectedOnEveryEngine)
                      std::invalid_argument);
         EXPECT_THROW(run_verify_mst(g, claimed, opts(VerifyOptions{})),
                      std::invalid_argument);
+    }
+}
+
+// The harness's input preconditions, one row per driver: every rooted
+// driver rejects a root outside the graph and every spanning driver a
+// disconnected graph, each as std::invalid_argument. The forest drivers
+// take neither precondition: they return one fragment per component.
+TEST(DriverValidation, RootAndConnectivityPreconditionsHoldForEveryDriver)
+{
+    // Two triangles, no edge between them.
+    const auto split = WeightedGraph::from_edges(
+        6, {{0, 1, 1}, {1, 2, 2}, {0, 2, 3}, {3, 4, 4}, {4, 5, 5}, {3, 5, 6}});
+    const auto connected = make_workload("er", 16, 5);
+    const VertexId outside = static_cast<VertexId>(connected.vertex_count());
+
+    struct Row {
+        const char* driver;
+        bool rooted;
+        bool spanning;
+        std::function<void(const WeightedGraph&, VertexId)> run;
+    };
+    auto rooted = [](auto opts, VertexId root) {
+        opts.root = root;
+        return opts;
+    };
+    auto by_name = [](const char* name) {
+        return [name](const WeightedGraph& g, VertexId) {
+            run_algorithm(name, g, NetConfig{});
+        };
+    };
+    const std::vector<Row> rows = {
+        {"elkin", true, true,
+         [&](const WeightedGraph& g, VertexId root) {
+             run_elkin_mst(g, rooted(ElkinOptions{}, root));
+         }},
+        {"pipeline", true, true,
+         [&](const WeightedGraph& g, VertexId root) {
+             run_pipeline_mst(g, rooted(PipelineMstOptions{}, root));
+         }},
+        {"verify", true, true,
+         [&](const WeightedGraph& g, VertexId root) {
+             std::vector<std::vector<std::size_t>> none(g.vertex_count());
+             run_verify_mst(g, none, rooted(VerifyOptions{}, root));
+         }},
+        {"boruvka", false, true, by_name("boruvka")},
+        {"ghs", false, false, by_name("ghs")},
+        {"ghs_native", false, false, by_name("ghs_native")},
+    };
+    for (const Row& row : rows) {
+        SCOPED_TRACE(row.driver);
+        if (row.rooted)
+            EXPECT_THROW(row.run(connected, outside), std::invalid_argument);
+        else
+            EXPECT_NO_THROW(row.run(connected, outside));
+        if (row.spanning)
+            EXPECT_THROW(row.run(split, 0), std::invalid_argument);
+        else
+            EXPECT_NO_THROW(row.run(split, 0));
     }
 }
 

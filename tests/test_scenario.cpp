@@ -46,7 +46,7 @@ TEST(Scenario, SweepsFullGridInOrder)
 
 TEST(Scenario, CoversAllAlgorithms)
 {
-    for (const char* algo : {"elkin", "pipeline", "boruvka", "ghs"}) {
+    for (const std::string& algo : algorithm_names()) {
         ScenarioSpec spec;
         spec.algorithm = algo;
         spec.families = {"er"};

@@ -223,7 +223,8 @@ void write_all(int fd, const void* data, std::size_t len)
 }
 
 // Child body: run boruvka over the socket engine as `rank`, report the
-// owned slice through `fd`. Never returns.
+// owned slice through `fd`. Never returns; exits 5 if a vertex of another
+// rank reports a parent port other than kNoPort.
 [[noreturn]] void child_main(const WeightedGraph& g, int procs, int rank,
                              SocketConfig::Transport transport, int base_port,
                              int fd)
@@ -238,6 +239,10 @@ void write_all(int fd, const void* data, std::size_t len)
         const auto r = run_sync_boruvka(g, opts);
 
         PeerTable table(g.vertex_count(), procs);
+        // A vertex this rank does not host keeps the remote-vertex default.
+        for (VertexId v = 0; v < g.vertex_count(); ++v)
+            if (table.owner(v) != rank && r.parent_port[v] != kNoPort)
+                ::_exit(5);
         RankReport rep;
         rep.rounds = r.stats.rounds;
         rep.messages = r.stats.messages;
