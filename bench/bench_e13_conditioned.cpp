@@ -61,17 +61,26 @@ int main(int argc, char** argv)
     args.define("cond_seed", "7", "conditioner assignment seed");
     args.define("csv", "false", "emit CSV instead of an aligned table");
     define_engine_flags(args);
+    ElkinOptions ideal;
+    std::vector<std::string> families;
+    std::uint64_t seed = 0, cond_seed = 0;
+    std::size_t max_n = 0;
+    int bandwidth = 0;
+    bool csv = false;
     try {
         args.parse(argc, argv);
+        read_engine_flags(args, ideal);
+        families = split_list(args.get("families"));
+        seed = args.get_int("seed");
+        cond_seed = args.get_int("cond_seed");
+        max_n = static_cast<std::size_t>(args.get_int("max_n"));
+        bandwidth = static_cast<int>(args.get_int("bandwidth"));
+        csv = args.get_bool("csv");
     } catch (const std::exception& e) {
         std::cerr << e.what() << "\n" << args.help();
         return 1;
     }
-
-    const std::uint64_t seed = args.get_int("seed");
-    const std::uint64_t cond_seed = args.get_int("cond_seed");
-    const std::size_t max_n = static_cast<std::size_t>(args.get_int("max_n"));
-    const int bandwidth = static_cast<int>(args.get_int("bandwidth"));
+    ideal.bandwidth = bandwidth;
 
     std::cout << "E13: conditioned substrate inflation vs the ideal "
                  "substrate (b=" << bandwidth << ")\n";
@@ -83,13 +92,10 @@ int main(int argc, char** argv)
         ok = false;
     };
 
-    for (const std::string& family : split_list(args.get("families"))) {
+    for (const std::string& family : families) {
         for (std::size_t n = 64; n <= max_n; n *= 4) {
             auto g = make_workload(family, n, seed);
 
-            ElkinOptions ideal;
-            ideal.bandwidth = bandwidth;
-            read_engine_flags(args, ideal);
             auto base = run_elkin_mst(g, ideal);
 
             for (const CondCase& cs : cond_cases(cond_seed, bandwidth)) {
@@ -120,7 +126,7 @@ int main(int argc, char** argv)
         }
     }
 
-    if (args.get_bool("csv"))
+    if (csv)
         table.print_csv(std::cout);
     else
         table.print(std::cout);

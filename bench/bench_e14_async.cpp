@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <iostream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,20 +74,25 @@ int main(int argc, char** argv)
     args.define("max_delays", "1,4", "async per-message delay bounds");
     args.define("event_seeds", "1,2", "async delay-stream seeds");
     args.define("csv", "false", "emit CSV instead of an aligned table");
+    std::vector<std::string> families;
+    std::vector<std::int64_t> max_delays, event_seeds;
+    std::uint64_t seed = 0;
+    std::size_t max_n = 0;
+    bool csv = false;
     try {
         args.parse(argc, argv);
+        families = split_list(args.get("families"));
+        max_delays = split_int_list(args.get("max_delays"));
+        event_seeds = split_int_list(args.get("event_seeds"));
+        seed = args.get_int("seed");
+        max_n = static_cast<std::size_t>(args.get_int("max_n"));
+        csv = args.get_bool("csv");
+        for (std::int64_t d : max_delays)
+            if (d < 1)
+                throw std::invalid_argument("--max_delays items must be >= 1");
     } catch (const std::exception& e) {
         std::cerr << e.what() << "\n" << args.help();
         return 1;
-    }
-
-    const std::uint64_t seed = args.get_int("seed");
-    const std::size_t max_n = static_cast<std::size_t>(args.get_int("max_n"));
-    for (std::int64_t d : split_int_list(args.get("max_delays"))) {
-        if (d < 1) {
-            std::cerr << "--max_delays items must be >= 1\n";
-            return 1;
-        }
     }
 
     std::cout << "E14: synchronizer shoot-out of --engine=async — alpha vs "
@@ -100,7 +106,7 @@ int main(int argc, char** argv)
         ok = false;
     };
 
-    for (const std::string& family : split_list(args.get("families"))) {
+    for (const std::string& family : families) {
         for (std::size_t n = 64; n <= max_n; n *= 4) {
             auto g = make_workload(family, n, seed);
             const std::size_t m = g.edge_count();
@@ -109,8 +115,8 @@ int main(int argc, char** argv)
             auto base = run_elkin_mst(g, ideal);
             const auto reference = mst_kruskal(g);
 
-            for (std::int64_t max_delay : split_int_list(args.get("max_delays"))) {
-            for (std::int64_t event_seed : split_int_list(args.get("event_seeds"))) {
+            for (std::int64_t max_delay : max_delays) {
+            for (std::int64_t event_seed : event_seeds) {
                 const std::string point =
                     family + "/" + std::to_string(n) + "/d" +
                     std::to_string(max_delay) + "/s" +
@@ -255,7 +261,7 @@ int main(int argc, char** argv)
         }
     }
 
-    if (args.get_bool("csv"))
+    if (csv)
         table.print_csv(std::cout);
     else
         table.print(std::cout);

@@ -45,18 +45,24 @@ int main(int argc, char** argv)
     args.define("csv", "false", "emit CSV instead of an aligned table");
     // Loss lives on the async engine only, so E15 has no --engine flag.
     args.define("threads", "0", "async engine workers (0 = hardware concurrency)");
+    std::vector<std::string> families;
+    int threads = 0, bandwidth = 0;
+    std::uint64_t seed = 0, loss_seed = 0;
+    std::size_t max_n = 0;
+    bool csv = false;
     try {
         args.parse(argc, argv);
+        families = split_list(args.get("families"));
+        threads = static_cast<int>(args.get_int("threads"));
+        seed = args.get_int("seed");
+        loss_seed = args.get_int("loss_seed");
+        max_n = static_cast<std::size_t>(args.get_int("max_n"));
+        bandwidth = static_cast<int>(args.get_int("bandwidth"));
+        csv = args.get_bool("csv");
     } catch (const std::exception& e) {
         std::cerr << e.what() << "\n" << args.help();
         return 1;
     }
-
-    const int threads = static_cast<int>(args.get_int("threads"));
-    const std::uint64_t seed = args.get_int("seed");
-    const std::uint64_t loss_seed = args.get_int("loss_seed");
-    const std::size_t max_n = static_cast<std::size_t>(args.get_int("max_n"));
-    const int bandwidth = static_cast<int>(args.get_int("bandwidth"));
     const double drop_rates[] = {0.0, 0.05, 0.2};
 
     std::cout << "E15: loss-shim overhead vs the clean substrate (b="
@@ -70,7 +76,7 @@ int main(int argc, char** argv)
         ok = false;
     };
 
-    for (const std::string& family : split_list(args.get("families"))) {
+    for (const std::string& family : families) {
         for (std::size_t n = 64; n <= max_n; n *= 4) {
             auto g = make_workload(family, n, seed);
 
@@ -134,7 +140,7 @@ int main(int argc, char** argv)
         }
     }
 
-    if (args.get_bool("csv"))
+    if (csv)
         table.print_csv(std::cout);
     else
         table.print(std::cout);

@@ -48,19 +48,15 @@ int main(int argc, char** argv)
                 "repeat pays the handshake cold-start");
     args.define("json", "-", "JSON Lines output: '-' = stdout, else a path");
     define_socket_flags(args);
-    try {
-        args.parse(argc, argv);
-    } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n" << args.help();
-        return 1;
-    }
-
     SocketConfig sc;
     std::vector<std::string> families;
     std::vector<std::size_t> sizes;
     int repeat = 0;
+    std::uint64_t seed = 0;
     try {
+        args.parse(argc, argv);
         sc = socket_from_args(args);
+        seed = args.get_int("seed");
         families = split_list(args.get("families"));
         for (std::int64_t n : split_int_list(args.get("sizes")))
             sizes.push_back(static_cast<std::size_t>(n));
@@ -88,7 +84,6 @@ int main(int argc, char** argv)
     }
     std::ostream& out = json_path == "-" ? std::cout : file;
 
-    const std::uint64_t seed = args.get_int("seed");
     bool ok = true;
     for (const std::string& family : families) {
         for (std::size_t n : sizes) {

@@ -48,8 +48,8 @@ namespace dmst {
 //      vertex ends knowing accept/reject and the witness.
 //
 // Rounds O(D + h + q/b) and messages O(m + q·h + q·D) for claimed-tree
-// height h and q = m - n + 1 non-tree edges (bench_e12_verify measures
-// both against these budgets). Every message fits the b = 1 word budget
+// height h and q = m - n + 1 non-tree edges (bench/paper_gates.cpp asserts
+// both budgets). Every message fits the b = 1 word budget
 // alongside the concurrent control traffic, so no stage multiplexing is
 // needed.
 
