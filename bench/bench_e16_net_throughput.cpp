@@ -7,10 +7,10 @@
 // row per (family, n, repeat) per rank. dmst_launcher concatenates the
 // rank files in rank order, so one launch yields one stream:
 //
-//   dmst_launcher --procs=4 --transport=udp --json=e16.jsonl --
+//   dmst_launcher --procs=4 --json=e16.jsonl --
 //       ./bench_e16_net_throughput --families=er --sizes=256,1024
 //
-// The launcher appends --procs/--rank/--transport/--base_port/--json per
+// The launcher appends --procs/--rank/--base_port/--json per
 // child; run standalone (defaults: one rank, loopback) for a quick smoke.
 // Each repeat builds a fresh socket mesh (handshake included in wall
 // time — the steady-state rows are the later repeats). Every row carries
@@ -144,8 +144,7 @@ int main(int argc, char** argv)
                     << ",\"family\":\"" << family << "\""
                     << ",\"n\":" << n << ",\"m\":" << g.edge_count()
                     << ",\"algorithm\":\"boruvka\""
-                    << ",\"transport\":\"" << transport_name(sc.transport)
-                    << "\",\"procs\":" << sc.procs
+                    << ",\"procs\":" << sc.procs
                     << ",\"rank\":" << sc.rank << ",\"repeat\":" << rep
                     << ",\"wall_ms\":" << wall_ms
                     << ",\"rounds\":" << s.rounds
@@ -164,8 +163,6 @@ int main(int argc, char** argv)
                     << ",\"bytes_per_sec\":"
                     << (secs > 0 ? (s.net_bytes_out + s.net_bytes_in) / secs
                                  : 0)
-                    << ",\"net_retransmissions\":" << s.net_retransmissions
-                    << ",\"net_acks\":" << s.net_acks
                     << ",\"malformed_frames\":" << s.malformed_frames
                     << ",\"mst_weight\":" << weight
                     << ",\"ref_weight\":" << ref_weight

@@ -2,15 +2,15 @@
 // scenario_runner (or any rank-aware dmst binary) invocation across N
 // local processes and merges their per-rank JSONL into one file.
 //
-//   dmst_launcher --procs=4 --transport=udp --json=out.jsonl --
+//   dmst_launcher --procs=4 --json=out.jsonl --
 //       ./scenario_runner --algo=boruvka --families=er --sizes=256
 //       --engines=socket --verify=model
 //
 // Everything after `--` is the child command. The launcher appends
-// `--procs=N --rank=i --transport=T --base_port=P --json=out.jsonl.rank<i>`
-// to each child, so the command must not set those flags itself. With
+// `--procs=N --rank=i --base_port=P --json=out.jsonl.rank<i>` to each
+// child, so the command must not set those flags itself. With
 // --base_port=0 (the default) the launcher probes for N consecutive free
-// ports (both UDP and TCP, so one launch works for either transport).
+// TCP ports.
 //
 // All children are waited on; if any exits non-zero (or dies on a signal)
 // the rest are killed and that status is propagated. On success the rank
@@ -37,28 +37,25 @@
 
 namespace {
 
-// True iff `port` accepts both a UDP and a TCP bind right now. The probe
-// sockets are closed before the children start, which leaves a window for
-// another process to steal the port — acceptable for a test launcher on
+// True iff `port` accepts a TCP bind right now. The probe socket is
+// closed before the children start, which leaves a window for another
+// process to steal the port — acceptable for a test launcher on
 // localhost; a clashing child fails to bind and the launch fails loudly.
 bool port_is_free(int port)
 {
-    for (int type : {SOCK_DGRAM, SOCK_STREAM}) {
-        int fd = ::socket(AF_INET, type, 0);
-        if (fd < 0)
-            return false;
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        int rc = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-        ::close(fd);
-        if (rc != 0)
-            return false;
-    }
-    return true;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return false;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    const int rc =
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ::close(fd);
+    return rc == 0;
 }
 
 int pick_base_port(int procs)
@@ -94,7 +91,6 @@ int main(int argc, char** argv)
 {
     dmst::Args args;
     args.define("procs", "2", "processes to launch (one rank each)");
-    args.define("transport", "udp", "socket transport: udp|tcp");
     args.define("base_port", "0",
                 "rank r binds base_port+r; 0 = probe for free ports");
     args.define("json", "out.jsonl",
@@ -116,18 +112,15 @@ int main(int argc, char** argv)
     }
 
     int procs = 0;
-    std::string transport, json;
+    std::string json;
     int base_port = 0;
     try {
         args.parse(static_cast<int>(own.size()), own.data());
         procs = static_cast<int>(args.get_int("procs"));
-        transport = args.get("transport");
         base_port = static_cast<int>(args.get_int("base_port"));
         json = args.get("json");
         if (procs < 1 || procs > 512)
             throw std::invalid_argument("--procs must be in [1, 512]");
-        if (transport != "udp" && transport != "tcp")
-            throw std::invalid_argument("--transport must be udp|tcp");
         if (json.empty() || json == "-")
             throw std::invalid_argument(
                 "--json must name a file (rank outputs derive from it)");
@@ -157,7 +150,6 @@ int main(int argc, char** argv)
         std::vector<std::string> child = command;
         child.push_back("--procs=" + std::to_string(procs));
         child.push_back("--rank=" + std::to_string(r));
-        child.push_back("--transport=" + transport);
         child.push_back("--base_port=" + std::to_string(base_port));
         child.push_back("--json=" + rank_files[static_cast<std::size_t>(r)]);
 
@@ -226,7 +218,7 @@ int main(int argc, char** argv)
         }
         merged << in.rdbuf();
     }
-    std::cerr << "dmst_launcher: " << procs << " ranks over " << transport
+    std::cerr << "dmst_launcher: " << procs << " ranks"
               << " (ports " << base_port << "-" << (base_port + procs - 1)
               << ") merged into " << json << "\n";
     return 0;

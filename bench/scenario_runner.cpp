@@ -43,7 +43,6 @@
 // only — see src/dmst/net/ and docs/TRANSPORT.md):
 //   --procs=N            processes in the launch (vertex blocks)
 //   --rank=R             this process's rank in [0, N)
-//   --transport=udp|tcp  datagrams + ACK/retransmission, or a stream mesh
 //   --host=ADDR          IPv4 address every rank binds/dials (localhost)
 //   --base_port=P        rank r binds P+r; 0 only for single-process runs
 //   --round_timeout_ms=T abort a round blocked longer than T
@@ -127,8 +126,8 @@ int main(int argc, char** argv)
     args.define("record_per_edge", "0",
                 "record per-edge message counts and report each cell's "
                 "top-5 hottest edges (bare flag = 1)");
-    // Socket-backend flags (--procs, --rank, --transport, --host,
-    // --base_port, --round_timeout_ms), read by Engine::Socket cells only.
+    // Socket-backend flags (--procs, --rank, --host, --base_port,
+    // --round_timeout_ms), read by Engine::Socket cells only.
     // One process is one rank: dmst_launcher spawns the full launch and
     // fills --rank/--base_port per child.
     define_socket_flags(args);

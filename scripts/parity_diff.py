@@ -35,7 +35,7 @@ equivalence contracts:
     here is an engine bug even when the serial comparison above still
     passes;
   - socket-engine rows (one per rank of a dmst_launcher launch, grouped
-    by transport x procs within the scenario point) merge against the
+    by procs within the scenario point) merge against the
     point's serial row: every rank 0..procs-1 must appear exactly once
     and be verified; the per-round counters (rounds, verify_rounds) and
     the verdict block must be bit-identical on every rank to the serial
@@ -44,9 +44,9 @@ equivalence contracts:
     the serial value — each rank reports the slice it owns, and the
     slices partition the run. activations are not compared: each rank
     steps its whole slice every round. malformed_frames is deliberately not
-    compared: it counts datagrams the receive path dropped (stray
-    traffic from outside the run), an environment fact rather than a
-    protocol counter.
+    compared: it counts connections and frames the receive path dropped
+    (stray traffic from outside the run), an environment fact rather
+    than a protocol counter.
 
 Reads one or more JSONL files (e.g. one per algorithm from the nightly
 grid). Exit status: 0 parity holds, 1 mismatch, 2 bad input.
@@ -93,8 +93,7 @@ def describe(row):
             extra += (f" drop_rate={row.get('drop_rate')}"
                       f" loss_seed={row.get('loss_seed')}")
     if row.get("engine") == "socket":
-        extra += (f" transport={row.get('transport')}"
-                  f" procs={row.get('procs')} rank={row.get('rank')}")
+        extra += f" procs={row.get('procs')} rank={row.get('rank')}"
     return where + extra
 
 
@@ -142,8 +141,8 @@ def main(argv):
 
     def check_socket_launch(serial, launch_rows, key):
         nonlocal mismatches
-        (transport, procs), rows = launch_rows
-        where = f"{key} transport={transport} procs={procs}"
+        procs, rows = launch_rows
+        where = f"{key} procs={procs}"
         if serial is None:
             mismatches.append(f"socket rows without a serial reference at "
                               f"{where}")
@@ -221,12 +220,11 @@ def main(argv):
                 async_thread_pairs += 1
                 check(ref, row, ASYNC_THREAD_COMPARE, "async-threads")
 
-        # Socket-rank merge: one launch per (transport, procs); the ranks'
-        # owned slices must partition the serial row exactly.
+        # Socket-rank merge: one launch per procs; the ranks' owned slices
+        # must partition the serial row exactly.
         by_launch = {}
         for row in sockets:
-            launch = (row.get("transport"), row.get("procs"))
-            by_launch.setdefault(launch, []).append(row)
+            by_launch.setdefault(row.get("procs"), []).append(row)
         for launch_rows in sorted(by_launch.items(), key=str):
             socket_launches += 1
             check_socket_launch(serial, launch_rows, key)

@@ -38,9 +38,9 @@ enum class Knowledge { KT0, KT1 };
 // top, so protocol outputs (MST edges, verification verdicts, per-level
 // message counts) are bit-identical to the serial engine.
 // Socket is the real-network backend (src/dmst/net/): vertices are sharded
-// over separate processes and messages travel as UDP/TCP datagrams; each
-// rank steps its local vertex block with exactly the serial engine's
-// semantics and a per-round barrier datagram keeps the ranks lock-step,
+// over separate processes and messages travel as records on a TCP mesh;
+// each rank steps its local vertex block with exactly the serial engine's
+// semantics and a per-round barrier frame keeps the ranks lock-step,
 // so the union of the ranks' outputs is bit-identical to serial.
 enum class Engine { Serial, Parallel, Async, Socket };
 
@@ -50,14 +50,11 @@ enum class Engine { Serial, Parallel, Async, Socket };
 // rank r binds base_port + r on `host`. The dmst_launcher binary forks the
 // ranks and fills these in per child.
 struct SocketConfig {
-    enum class Transport { Udp, Tcp };
-
     int procs = 1;  // total ranks in the run
     int rank = 0;   // this process's rank, in [0, procs)
-    Transport transport = Transport::Udp;
     std::string host = "127.0.0.1";  // peer host (single-host for now)
     int base_port = 0;               // rank r listens on base_port + r
-    int handshake_timeout_ms = 15'000;  // TCP mesh connect budget
+    int handshake_timeout_ms = 15'000;  // mesh connect budget
     int round_timeout_ms = 60'000;      // barrier wait budget per round
 };
 
@@ -123,7 +120,7 @@ struct NetConfig {
     // Socket backend parameters; ignored by the in-process engines. The
     // socket backend is a real transport: it rejects composition with the
     // conditioner, the loss shim, and crash-stop (make_network enforces) —
-    // its loss handling is real retransmission, not a simulated draw.
+    // its links are made reliable by the kernel's TCP, not a simulated draw.
     SocketConfig socket{};
     // Span-based tracing (src/dmst/obs/): off by default, in which case
     // the send datapath pays one null-pointer test and nothing else.
@@ -190,9 +187,10 @@ struct RunStats {
     bool stalled = false;
 
     // ---- socket-backend metrics (Engine::Socket; zero elsewhere) --------
-    // Datagrams/frames dropped by the hardened receive path: failed
-    // structural validation (bad magic/version/length, out-of-range vertex
-    // or port, oversized payload) or arrived for a stale round/session.
+    // Handshake connections and frames dropped by the hardened receive
+    // path: failed structural validation (bad magic/version/length,
+    // out-of-range vertex or port, oversized payload) or arrived for a
+    // stale round/session.
     // Dropping-and-counting mirrors the fault layer's wedged-vertex
     // containment: a malformed frame never wedges the vertex it addressed.
     std::uint64_t malformed_frames = 0;
@@ -201,16 +199,6 @@ struct RunStats {
     std::uint64_t net_packets_in = 0;
     std::uint64_t net_bytes_out = 0;
     std::uint64_t net_bytes_in = 0;
-    // UDP reliability-layer activity. Deliberately NOT folded into the
-    // `retransmissions`/`timeouts`/`acks` shim columns above even though
-    // the backoff schedule is shared (congest/faults.h): the shim's
-    // counters are deterministic model-level facts audited by the trace
-    // layer's fault-conservation check, while a real datagram retransmit
-    // depends on kernel scheduling — an environment fact, like
-    // `malformed_frames`, reported but never compared across runs.
-    std::uint64_t net_retransmissions = 0;
-    std::uint64_t net_timeouts = 0;
-    std::uint64_t net_acks = 0;
 
     // Finalized span trace of the run (obs/trace.h); set by run() when
     // NetConfig::trace.enabled, null otherwise. Shared so RunStats stays

@@ -59,7 +59,7 @@ public:
         return lo;
     }
 
-    // UDP/TCP port of rank r under `base_port` (rank r listens there).
+    // TCP port of rank r under `base_port` (rank r listens there).
     static int port_of(int base_port, int rank) { return base_port + rank; }
 
 private:

@@ -58,7 +58,7 @@ SocketNetwork::SocketNetwork(const WeightedGraph& g, NetConfig config)
     data_sent_.assign(static_cast<std::size_t>(procs_), 0);
     session_ = ++session_counter_;
     if (procs_ > 1) {
-        transport_ = make_transport(config_.socket, session_);
+        transport_ = std::make_unique<Transport>(config_.socket, session_);
         sink_ = [this](const PacketHeader& h, const std::uint8_t* frames,
                        std::size_t len) { on_packet(h, frames, len); };
     }
@@ -74,7 +74,7 @@ SocketNetwork::~SocketNetwork()
             250, [](const PacketHeader&, const std::uint8_t*, std::size_t) {});
     } catch (...) {
         // A destructor must not throw; a failed goodbye only costs peers
-        // their retransmission tail.
+        // their linger wait.
     }
 }
 
@@ -518,7 +518,7 @@ void SocketNetwork::handle_barrier(int src, const WireFrame& f)
         return;
     }
     if (slot->barrier_seen) {
-        ++frame_malformed_;  // the transport dedups; a second one is forged
+        ++frame_malformed_;  // the stream delivers once; a second is forged
         return;
     }
     slot->barrier_seen = true;
@@ -579,12 +579,6 @@ void SocketNetwork::fold_transport_stats()
     stats_.net_packets_in = t.packets_in;
     stats_.net_bytes_out = t.bytes_out;
     stats_.net_bytes_in = t.bytes_in;
-    // Kept out of the shim's retransmissions/timeouts/acks columns: those
-    // are deterministic model counters under trace fault-conservation;
-    // real datagram retransmits are environment noise (see RunStats).
-    stats_.net_retransmissions = t.retransmissions;
-    stats_.net_timeouts = t.timeouts;
-    stats_.net_acks = t.acks;
 }
 
 }  // namespace dmst

@@ -15,8 +15,8 @@ namespace dmst {
 // Real-network engine (Engine::Socket): the run is `procs` cooperating
 // processes, each owning one contiguous vertex block (net/peer_table.h)
 // and stepping it with exactly the serial engine's semantics; messages
-// between blocks travel as wire frames (net/wire.h) over a UDP or TCP
-// transport (net/transport.cpp). Lock-step is kept by a per-round barrier
+// between blocks travel as wire frames (net/wire.h) over a full TCP mesh
+// (net/transport.h). Lock-step is kept by a per-round barrier
 // frame: each rank ends its round by telling every peer how many data
 // frames it sent them, whether its block is done, and how many messages it
 // staged for the next round; a rank only delivers and advances once every
@@ -49,8 +49,7 @@ namespace dmst {
 // uses for structurally invalid frames.
 //
 // Composition: rejects the conditioner, the loss shim and crash-stop —
-// this backend's loss is real loss, handled by real retransmission
-// (UDP reuses the fault shim's backoff schedule; see net/transport.h).
+// this backend's links are real links, made reliable by the kernel's TCP.
 class SocketNetwork : public NetworkBase {
 public:
     SocketNetwork(const WeightedGraph& g, NetConfig config);

@@ -3,7 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
+#include <vector>
 
 #include "dmst/congest/network_base.h"
 #include "dmst/net/wire.h"
@@ -11,32 +12,30 @@
 namespace dmst {
 
 // Packet-level counters of one transport instance; folded into RunStats'
-// net_* columns by the socket engine. UDP reliability reuses the fault
-// shim's capped-exponential-backoff schedule (FaultConfig::rto), but its
-// counters stay separate from the shim's `retransmissions`/`timeouts`/
-// `acks`: those are deterministic model facts under trace conservation,
-// while a real datagram retransmit depends on kernel timing.
+// net_* columns by the socket engine. Every record of the run — hellos and
+// frames, with their length prefixes and headers — is counted once where
+// it is written and once where it is parsed, so summed over the ranks of
+// a run, out equals in. Two exceptions: a hello written into a dial that
+// died before the peer read it, and the teardown Bye, which neither side
+// counts (the engine has folded the sender's stats before it is sent).
 struct TransportStats {
     std::uint64_t packets_out = 0;
     std::uint64_t packets_in = 0;
     std::uint64_t bytes_out = 0;
     std::uint64_t bytes_in = 0;
-    std::uint64_t retransmissions = 0;  // UDP data packets resent
-    std::uint64_t timeouts = 0;         // UDP retransmission timer expiries
-    std::uint64_t acks = 0;             // UDP ack-only packets sent
-    std::uint64_t duplicates = 0;       // UDP packets below the cumulative ack
-    std::uint64_t malformed = 0;        // packets failing header validation
+    std::uint64_t malformed = 0;  // handshake connections and records
+                                  // failing validation
 };
 
-// Reliable, in-order, per-peer packet channel over a real socket — the
+// Reliable, in-order, per-peer packet channel over a full TCP mesh — the
 // only layer that touches file descriptors. Single-threaded: everything
 // happens inside the caller's poll() calls.
 //
-// Delivery contract (both transports): for each peer, Frames packets are
-// handed to the sink exactly once, in send order. UDP gets there with a
-// per-peer sequence number, a cumulative ack, an out-of-order reorder
-// buffer and retransmission on FaultConfig::rto backoff; TCP gets it from
-// the stream, with packets delimited by a u32 length prefix.
+// Delivery contract: for each peer, Frames packets are handed to the sink
+// exactly once, in send order. The stream provides both; packets are
+// delimited by a u32 length prefix. A stream that fails framing or header
+// validation after the handshake cannot be resynchronized, so poll()
+// throws std::runtime_error naming the peer and the error.
 class Transport {
 public:
     // Called for each delivered Frames packet: validated header + the
@@ -44,36 +43,63 @@ public:
     using PacketSink = std::function<void(const PacketHeader&,
                                           const std::uint8_t*, std::size_t)>;
 
-    virtual ~Transport() = default;
+    // Binds base_port + rank on cfg.host, performs the full mesh
+    // handshake within cfg.handshake_timeout_ms, and stamps `session` into
+    // every outgoing packet header. Requires cfg.procs >= 2; cfg.host must
+    // be an IPv4 literal. Throws std::invalid_argument on a bad config and
+    // std::runtime_error on socket failures or a handshake timeout.
+    Transport(const SocketConfig& cfg, std::uint64_t session);
+    ~Transport();
+    Transport(const Transport&) = delete;
+    Transport& operator=(const Transport&) = delete;
 
     // Queues one Frames packet (`frame_count` frames in `len` bytes) to
-    // `peer`, reliably and in order.
-    virtual void send_frames(int peer, const std::uint8_t* frames,
-                             std::size_t len, std::uint16_t frame_count) = 0;
+    // `peer` and writes as much of the queue as the socket takes.
+    void send_frames(int peer, const std::uint8_t* frames, std::size_t len,
+                     std::uint16_t frame_count);
 
-    // Services the socket for up to `timeout_ms`: receives, delivers
-    // in-order packets to `sink`, sends pending acks, runs retransmission
-    // timers. Returns true if at least one Frames packet was delivered.
-    virtual bool poll(int timeout_ms, const PacketSink& sink) = 0;
+    // Services the sockets for up to `timeout_ms`: flushes pending output
+    // and delivers complete Frames packets to `sink`. Returns true if at
+    // least one Frames packet was delivered.
+    bool poll(int timeout_ms, const PacketSink& sink);
 
-    // Best-effort teardown: announces Bye, then keeps servicing acks and
-    // retransmissions for up to `linger_ms` so peers still waiting on our
-    // acks are not forced into timeout tails. Idempotent.
-    virtual void shutdown(int linger_ms, const PacketSink& sink) = 0;
+    // Best-effort teardown: announces Bye to every peer, then drains our
+    // output and reads until every peer's Bye arrived (or `linger_ms`
+    // passed), so both directions close with orderly FINs. Idempotent.
+    void shutdown(int linger_ms, const PacketSink& sink);
 
     const TransportStats& stats() const { return stats_; }
 
-protected:
-    TransportStats stats_;
-};
+private:
+    struct Peer {
+        int fd = -1;
+        std::vector<std::uint8_t> in;
+        std::size_t in_off = 0;
+        std::vector<std::uint8_t> out;
+        std::size_t out_off = 0;
+        bool bye_seen = false;
+    };
 
-// Builds the transport selected by cfg.transport, binds/connects it (TCP
-// performs the full mesh handshake here, within cfg.handshake_timeout_ms),
-// and stamps `session` into every outgoing packet header. Requires
-// cfg.procs >= 2; cfg.host must be an IPv4 literal. Throws
-// std::runtime_error on socket failures.
-std::unique_ptr<Transport> make_transport(const SocketConfig& cfg,
-                                          std::uint64_t session);
+    void close_fds();
+    void establish_mesh(const SocketConfig& cfg);
+    bool send_hello_blocking(int fd);
+    int try_read_hello(int fd, int expect_rank, bool reply);
+    void enqueue_record(Peer& p, PacketKind kind, const std::uint8_t* frames,
+                        std::size_t len, std::uint16_t frame_count);
+    void flush_out(Peer& p);
+    bool pump(int timeout_ms, const PacketSink& sink);
+    bool read_peer(int rank, const PacketSink& sink);
+    bool parse_records(int rank, const PacketSink& sink);
+
+    int procs_;
+    int rank_;
+    std::uint64_t session_;
+    int listen_fd_ = -1;
+    std::vector<Peer> peers_;
+    std::map<int, std::vector<std::uint8_t>> hello_buf_;  // fd -> bytes
+    TransportStats stats_;
+    bool shut_ = false;
+};
 
 }  // namespace dmst
 

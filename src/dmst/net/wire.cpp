@@ -25,12 +25,6 @@ void store64(std::vector<std::uint8_t>& buf, std::uint64_t v)
         buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
-void store64_at(std::vector<std::uint8_t>& buf, std::size_t off, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf[off + static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(v >> (8 * i));
-}
-
 std::uint16_t load16(const std::uint8_t* p)
 {
     return static_cast<std::uint16_t>(p[0] | (std::uint16_t{p[1]} << 8));
@@ -52,14 +46,10 @@ std::uint64_t load64(const std::uint8_t* p)
     return v;
 }
 
-// Packet header byte offsets (total kPacketHeaderBytes = 40):
+// Packet header byte offsets (total kPacketHeaderBytes = 24):
 //   0  u32 magic        4  u8 version      5  u8 kind
 //   6  u16 src_rank     8  u16 frame_count 10 u16 reserved
-//   12 u32 reserved     16 u64 session     24 u64 seq
-//   32 u64 ack
-constexpr std::size_t kOffFrameCount = 8;
-constexpr std::size_t kOffSeq = 24;
-constexpr std::size_t kOffAck = 32;
+//   12 u32 reserved     16 u64 session
 
 // Frame header byte offsets (total kFrameHeaderBytes = 24):
 //   0 u8 kind   1 u8 reserved   2 u16 nwords   4 u32 tag
@@ -107,19 +97,6 @@ void append_packet_header(std::vector<std::uint8_t>& buf, const PacketHeader& h)
     store16(buf, 0);
     store32(buf, 0);
     store64(buf, h.session);
-    store64(buf, h.seq);
-    store64(buf, h.ack);
-}
-
-void patch_packet_header(std::vector<std::uint8_t>& buf, std::size_t header_off,
-                         std::uint16_t frame_count, std::uint64_t seq,
-                         std::uint64_t ack)
-{
-    buf[header_off + kOffFrameCount] = static_cast<std::uint8_t>(frame_count);
-    buf[header_off + kOffFrameCount + 1] =
-        static_cast<std::uint8_t>(frame_count >> 8);
-    store64_at(buf, header_off + kOffSeq, seq);
-    store64_at(buf, header_off + kOffAck, ack);
 }
 
 void append_frame(std::vector<std::uint8_t>& buf, FrameKind kind,
@@ -155,8 +132,6 @@ WireError parse_packet_header(const std::uint8_t* data, std::size_t len,
     out.src_rank = load16(data + 6);
     out.frame_count = load16(data + 8);
     out.session = load64(data + 16);
-    out.seq = load64(data + 24);
-    out.ack = load64(data + 32);
     return WireError::Ok;
 }
 

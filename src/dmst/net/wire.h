@@ -8,9 +8,9 @@
 namespace dmst {
 
 // On-wire framing of the socket backend (see docs/TRANSPORT.md for the
-// byte-level tables). A packet is one transport unit — a UDP datagram, or
-// a u32-length-prefixed record on a TCP stream — carrying a fixed header
-// followed by zero or more frames. A frame wraps one typed-codec message
+// byte-level tables). A packet is one transport unit — a u32-length-
+// prefixed record on a TCP stream — carrying a fixed header followed by
+// zero or more frames. A frame wraps one typed-codec message
 // (congest/codec.h payload words travel verbatim) plus the routing fields
 // the receiver needs: destination vertex, arrival port, and the logical
 // round the send belongs to.
@@ -28,24 +28,23 @@ namespace dmst {
 // ------------------------------------------------------------- constants
 
 constexpr std::uint32_t kWireMagic = 0x54534D44u;  // "DMST" little-endian
-constexpr std::uint8_t kWireVersion = 1;
-constexpr std::size_t kPacketHeaderBytes = 40;
+constexpr std::uint8_t kWireVersion = 2;
+constexpr std::size_t kPacketHeaderBytes = 24;
 constexpr std::size_t kFrameHeaderBytes = 24;
 // Structural sanity cap on one frame's payload words; the receive path
 // additionally enforces the CONGEST bandwidth budget of the addressed
 // link, which is far smaller.
 constexpr std::uint16_t kMaxFrameWords = 4096;
 // Coalescing threshold: a rank flushes its per-peer frame buffer into a
-// packet once it crosses this many bytes (well under the 64 KiB UDP
-// payload ceiling, large enough to amortize syscalls on loopback).
+// packet once it crosses this many bytes (far under the transport's
+// record bound, large enough to amortize syscalls on loopback).
 constexpr std::size_t kPacketPayloadBudget = 32 * 1024;
 
 // What a packet is, at the transport layer.
 enum class PacketKind : std::uint8_t {
-    Frames = 1,   // carries frame_count frames (the normal case)
-    Hello = 2,    // TCP connection identification: "I am src_rank"
-    AckOnly = 3,  // UDP: header-only carrier for the cumulative ack
-    Bye = 4,      // sender finished; peers may stop retransmitting to it
+    Frames = 1,  // carries frame_count frames (the normal case)
+    Hello = 2,   // connection identification: "I am src_rank"
+    Bye = 3,     // sender finished; its stream closes next
 };
 
 // What a frame means, at the engine layer.
@@ -67,8 +66,6 @@ struct PacketHeader {
     std::uint16_t src_rank = 0;
     std::uint16_t frame_count = 0;
     std::uint64_t session = 0;  // network-instance id; stale sessions drop
-    std::uint64_t seq = 0;      // UDP reliability: per-peer packet sequence
-    std::uint64_t ack = 0;      // UDP reliability: cumulative in-order ack
 };
 
 // ---------------------------------------------------------------- frames
@@ -105,15 +102,8 @@ const char* wire_error_name(WireError e);
 
 // --------------------------------------------------------------- writers
 
-// Appends a packet header for `h` to `buf`. frame_count/seq/ack may be
-// patched later in place (they live at fixed offsets from the start of the
-// header) via patch_packet_header.
+// Appends a packet header for `h` to `buf`.
 void append_packet_header(std::vector<std::uint8_t>& buf, const PacketHeader& h);
-
-// Rewrites frame_count/seq/ack of the header starting at `header_off`.
-void patch_packet_header(std::vector<std::uint8_t>& buf, std::size_t header_off,
-                         std::uint16_t frame_count, std::uint64_t seq,
-                         std::uint64_t ack);
 
 // Appends one frame (header + payload words) to `buf`.
 void append_frame(std::vector<std::uint8_t>& buf, FrameKind kind,

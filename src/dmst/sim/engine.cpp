@@ -128,7 +128,6 @@ void define_socket_flags(Args& args)
 {
     args.define("procs", "1", "socket engine: total ranks in the run");
     args.define("rank", "0", "socket engine: this process's rank");
-    args.define("transport", "udp", "socket engine: udp|tcp");
     args.define("host", "127.0.0.1",
                 "socket engine: peer host (IPv4 literal)");
     args.define("base_port", "0",
@@ -143,24 +142,12 @@ SocketConfig socket_from_args(const Args& args)
     SocketConfig sc;
     sc.procs = static_cast<int>(args.get_int("procs"));
     sc.rank = static_cast<int>(args.get_int("rank"));
-    const std::string transport = args.get("transport");
-    if (transport == "udp")
-        sc.transport = SocketConfig::Transport::Udp;
-    else if (transport == "tcp")
-        sc.transport = SocketConfig::Transport::Tcp;
-    else
-        throw std::invalid_argument("--transport must be udp or tcp");
     sc.host = args.get("host");
     sc.base_port = static_cast<int>(args.get_int("base_port"));
     sc.round_timeout_ms = static_cast<int>(args.get_int("round_timeout_ms"));
     if (sc.round_timeout_ms < 1)
         throw std::invalid_argument("--round_timeout_ms must be >= 1");
     return sc;
-}
-
-const char* transport_name(SocketConfig::Transport transport)
-{
-    return transport == SocketConfig::Transport::Udp ? "udp" : "tcp";
 }
 
 }  // namespace dmst

@@ -45,15 +45,12 @@ class Args;
 void define_engine_flags(Args& args);
 void read_engine_flags(const Args& args, NetConfig& config);
 
-// The shared --procs/--rank/--transport/--host/--base_port/
+// The shared --procs/--rank/--host/--base_port/
 // --round_timeout_ms CLI surface of the bench binaries. Only the socket
 // engine reads them; dmst_launcher forks a driver once per rank and fills
 // --rank/--base_port in per child (see docs/TRANSPORT.md).
 void define_socket_flags(Args& args);
 SocketConfig socket_from_args(const Args& args);
-
-// "udp" | "tcp", for logs and JSONL fields.
-const char* transport_name(SocketConfig::Transport transport);
 
 }  // namespace dmst
 

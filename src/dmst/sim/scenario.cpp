@@ -402,8 +402,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                         const bool sharded =
                             is_socket && spec.socket.procs > 1;
                         if (is_socket) {
-                            cell.transport =
-                                transport_name(spec.socket.transport);
                             cell.procs = spec.socket.procs;
                             cell.rank = spec.socket.rank;
                         }
@@ -568,18 +566,14 @@ std::string cell_json(const ScenarioCell& cell)
             << ",\"sync_words\":" << cell.stats.sync_words;
     // Socket fields only on socket cells, so the other engines' JSONL is
     // unchanged. malformed_frames is an environment counter (stray
-    // datagrams from outside the run), reported but never compared.
+    // connections from outside the run), reported but never compared.
     if (cell.engine == Engine::Socket)
-        oss << ",\"transport\":\"" << cell.transport << "\""
-            << ",\"procs\":" << cell.procs << ",\"rank\":" << cell.rank
+        oss << ",\"procs\":" << cell.procs << ",\"rank\":" << cell.rank
             << ",\"malformed_frames\":" << cell.stats.malformed_frames
             << ",\"net_packets_out\":" << cell.stats.net_packets_out
             << ",\"net_packets_in\":" << cell.stats.net_packets_in
             << ",\"net_bytes_out\":" << cell.stats.net_bytes_out
-            << ",\"net_bytes_in\":" << cell.stats.net_bytes_in
-            << ",\"net_retransmissions\":" << cell.stats.net_retransmissions
-            << ",\"net_timeouts\":" << cell.stats.net_timeouts
-            << ",\"net_acks\":" << cell.stats.net_acks;
+            << ",\"net_bytes_in\":" << cell.stats.net_bytes_in;
     // Fault fields appear only on cells where the axis is active, so
     // clean-grid JSONL stays byte-identical to the pre-fault format.
     if (cell.drop_rate > 0)

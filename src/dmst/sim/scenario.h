@@ -133,10 +133,9 @@ struct ScenarioCell {
     Engine engine = Engine::Serial;
     int threads = 1;
     // Socket-engine cells: the launch shape this rank ran in (procs = 1,
-    // rank = 0, transport empty on every other engine). stats carries the
-    // receive-path hardening and transport counters (malformed_frames,
-    // net_packets_*, net_bytes_*).
-    std::string transport;
+    // rank = 0 on every other engine). stats carries the receive-path
+    // hardening and transport counters (malformed_frames, net_packets_*,
+    // net_bytes_*).
     int procs = 1;
     int rank = 0;
     RunStats stats;

@@ -241,8 +241,8 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
             c.faults.crashes.size(), c.faults.crashes.at(0).vertex,
             c.faults.crashes.at(0).round, c.faults.graceful,
             c.faults.stall_window, c.async.max_delay, c.async.event_seed,
-            c.async.sync, c.socket.procs, c.socket.rank, c.socket.transport,
-            c.socket.host, c.socket.base_port, c.socket.handshake_timeout_ms,
+            c.async.sync, c.socket.procs, c.socket.rank, c.socket.host,
+            c.socket.base_port, c.socket.handshake_timeout_ms,
             c.socket.round_timeout_ms, c.trace.enabled);
     };
     for (const FaultConfig& faults : {off, on}) {
@@ -266,7 +266,6 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
         o.async = {7, 8, SyncMode::Beta};
         o.socket.procs = 4;
         o.socket.rank = 2;
-        o.socket.transport = SocketConfig::Transport::Tcp;
         o.socket.host = "10.0.0.1";
         o.socket.base_port = 4000;
         o.socket.handshake_timeout_ms = 11;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "dmst/congest/codec.h"
@@ -87,8 +88,6 @@ std::vector<std::uint8_t> sample_packet(std::uint16_t frame_count)
     h.src_rank = 3;
     h.frame_count = frame_count;
     h.session = 0x1122334455667788ULL;
-    h.seq = 42;
-    h.ack = 41;
     append_packet_header(buf, h);
     const std::uint64_t words[3] = {7, 8, 9};
     if (frame_count >= 1)
@@ -103,16 +102,14 @@ std::vector<std::uint8_t> sample_packet(std::uint16_t frame_count)
 
 TEST(Wire, HeaderRoundTrip)
 {
-    for (PacketKind kind : {PacketKind::Frames, PacketKind::Hello,
-                            PacketKind::AckOnly, PacketKind::Bye}) {
+    for (PacketKind kind :
+         {PacketKind::Frames, PacketKind::Hello, PacketKind::Bye}) {
         std::vector<std::uint8_t> buf;
         PacketHeader in;
         in.kind = kind;
         in.src_rank = 65535;
         in.frame_count = 7;
         in.session = ~0ULL;
-        in.seq = 1ULL << 63;
-        in.ack = 12345;
         append_packet_header(buf, in);
         ASSERT_EQ(buf.size(), kPacketHeaderBytes);
         PacketHeader out;
@@ -122,21 +119,32 @@ TEST(Wire, HeaderRoundTrip)
         EXPECT_EQ(out.src_rank, in.src_rank);
         EXPECT_EQ(out.frame_count, in.frame_count);
         EXPECT_EQ(out.session, in.session);
-        EXPECT_EQ(out.seq, in.seq);
-        EXPECT_EQ(out.ack, in.ack);
     }
 }
 
-TEST(Wire, PatchedHeaderFieldsReparse)
+TEST(Wire, HeaderLayoutIsVersion2)
 {
-    std::vector<std::uint8_t> buf;
-    append_packet_header(buf, PacketHeader{});
-    patch_packet_header(buf, 0, 9, 77, 76);
-    PacketHeader out;
-    ASSERT_EQ(parse_packet_header(buf.data(), buf.size(), out), WireError::Ok);
-    EXPECT_EQ(out.frame_count, 9);
-    EXPECT_EQ(out.seq, 77u);
-    EXPECT_EQ(out.ack, 76u);
+    EXPECT_EQ(kPacketHeaderBytes, 24u);
+    EXPECT_EQ(kWireVersion, 2);
+    std::vector<std::uint8_t> buf = sample_packet(0);
+    EXPECT_EQ(buf.size(), kPacketHeaderBytes);
+    EXPECT_EQ(buf[4], 2);  // version byte
+    EXPECT_EQ(buf[5], static_cast<std::uint8_t>(PacketKind::Frames));
+    EXPECT_EQ(buf[16], 0x88);  // session, little-endian, last field
+    EXPECT_EQ(buf[23], 0x11);
+}
+
+// Re-declares the frame count of a serialized packet, keeping its bytes.
+void redeclare_frame_count(std::vector<std::uint8_t>& buf,
+                           std::uint16_t frame_count)
+{
+    PacketHeader h;
+    ASSERT_EQ(parse_packet_header(buf.data(), buf.size(), h), WireError::Ok);
+    h.frame_count = frame_count;
+    std::vector<std::uint8_t> out;
+    append_packet_header(out, h);
+    out.insert(out.end(), buf.begin() + kPacketHeaderBytes, buf.end());
+    buf = std::move(out);
 }
 
 TEST(Wire, HeaderRejectsEveryTruncation)
@@ -159,7 +167,7 @@ TEST(Wire, HeaderRejectsBadFields)
     bad[4] = kWireVersion + 1;
     EXPECT_EQ(parse_packet_header(bad.data(), bad.size(), out),
               WireError::BadVersion);
-    for (int kind : {0, 5, 200}) {
+    for (int kind : {0, 4, 200}) {
         bad = buf;
         bad[5] = static_cast<std::uint8_t>(kind);
         EXPECT_EQ(parse_packet_header(bad.data(), bad.size(), out),
@@ -209,12 +217,12 @@ TEST(Wire, RejectsTrailingBytesAndCountMismatch)
 
     // Declared one more frame than the payload holds.
     buf = sample_packet(2);
-    patch_packet_header(buf, 0, 3, 42, 41);
+    redeclare_frame_count(buf, 3);
     EXPECT_EQ(walk_packet(buf.data(), buf.size()), WireError::Short);
 
     // Declared one fewer: the stray frame's bytes become trailing garbage.
     buf = sample_packet(2);
-    patch_packet_header(buf, 0, 1, 42, 41);
+    redeclare_frame_count(buf, 1);
     EXPECT_EQ(walk_packet(buf.data(), buf.size()), WireError::TrailingBytes);
 }
 
@@ -265,7 +273,7 @@ TEST(Wire, SurvivesRandomBytes)
             // frame walker sees real traffic, not just BadMagic exits.
             buf[0] = 0x44; buf[1] = 0x4D; buf[2] = 0x53; buf[3] = 0x54;
             buf[4] = kWireVersion;
-            buf[5] = static_cast<std::uint8_t>(1 + rng.next() % 4);
+            buf[5] = static_cast<std::uint8_t>(1 + rng.next() % 3);
         }
         (void)walk_packet(buf.data(), buf.size());
     }

@@ -1,15 +1,18 @@
-// Loopback end-to-end checks of the socket backend. Two halves:
+// Loopback end-to-end checks of the socket backend. Three parts:
 //
-//  - UdpHardening: two UdpTransports in one process (explicit shared
-//    session — SocketNetwork's per-process session counter cannot be used
-//    same-process) with a rogue socket injecting garbage, truncated,
-//    bit-flipped and stale-session datagrams between valid packets. Valid
-//    traffic must keep flowing in order; every injected datagram must be
-//    dropped-and-counted, never delivered.
+//  - TcpHardening: a real rank 0 Transport (explicit session — the
+//    SocketNetwork session counter is per process) against raw sockets
+//    playing the other ranks. Handshake noise (garbage, stale-session,
+//    duplicate-rank and wrong-kind hellos) is dropped and counted while
+//    the mesh completes; corruption after the handshake makes poll()
+//    throw, naming the framing or header error.
+//
+//  - TcpAccounting: two real Transports in one process; each side's
+//    packets_out/bytes_out equal the other side's packets_in/bytes_in.
 //
 //  - SocketParity: fork() one child per rank, each running a real driver
-//    with Engine::Socket over 127.0.0.1, across procs {2, 4, 8} x
-//    {udp, tcp}. The per-rank owned slices (PeerTable owner of the
+//    with Engine::Socket over 127.0.0.1, across procs {2, 4, 8}. The
+//    per-rank owned slices (PeerTable owner of the
 //    min-endpoint) must partition the serial oracle's MST exactly, the
 //    sender-charged counters must sum to the serial run's, and every rank
 //    must report the serial round count — the same merge contract
@@ -23,11 +26,18 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <exception>
+#include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "dmst/core/sync_boruvka.h"
@@ -45,33 +55,30 @@ namespace {
 
 bool port_is_free(int port)
 {
-    for (int type : {SOCK_DGRAM, SOCK_STREAM}) {
-        int fd = ::socket(AF_INET, type, 0);
-        if (fd < 0)
-            return false;
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        int rc = ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
-        ::close(fd);
-        if (rc != 0)
-            return false;
-    }
-    return true;
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return false;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    const int rc =
+        ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+    ::close(fd);
+    return rc == 0;
 }
 
 int pick_base_port(int procs)
 {
     int start = 30000 + static_cast<int>(::getpid()) % 8192;
     for (int attempt = 0; attempt < 256; ++attempt) {
-        int base = start + attempt * (procs + 1);
+        int base = start + attempt * procs;
         if (base + procs >= 65536)
             break;
         bool ok = true;
-        for (int r = 0; r <= procs && ok; ++r)  // +1 spare for the rogue
+        for (int r = 0; r < procs && ok; ++r)
             ok = port_is_free(base + r);
         if (ok)
             return base;
@@ -79,125 +86,332 @@ int pick_base_port(int procs)
     return -1;
 }
 
-// --------------------------------------------------------- UDP hardening
+// ------------------------------------------------------- raw-socket peers
 
-TEST(UdpHardening, MalformedDatagramsDropAndCount)
+constexpr int kIoTimeoutMs = 5000;
+
+SocketConfig rank_config(int procs, int rank, int base)
 {
-    const int base = pick_base_port(2);
-    ASSERT_GT(base, 0) << "no free loopback port block";
-    const std::uint64_t session = 99;
-    SocketConfig c0, c1;
-    c0.procs = c1.procs = 2;
-    c0.base_port = c1.base_port = base;
-    c0.rank = 0;
-    c1.rank = 1;
-    auto t0 = make_transport(c0, session);
-    auto t1 = make_transport(c1, session);
+    SocketConfig c;
+    c.procs = procs;
+    c.rank = rank;
+    c.base_port = base;
+    c.handshake_timeout_ms = kIoTimeoutMs;
+    return c;
+}
 
-    // Rogue sender aimed at rank 1's port.
-    const int rogue = ::socket(AF_INET, SOCK_DGRAM, 0);
-    ASSERT_GE(rogue, 0);
-    sockaddr_in dst{};
-    dst.sin_family = AF_INET;
-    dst.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    dst.sin_port = htons(static_cast<std::uint16_t>(base + 1));
-    auto inject = [&](const std::vector<std::uint8_t>& pkt) {
-        ASSERT_EQ(::sendto(rogue, pkt.data(), pkt.size(), 0,
-                           reinterpret_cast<sockaddr*>(&dst), sizeof dst),
-                  static_cast<ssize_t>(pkt.size()));
-    };
+// One length-prefixed record as a rank writes it on the stream.
+std::vector<std::uint8_t> record(PacketKind kind, int src_rank,
+                                 std::uint64_t session,
+                                 const std::vector<std::uint8_t>& frames = {},
+                                 std::uint16_t frame_count = 0)
+{
+    const auto len =
+        static_cast<std::uint32_t>(kPacketHeaderBytes + frames.size());
+    std::vector<std::uint8_t> rec;
+    for (int i = 0; i < 4; ++i)
+        rec.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    PacketHeader h;
+    h.kind = kind;
+    h.src_rank = static_cast<std::uint16_t>(src_rank);
+    h.frame_count = frame_count;
+    h.session = session;
+    append_packet_header(rec, h);
+    rec.insert(rec.end(), frames.begin(), frames.end());
+    return rec;
+}
 
-    // A valid single-frame packet rank 0 would send, for mutation.
+// A Frames record carrying one Data frame with words {i, ~i}.
+std::vector<std::uint8_t> data_frame(std::uint64_t i)
+{
     std::vector<std::uint8_t> frame;
-    const std::uint64_t words[2] = {1, 2};
-    append_frame(frame, FrameKind::Data, 7, 1, 1, 0, words, 2);
+    const std::uint64_t words[2] = {i, ~i};
+    append_frame(frame, FrameKind::Data, 7, i, 1, 0, words, 2);
+    return frame;
+}
 
-    std::vector<std::vector<std::uint64_t>> delivered;
-    Transport::PacketSink sink = [&](const PacketHeader& h,
-                                     const std::uint8_t* bytes,
-                                     std::size_t len) {
+void send_all(int fd, const std::vector<std::uint8_t>& bytes)
+{
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
+}
+
+// Blocking connect to a loopback port, retried while nothing listens yet.
+int dial(int port)
+{
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kIoTimeoutMs);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    while (std::chrono::steady_clock::now() < deadline) {
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        if (fd < 0)
+            return -1;
+        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0)
+            return fd;
+        ::close(fd);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    return -1;
+}
+
+// Reads up to `want` bytes within kIoTimeoutMs. Returns the bytes read:
+// fewer than `want` means the peer closed, errored or stayed silent.
+std::vector<std::uint8_t> read_some(int fd, std::size_t want)
+{
+    std::vector<std::uint8_t> got;
+    while (got.size() < want) {
+        pollfd pfd{fd, POLLIN, 0};
+        if (::poll(&pfd, 1, kIoTimeoutMs) <= 0)
+            break;
+        std::uint8_t buf[256];
+        const ssize_t n = ::recv(fd, buf, std::min(sizeof buf, want - got.size()), 0);
+        if (n <= 0)
+            break;
+        got.insert(got.end(), buf, buf + n);
+    }
+    return got;
+}
+
+// Plays rank `rank` against a real rank 0 listening at `base`: dials,
+// sends a valid hello (with `after` in the same write) and reads rank 0's
+// reciprocal hello, which rank 0 writes only after mapping us. Returns
+// the connected fd.
+int join_as(int base, int rank, std::uint64_t session,
+            const std::vector<std::uint8_t>& after = {})
+{
+    const int fd = dial(base);
+    EXPECT_GE(fd, 0) << "rank 0 never listened";
+    if (fd < 0)
+        return -1;
+    std::vector<std::uint8_t> hello = record(PacketKind::Hello, rank, session);
+    hello.insert(hello.end(), after.begin(), after.end());
+    send_all(fd, hello);
+    const std::vector<std::uint8_t> reply = read_some(fd, 4 + kPacketHeaderBytes);
+    PacketHeader h;
+    EXPECT_EQ(reply.size(), 4 + kPacketHeaderBytes) << "no reciprocal hello";
+    if (reply.size() == 4 + kPacketHeaderBytes) {
+        EXPECT_EQ(parse_packet_header(reply.data() + 4, kPacketHeaderBytes, h),
+                  WireError::Ok);
+        EXPECT_EQ(h.kind, PacketKind::Hello);
+        EXPECT_EQ(h.src_rank, 0);
+    }
+    return fd;
+}
+
+// Rank 0 constructed on its own thread (construction blocks until the mesh
+// is complete) while the test plays the other ranks.
+class Rank0 {
+public:
+    Rank0(int procs, int base, std::uint64_t session)
+        : thread_([this, procs, base, session] {
+              try {
+                  transport_ = std::make_unique<Transport>(
+                      rank_config(procs, 0, base), session);
+              } catch (...) {
+                  error_ = std::current_exception();
+              }
+          })
+    {
+    }
+    ~Rank0()
+    {
+        if (thread_.joinable())
+            thread_.join();
+    }
+    Rank0(const Rank0&) = delete;
+    Rank0& operator=(const Rank0&) = delete;
+
+    // Waits for the mesh; rethrows a construction failure.
+    Transport& join()
+    {
+        thread_.join();
+        if (error_)
+            std::rethrow_exception(error_);
+        return *transport_;
+    }
+
+private:
+    std::unique_ptr<Transport> transport_;
+    std::exception_ptr error_;
+    std::thread thread_;  // last: starts once the members above exist
+};
+
+using Delivery = std::pair<int, std::uint64_t>;  // (source rank, word 0)
+
+Transport::PacketSink collect(std::vector<Delivery>& out)
+{
+    return [&out](const PacketHeader& h, const std::uint8_t* bytes,
+                  std::size_t len) {
         FrameCursor c = frame_cursor(bytes, len, h);
         WireFrame f;
         while (!c.done()) {
             ASSERT_EQ(next_frame(c, f), WireError::Ok);
-            std::vector<std::uint64_t> ws;
-            for (std::size_t i = 0; i < f.nwords; ++i)
-                ws.push_back(f.word(i));
-            delivered.push_back(std::move(ws));
+            ASSERT_EQ(f.nwords, 2);
+            EXPECT_EQ(f.word(1), ~f.word(0)) << "payload corrupted";
+            out.emplace_back(h.src_rank, f.word(0));
         }
+        EXPECT_EQ(finish_frames(c), WireError::Ok);
     };
-    Transport::PacketSink drop_sink = [](const PacketHeader&,
-                                         const std::uint8_t*, std::size_t) {};
+}
 
-    Rng rng(5);
-    std::uint64_t sent = 0;
-    for (int burst = 0; burst < 10; ++burst) {
-        // Interleave rogue datagrams with real traffic: random bytes,
-        // truncated headers, bit-flipped valid packets, stale sessions.
-        std::vector<std::uint8_t> junk(rng.next() % 100);
-        for (std::uint8_t& b : junk)
-            b = static_cast<std::uint8_t>(rng.next());
-        inject(junk);
+// --------------------------------------------------------- TCP hardening
 
-        std::vector<std::uint8_t> valid;
-        PacketHeader h;
-        h.kind = PacketKind::Frames;
-        h.src_rank = 0;
-        h.frame_count = 1;
-        h.session = session;
-        h.seq = 1 + sent;  // plausible but unauthenticated
-        append_packet_header(valid, h);
-        valid.insert(valid.end(), frame.begin(), frame.end());
-        std::vector<std::uint8_t> flipped = valid;
-        flipped[2] ^= 0x10;  // magic dies -> malformed
-        inject(flipped);
+// Rogue connections to rank 0's listener while it still awaits rank 2:
+// each is dropped (rank 0 closes it, which the rogue observes) and counted
+// in `malformed`; the mesh still completes and valid traffic from both
+// real peers arrives in order.
+TEST(TcpHardening, HandshakeNoiseIsDroppedAndCounted)
+{
+    const int base = pick_base_port(3);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+    const std::uint64_t session = 99;
+    Rank0 rank0(3, base, session);
+    const int fd1 = join_as(base, 1, session);
+    ASSERT_GE(fd1, 0);
 
-        std::vector<std::uint8_t> stale;
-        h.session = session + 1;
-        append_packet_header(stale, h);
-        stale.insert(stale.end(), frame.begin(), frame.end());
-        inject(stale);  // stale Frames: counted malformed
+    std::vector<std::uint8_t> garbage = record(PacketKind::Hello, 2, session);
+    garbage[4] ^= 0xFF;  // magic
+    std::vector<std::uint8_t> oversized(4 + kPacketHeaderBytes, 0xFF);
+    const std::vector<std::vector<std::uint8_t>> rogues = {
+        garbage,
+        oversized,                                      // length prefix
+        record(PacketKind::Hello, 2, session + 1),      // stale session
+        record(PacketKind::Hello, 1, session),          // duplicate rank 1
+        record(PacketKind::Frames, 2, session),         // not a hello
+    };
+    for (std::size_t i = 0; i < rogues.size(); ++i) {
+        const int fd = dial(base);
+        ASSERT_GE(fd, 0);
+        send_all(fd, rogues[i]);
+        EXPECT_TRUE(read_some(fd, 1).empty())
+            << "rogue " << i << " was not dropped";
+        ::close(fd);
+    }
 
-        std::vector<std::uint8_t> truncated(valid.begin(),
-                                            valid.begin() + 17);
-        inject(truncated);
+    const int fd2 = join_as(base, 2, session);
+    ASSERT_GE(fd2, 0);
+    Transport& t0 = rank0.join();
+    EXPECT_EQ(t0.stats().malformed, rogues.size());
 
-        // Real packet through the real transport, then pump both ends.
-        std::vector<std::uint8_t> payload;
-        const std::uint64_t w[2] = {sent, ~sent};
-        append_frame(payload, FrameKind::Data, 7, sent, 1, 0, w, 2);
-        t0->send_frames(1, payload.data(), payload.size(), 1);
-        ++sent;
-        for (int spin = 0; spin < 200 && delivered.size() < sent; ++spin) {
-            t1->poll(5, sink);
-            t0->poll(0, drop_sink);  // acks flow back
+    const std::uint64_t k = 20;
+    for (std::uint64_t i = 0; i < k; ++i) {
+        send_all(fd1, record(PacketKind::Frames, 1, session, data_frame(i), 1));
+        send_all(fd2, record(PacketKind::Frames, 2, session,
+                             data_frame(1000 + i), 1));
+    }
+    std::vector<Delivery> got;
+    const Transport::PacketSink sink = collect(got);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kIoTimeoutMs);
+    while (got.size() < 2 * k && std::chrono::steady_clock::now() < deadline)
+        t0.poll(5, sink);
+    ASSERT_EQ(got.size(), 2 * k);
+    std::uint64_t next1 = 0, next2 = 1000;
+    for (const auto& [src, word] : got)
+        EXPECT_EQ(word, src == 1 ? next1++ : next2++) << "from rank " << src;
+    EXPECT_EQ(t0.stats().malformed, rogues.size());
+    ::close(fd1);
+    ::close(fd2);
+}
+
+// After a valid hello, a stream that breaks framing or header validation
+// cannot be resynchronized: rank 0's poll must throw, naming the error.
+TEST(TcpHardening, PostMeshCorruptionFailsFast)
+{
+    std::vector<std::uint8_t> bad_magic = record(PacketKind::Frames, 1, 99);
+    bad_magic[4] ^= 0xFF;
+    std::vector<std::uint8_t> bad_version = record(PacketKind::Frames, 1, 99);
+    bad_version[4 + 4] = kWireVersion + 1;
+    const std::vector<std::pair<std::vector<std::uint8_t>, const char*>> cases = {
+        {{3, 0, 0, 0}, "framing error (record length 3)"},
+        {{0xFF, 0xFF, 0xFF, 0xFF}, "framing error (record length 4294967295)"},
+        {bad_magic, "packet error (bad-magic)"},
+        {bad_version, "packet error (bad-version)"},
+        {record(PacketKind::Frames, 1, 98), "wrong rank or session"},
+    };
+    for (const auto& [bytes, diagnostic] : cases) {
+        const int base = pick_base_port(2);
+        ASSERT_GT(base, 0) << "no free loopback port block";
+        Rank0 rank0(2, base, 99);
+        const int fd = join_as(base, 1, 99);
+        ASSERT_GE(fd, 0);
+        Transport& t0 = rank0.join();
+        send_all(fd, bytes);
+        std::vector<Delivery> got;
+        try {
+            t0.poll(kIoTimeoutMs, collect(got));
+            ADD_FAILURE() << "no error for: " << diagnostic;
+        } catch (const std::runtime_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("stream from rank 1"), std::string::npos) << what;
+            EXPECT_NE(what.find(diagnostic), std::string::npos) << what;
         }
+        EXPECT_EQ(t0.stats().malformed, 1u) << diagnostic;
+        EXPECT_TRUE(got.empty());
+        ::close(fd);
     }
-    ASSERT_EQ(delivered.size(), sent);
-    for (std::uint64_t i = 0; i < sent; ++i) {
-        ASSERT_EQ(delivered[i].size(), 2u);
-        EXPECT_EQ(delivered[i][0], i);      // in order, uncorrupted
-        EXPECT_EQ(delivered[i][1], ~i);
-    }
-    // Every injected datagram was counted: 4 per burst (junk may parse as
-    // Short/BadMagic, the flip as BadMagic, stale Frames as stale, the
-    // truncation as Short) — all land in `malformed`.
-    EXPECT_GE(t1->stats().malformed, 40u);
-    // A stale-session *Bye* is the one silently tolerated straggler.
-    const std::uint64_t before = t1->stats().malformed;
-    std::vector<std::uint8_t> stale_bye;
-    PacketHeader hb;
-    hb.kind = PacketKind::Bye;
-    hb.src_rank = 0;
-    hb.session = session + 7;
-    append_packet_header(stale_bye, hb);
-    inject(stale_bye);
-    t1->poll(20, drop_sink);
-    EXPECT_EQ(t1->stats().malformed, before);
+}
 
-    ::close(rogue);
-    t0->shutdown(200, drop_sink);
-    t1->shutdown(200, drop_sink);
+// Records written in one segment with the hello are read together with it
+// during the handshake; poll() must deliver them without waiting for more
+// bytes (no POLLIN will ever announce them).
+TEST(TcpHardening, RecordsBehindTheHelloAreDelivered)
+{
+    const int base = pick_base_port(2);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+    Rank0 rank0(2, base, 99);
+    const int fd = join_as(base, 1, 99,
+                           record(PacketKind::Frames, 1, 99, data_frame(5), 1));
+    ASSERT_GE(fd, 0);
+    Transport& t0 = rank0.join();
+    std::vector<Delivery> got;
+    EXPECT_TRUE(t0.poll(kIoTimeoutMs, collect(got)));
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], Delivery(1, 5));
+    ::close(fd);
+}
+
+// ------------------------------------------------------- packet accounting
+
+// Every record and byte one rank writes is counted by the other when read,
+// the two hellos that open the connection included.
+TEST(TcpAccounting, OutCountersMatchPeerInCounters)
+{
+    const int base = pick_base_port(2);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+    const std::uint64_t session = 7;
+    Rank0 rank0(2, base, session);
+    Transport t1(rank_config(2, 1, base), session);
+    Transport& t0 = rank0.join();
+
+    const std::uint64_t k = 25;
+    for (std::uint64_t i = 0; i < k; ++i) {
+        const std::vector<std::uint8_t> a = data_frame(i);
+        const std::vector<std::uint8_t> b = data_frame(500 + i);
+        t0.send_frames(1, a.data(), a.size(), 1);
+        t1.send_frames(0, b.data(), b.size(), 1);
+    }
+    std::vector<Delivery> got0, got1;
+    const Transport::PacketSink sink0 = collect(got0);
+    const Transport::PacketSink sink1 = collect(got1);
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(kIoTimeoutMs);
+    while ((got0.size() < k || got1.size() < k) &&
+           std::chrono::steady_clock::now() < deadline) {
+        t0.poll(5, sink0);
+        t1.poll(5, sink1);
+    }
+    ASSERT_EQ(got0.size(), k);
+    ASSERT_EQ(got1.size(), k);
+
+    EXPECT_EQ(t0.stats().packets_out, k + 1);  // the frames and one hello
+    EXPECT_EQ(t0.stats().packets_out, t1.stats().packets_in);
+    EXPECT_EQ(t0.stats().bytes_out, t1.stats().bytes_in);
+    EXPECT_EQ(t1.stats().packets_out, t0.stats().packets_in);
+    EXPECT_EQ(t1.stats().bytes_out, t0.stats().bytes_in);
 }
 
 // -------------------------------------------------------- fork-based parity
@@ -226,15 +440,13 @@ void write_all(int fd, const void* data, std::size_t len)
 // owned slice through `fd`. Never returns; exits 5 if a vertex of another
 // rank reports a parent port other than kNoPort.
 [[noreturn]] void child_main(const WeightedGraph& g, int procs, int rank,
-                             SocketConfig::Transport transport, int base_port,
-                             int fd)
+                             int base_port, int fd)
 {
     try {
         SyncBoruvkaOptions opts;
         opts.engine = Engine::Socket;
         opts.socket.procs = procs;
         opts.socket.rank = rank;
-        opts.socket.transport = transport;
         opts.socket.base_port = base_port;
         const auto r = run_sync_boruvka(g, opts);
 
@@ -295,8 +507,7 @@ bool read_report(int fd, RankReport& rep)
     return true;
 }
 
-void run_parity_launch(int procs, SocketConfig::Transport transport,
-                       std::size_t n, std::size_t m)
+void run_parity_launch(int procs, std::size_t n, std::size_t m)
 {
     Rng rng(777);
     const WeightedGraph g = gen_erdos_renyi(n, m, rng);
@@ -317,7 +528,7 @@ void run_parity_launch(int procs, SocketConfig::Transport transport,
             ::close(fds[0]);
             for (int other : pipes)
                 ::close(other);
-            child_main(g, procs, r, transport, base, fds[1]);
+            child_main(g, procs, r, base, fds[1]);
         }
         ::close(fds[1]);
         pids.push_back(pid);
@@ -363,11 +574,9 @@ void run_parity_launch(int procs, SocketConfig::Transport transport,
     EXPECT_EQ(merged, expect);
 }
 
-TEST(SocketParity, Udp2) { run_parity_launch(2, SocketConfig::Transport::Udp, 48, 112); }
-TEST(SocketParity, Udp4) { run_parity_launch(4, SocketConfig::Transport::Udp, 48, 112); }
-TEST(SocketParity, Udp8) { run_parity_launch(8, SocketConfig::Transport::Udp, 64, 160); }
-TEST(SocketParity, Tcp2) { run_parity_launch(2, SocketConfig::Transport::Tcp, 48, 112); }
-TEST(SocketParity, Tcp4) { run_parity_launch(4, SocketConfig::Transport::Tcp, 48, 112); }
+TEST(SocketParity, Tcp2) { run_parity_launch(2, 48, 112); }
+TEST(SocketParity, Tcp4) { run_parity_launch(4, 48, 112); }
+TEST(SocketParity, Tcp8) { run_parity_launch(8, 64, 160); }
 
 }  // namespace
 }  // namespace dmst
