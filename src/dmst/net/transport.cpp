@@ -295,6 +295,12 @@ void Transport::establish_mesh(const SocketConfig& cfg)
         hello_buf_.erase(fd);
         ::close(fd);
     }
+    // No peer dials a rank whose mesh is complete. A listener left open
+    // through the run and its teardown linger would catch the next
+    // network's dials on the same port and swallow their hellos; closed,
+    // those dials are refused and retried against the next listener.
+    ::close(listen_fd_);
+    listen_fd_ = -1;
 }
 
 // Writes our Hello record to a (blocking) freshly connected fd.

@@ -11,7 +11,8 @@ namespace dmst {
 
 // Sharded multi-threaded round engine. Vertices are partitioned into
 // contiguous id ranges (one shard per worker); each synchronous round runs
-// in two barrier-separated phases over a persistent thread pool:
+// in two barrier-separated phases over a persistent ThreadPool, whose
+// calling thread (the coordinator) runs shard 0's share itself:
 //
 //   1. step:    every shard runs on_round() in id order on its vertices
 //               that are booked for the round or have mail (its own
@@ -35,6 +36,10 @@ namespace dmst {
 // ranges of the span/scratch tables), so the deliver phase needs no
 // synchronization beyond the phase barrier; like the serial engine, the
 // steady state performs zero per-message heap allocations at bandwidth=1.
+// With two barriers per round and rounds of tens of microseconds, the
+// barrier sets the engine's speed: ThreadPool's waiters spin on atomics
+// before they park, and park at once when the pool has more workers than
+// the machine has CPUs (thread_pool.h).
 //
 // A process exception (e.g. a bandwidth violation) is captured per shard
 // and rethrown after the phase barrier; when several shards throw in the

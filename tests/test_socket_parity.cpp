@@ -16,7 +16,9 @@
 //    min-endpoint) must partition the serial oracle's MST exactly, the
 //    sender-charged counters must sum to the serial run's, and every rank
 //    must report the serial round count — the same merge contract
-//    scripts/parity_diff.py enforces on launcher JSONL.
+//    scripts/parity_diff.py enforces on launcher JSONL. BackToBack runs
+//    several networks in a row on the same ports: every packet a rank
+//    counts out of each network is counted in by a peer of that network.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <set>
@@ -479,18 +482,25 @@ void write_all(int fd, const void* data, std::size_t len)
     }
 }
 
-bool read_report(int fd, RankReport& rep)
+// Reads `fd` to EOF; false on a read error.
+bool read_all(int fd, std::vector<std::uint8_t>& raw)
 {
-    std::vector<std::uint8_t> raw;
     std::uint8_t buf[4096];
     for (;;) {
         const ssize_t n = ::read(fd, buf, sizeof buf);
         if (n < 0)
             return false;
         if (n == 0)
-            break;
+            return true;
         raw.insert(raw.end(), buf, buf + n);
     }
+}
+
+bool read_report(int fd, RankReport& rep)
+{
+    std::vector<std::uint8_t> raw;
+    if (!read_all(fd, raw))
+        return false;
     if (raw.size() < 5 * sizeof(std::uint64_t) ||
         raw.size() % sizeof(std::uint64_t) != 0)
         return false;
@@ -507,6 +517,30 @@ bool read_report(int fd, RankReport& rep)
     return true;
 }
 
+// Forks one child per rank running child(rank, fd), which reports through
+// the pipe `fd` and never returns. Fills each rank's pid and the read end
+// of its pipe.
+template <class Child>
+void fork_ranks(int procs, Child child, std::vector<pid_t>& pids,
+                std::vector<int>& pipes)
+{
+    for (int r = 0; r < procs; ++r) {
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
+        const pid_t pid = ::fork();
+        ASSERT_GE(pid, 0);
+        if (pid == 0) {
+            ::close(fds[0]);
+            for (int other : pipes)
+                ::close(other);
+            child(r, fds[1]);
+        }
+        ::close(fds[1]);
+        pids.push_back(pid);
+        pipes.push_back(fds[0]);
+    }
+}
+
 void run_parity_launch(int procs, std::size_t n, std::size_t m)
 {
     Rng rng(777);
@@ -519,21 +553,10 @@ void run_parity_launch(int procs, std::size_t n, std::size_t m)
 
     std::vector<pid_t> pids;
     std::vector<int> pipes;
-    for (int r = 0; r < procs; ++r) {
-        int fds[2];
-        ASSERT_EQ(::pipe(fds), 0);
-        const pid_t pid = ::fork();
-        ASSERT_GE(pid, 0);
-        if (pid == 0) {
-            ::close(fds[0]);
-            for (int other : pipes)
-                ::close(other);
-            child_main(g, procs, r, base, fds[1]);
-        }
-        ::close(fds[1]);
-        pids.push_back(pid);
-        pipes.push_back(fds[0]);
-    }
+    ASSERT_NO_FATAL_FAILURE(fork_ranks(
+        procs,
+        [&](int r, int fd) { child_main(g, procs, r, base, fd); },
+        pids, pipes));
 
     std::vector<RankReport> reports(static_cast<std::size_t>(procs));
     std::vector<bool> read_ok(static_cast<std::size_t>(procs));
@@ -572,6 +595,79 @@ void run_parity_launch(int procs, std::size_t n, std::size_t m)
     EXPECT_EQ(total_owned, merged.size()) << "owned slices overlap";
     const std::set<EdgeId> expect(oracle.edges.begin(), oracle.edges.end());
     EXPECT_EQ(merged, expect);
+}
+
+// Child body: run boruvka over the socket engine `kNetworks` times in a
+// row on the same ports and write each run's (net_packets_out,
+// net_packets_in) through `fd`. Never returns.
+constexpr int kNetworks = 4;
+
+[[noreturn]] void child_back_to_back(const WeightedGraph& g, int procs,
+                                     int rank, int base_port, int fd)
+{
+    try {
+        SyncBoruvkaOptions opts;
+        opts.engine = Engine::Socket;
+        opts.socket.procs = procs;
+        opts.socket.rank = rank;
+        opts.socket.base_port = base_port;
+        std::vector<std::uint64_t> out;
+        for (int i = 0; i < kNetworks; ++i) {
+            const auto r = run_sync_boruvka(g, opts);
+            out.push_back(r.stats.net_packets_out);
+            out.push_back(r.stats.net_packets_in);
+        }
+        write_all(fd, out.data(), out.size() * sizeof(std::uint64_t));
+        ::close(fd);
+        ::_exit(0);
+    } catch (...) {
+        ::_exit(3);
+    }
+}
+
+// A rank that lingers in one network's teardown must not leave a listener
+// behind for a faster rank's next-network dial to land in: such a dial's
+// hello is counted out but never read. Summed over the ranks, each
+// network's packets out equal its packets in.
+TEST(SocketParity, BackToBackNetworksBalancePackets)
+{
+    constexpr int procs = 8;
+    Rng rng(778);
+    const WeightedGraph g = gen_erdos_renyi(32, 64, rng);
+    const int base = pick_base_port(procs);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+
+    std::vector<pid_t> pids;
+    std::vector<int> pipes;
+    ASSERT_NO_FATAL_FAILURE(fork_ranks(
+        procs,
+        [&](int r, int fd) { child_back_to_back(g, procs, r, base, fd); },
+        pids, pipes));
+
+    std::vector<std::uint64_t> out(kNetworks, 0), in(kNetworks, 0);
+    for (int r = 0; r < procs; ++r) {
+        const int fd = pipes[static_cast<std::size_t>(r)];
+        std::vector<std::uint8_t> raw;
+        const bool read_ok = read_all(fd, raw);
+        ::close(fd);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pids[static_cast<std::size_t>(r)], &status, 0),
+                  pids[static_cast<std::size_t>(r)]);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "rank " << r << " failed (status " << status << ")";
+        ASSERT_TRUE(read_ok && raw.size() == 2 * kNetworks * sizeof(std::uint64_t))
+            << "rank " << r << " wrote a short report";
+        std::uint64_t rep[2 * kNetworks];
+        std::memcpy(rep, raw.data(), sizeof rep);
+        for (int i = 0; i < kNetworks; ++i) {
+            out[static_cast<std::size_t>(i)] += rep[2 * i];
+            in[static_cast<std::size_t>(i)] += rep[2 * i + 1];
+        }
+    }
+    for (int i = 0; i < kNetworks; ++i)
+        EXPECT_EQ(out[static_cast<std::size_t>(i)],
+                  in[static_cast<std::size_t>(i)])
+            << "network " << i;
 }
 
 TEST(SocketParity, Tcp2) { run_parity_launch(2, 48, 112); }
