@@ -40,10 +40,9 @@ equivalence contracts:
     and be verified; the per-round counters (rounds, verify_rounds) and
     the verdict block must be bit-identical on every rank to the serial
     row; the sender-charged counters (messages, words, mst_weight,
-    verify_messages, verify_words) must SUM across the ranks to exactly
-    the serial value — each rank reports the slice it owns, and the
-    slices partition the run. activations are not compared: each rank
-    steps its whole slice every round. malformed_frames is deliberately not
+    verify_messages, verify_words) and activations must SUM across the
+    ranks to exactly the serial value — each rank reports the slice it
+    owns, and the slices partition the run. malformed_frames is deliberately not
     compared: it counts connections and frames the receive path dropped
     (stray traffic from outside the run), an environment fact rather
     than a protocol counter.
@@ -78,8 +77,8 @@ ASYNC_THREAD_COMPARE = ASYNC_COMPARE + (
 # exactly, and fields whose per-rank values must sum to the serial value.
 SOCKET_EQUAL = ("rounds", "verified", "model_verified", "mutations_passed",
                 "mutations_run", "verify_rounds")
-SOCKET_SUM = ("messages", "words", "mst_weight", "verify_messages",
-              "verify_words")
+SOCKET_SUM = ("messages", "words", "activations", "mst_weight",
+              "verify_messages", "verify_words")
 
 
 def describe(row):

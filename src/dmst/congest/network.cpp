@@ -15,29 +15,16 @@ Network::Network(const WeightedGraph& g, NetConfig config)
 
 void Network::send_from(VertexId from, std::size_t port, Message&& msg)
 {
-    const std::size_t size = msg.size_words();
-    charge_bandwidth(from, port, size);
-
-    VertexId target = graph_.neighbor(from, port);
-    std::size_t arrival_port = reverse_port(from, port);
-    if (trace_)
-        trace_->on_send(from, msg.tag, size);
-    if (config_.record_per_edge)
-        ++stats_.messages_per_edge[graph_.edge_id(from, port)];
-    ++round_messages_;
-    stats_.messages += 1;
-    stats_.words += size;
+    count_send(from, port, msg);
+    const VertexId target = graph_.neighbor(from, port);
     if (has_crashes_ && crashed_[target]) {
         // The sender paid (bandwidth, counters, trace) but the target is
         // dead: the message dies on the wire and never enters flight.
         ++fault_delta_.failed_sends;
         return;
     }
-    if (inbox_count_[target]++ == 0)  // reset by deliver_staged
-        staged_targets_.push_back(target);
-    staged_.emplace(target, static_cast<std::uint32_t>(arrival_port),
-                    std::move(msg));
-    ++in_flight_;
+    stage(target, static_cast<std::uint32_t>(reverse_port(from, port)),
+          std::move(msg));
 }
 
 bool Network::step()
@@ -48,28 +35,37 @@ bool Network::step()
     check_sleep_deadlock(active_.booked);
 
     ++round_;
-    round_messages_ = 0;
     if (has_crashes_)
         apply_crashes();
+    step_phase();
+    note_round();
+    if (has_crashes_)
+        fold_fault_delta(fault_delta_);
+    deliver_phase();
+    return true;
+}
+
+void Network::step_phase()
+{
+    round_messages_ = 0;
     if (trace_)
         trace_->set_now(round_, 0);
     step_active(active_, fault_delta_);
     stats_.activations += active_.activations;
     active_.activations = 0;
     // The inbox was consumed this round; its messages leave flight now
-    // even though the arena is only rebuilt by the deliver phase below.
+    // even though the arena is only rebuilt by the deliver phase.
     DMST_ASSERT(live_ <= in_flight_);
     in_flight_ -= live_;
     live_ = 0;
-    note_round();
-    if (has_crashes_)
-        fold_fault_delta(fault_delta_);
-    deliver_staged();
+}
 
+void Network::deliver_phase()
+{
+    deliver_staged();
     stats_.rounds = round_;
     if (config_.record_per_round)
         stats_.messages_per_round.push_back(round_messages_);
-    return true;
 }
 
 void Network::deliver_staged()

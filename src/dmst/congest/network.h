@@ -2,13 +2,17 @@
 #define DMST_CONGEST_NETWORK_H
 
 #include "dmst/congest/network_base.h"
+#include "dmst/obs/trace.h"
 
 namespace dmst {
 
 // Single-threaded reference engine. Deterministic: vertices are stepped in
 // id order and messages are delivered in send order per port. The parallel
 // engine (sim/parallel_network.h) is defined to be bit-identical to this
-// one; when in doubt, this is the model's semantics.
+// one; when in doubt, this is the model's semantics. The socket engine
+// (net/socket_network.h) is this engine plus a wire: it derives from it,
+// steps its rank's block through the same lane and stages its remote
+// arrivals into the same buffer between the step and deliver phases.
 //
 // Datapath: sends append to one flat staging vector; the deliver phase
 // counting-sorts it by target into the shared inbox arena (stable, so the
@@ -26,10 +30,43 @@ public:
 protected:
     void send_from(VertexId from, std::size_t port, Message&& msg) override;
 
+    // The halves of one send. count_send charges the bandwidth ledger and
+    // counts the send (trace, per-edge histogram, round and run totals);
+    // stage queues it for `target` at `port` for this round's deliver
+    // phase and puts it in flight.
+    void count_send(VertexId from, std::size_t port, const Message& msg)
+    {
+        const std::size_t size = msg.size_words();
+        charge_bandwidth(from, port, size);
+        if (trace_)
+            trace_->on_send(from, msg.tag, size);
+        if (config_.record_per_edge)
+            ++stats_.messages_per_edge[graph_.edge_id(from, port)];
+        ++round_messages_;
+        stats_.messages += 1;
+        stats_.words += size;
+    }
+    void stage(VertexId target, std::uint32_t port, Message&& msg)
+    {
+        if (inbox_count_[target]++ == 0)  // reset by deliver_staged
+            staged_targets_.push_back(target);
+        staged_.emplace(target, port, std::move(msg));
+        ++in_flight_;
+    }
+    std::size_t staged_count() const { return staged_.size(); }
+
+    // The two phases of a round (round_ already bumped). step_phase steps
+    // the round's vertices and retires the inbox they consumed;
+    // deliver_phase turns the staged sends into next round's inboxes and
+    // closes the round's counters.
+    void step_phase();
+    void deliver_phase();
+
+    ActiveSet active_;
+
 private:
     void deliver_staged();
 
-    ActiveSet active_;
     // This round's send targets, in first-send order.
     std::vector<VertexId> staged_targets_;
 

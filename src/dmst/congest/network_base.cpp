@@ -388,16 +388,17 @@ void NetworkBase::throw_round_limit(bool deadlock) const
         oss << "round limit exceeded: protocol appears stuck after " << round_
             << " rounds (max_rounds=" << config_.max_rounds << "); "
             << in_flight_ << " messages in flight";
+    // The processes this instance steps: a socket rank reports its block.
     std::size_t not_done = 0;
     std::vector<VertexId> sample;
-    for (VertexId v = 0; v < processes_.size(); ++v) {
+    for (VertexId v = local_begin(); v < local_end(); ++v) {
         if (!processes_[v]->done()) {
             ++not_done;
             if (sample.size() < 8)
                 sample.push_back(v);
         }
     }
-    oss << "; " << not_done << " of " << processes_.size()
+    oss << "; " << not_done << " of " << local_end() - local_begin()
         << " processes not done";
     if (!sample.empty()) {
         oss << (deadlock ? " (sleeping ids:" : " (first ids:");

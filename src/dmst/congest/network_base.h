@@ -39,9 +39,9 @@ enum class Knowledge { KT0, KT1 };
 // message counts) are bit-identical to the serial engine.
 // Socket is the real-network backend (src/dmst/net/): vertices are sharded
 // over separate processes and messages travel as records on a TCP mesh;
-// each rank steps its local vertex block with exactly the serial engine's
-// semantics and a per-round barrier frame keeps the ranks lock-step,
-// so the union of the ranks' outputs is bit-identical to serial.
+// each rank steps its local vertex block through the serial engine itself
+// and a per-round barrier frame keeps the ranks lock-step, so the union of
+// the ranks' outputs is bit-identical to serial.
 enum class Engine { Serial, Parallel, Async, Socket };
 
 // Parameters of the socket backend (Engine::Socket); ignored by the
@@ -139,8 +139,9 @@ struct RunStats {
     // Process activations: on_round() calls, or handler calls (on_start,
     // on_message, on_wakeup) under native async dispatch. Engine-specific:
     // the lock-step engines skip sleeping vertices (Process::next_wakeup),
-    // the async and socket engines step every vertex each round or pulse.
-    // Identical between serial and parallel at every thread count.
+    // the async engine pulses every vertex each pulse. Identical between
+    // serial and parallel at every thread count; summed over a socket
+    // run's ranks, equal to serial.
     std::uint64_t activations = 0;
     std::vector<std::uint64_t> messages_per_round;  // only if record_per_round
     // Messages per edge (both directions summed), indexed by EdgeId; only
@@ -305,14 +306,14 @@ public:
     virtual void on_round(Context& ctx) = 0;
     virtual bool done() const = 0;
 
-    // The sleep contract. The lock-step engines (serial, parallel) ask
-    // this after every on_round(): the logical round at which on_round()
-    // must run again even with an empty inbox, or kNever. A value at or
-    // below ctx.round() means the next round. Until then the vertex is
-    // stepped only in rounds whose inbox is non-empty, so a process may
-    // sleep only through rounds in which an on_round() with an empty
-    // inbox would be a no-op. The default never sleeps. The async and
-    // socket engines step every vertex anyway and never ask.
+    // The sleep contract. The lock-step engines (serial, parallel,
+    // socket) ask this after every on_round(): the logical round at which
+    // on_round() must run again even with an empty inbox, or kNever. A
+    // value at or below ctx.round() means the next round. Until then the
+    // vertex is stepped only in rounds whose inbox is non-empty, so a
+    // process may sleep only through rounds in which an on_round() with
+    // an empty inbox would be a no-op. The default never sleeps. The async
+    // engine's synchronizers pulse every vertex anyway and never ask.
     virtual std::uint64_t next_wakeup(const Context& ctx) const
     {
         return ctx.round() + 1;
@@ -373,9 +374,10 @@ private:
 };
 
 // Synchronous message-passing network over a weighted graph: the engine
-// interface shared by the serial Network (congest/) and the sharded
-// ParallelNetwork (sim/). The contract every engine must keep, because the
-// protocols and tests rely on it for determinism:
+// interface shared by the serial Network (congest/), the sharded
+// ParallelNetwork (sim/) and the socket engine built on Network (net/).
+// The contract every engine must keep, because the protocols and tests
+// rely on it for determinism:
 //
 //   - a vertex is stepped in a round iff its inbox is non-empty or its
 //     booked wakeup (Process::next_wakeup) is that round, and the

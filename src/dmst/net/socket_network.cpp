@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "dmst/obs/trace.h"
 #include "dmst/util/assert.h"
 
 namespace dmst {
@@ -29,7 +28,7 @@ constexpr std::uint64_t kEpochWindow = 64;
 std::uint64_t SocketNetwork::session_counter_ = 0;
 
 SocketNetwork::SocketNetwork(const WeightedGraph& g, NetConfig config)
-    : NetworkBase(g, config), procs_(config.socket.procs),
+    : Network(g, config), procs_(config.socket.procs),
       rank_(config.socket.rank),
       table_(g.vertex_count(), config.socket.procs)
 {
@@ -51,6 +50,7 @@ SocketNetwork::SocketNetwork(const WeightedGraph& g, NetConfig config)
             "transport (its loss is real loss)");
     lo_ = table_.block_begin(rank_);
     hi_ = table_.block_end(rank_);
+    wake_range(active_, lo_, hi_);  // the lane hosts this rank's block only
     peer_cur_.assign(static_cast<std::size_t>(procs_), PeerRound{});
     peer_next_.assign(static_cast<std::size_t>(procs_), PeerRound{});
     out_frames_.resize(static_cast<std::size_t>(procs_));
@@ -129,34 +129,19 @@ void SocketNetwork::send_single_frame(int peer, FrameKind kind,
 
 void SocketNetwork::send_from(VertexId from, std::size_t port, Message&& msg)
 {
-    const std::size_t size = msg.size_words();
-    charge_bandwidth(from, port, size);
-
+    count_send(from, port, msg);
     const VertexId target = graph_.neighbor(from, port);
-    const std::size_t arrival_port = reverse_port(from, port);
-    if (trace_)
-        trace_->on_send(from, msg.tag, size);
-    if (config_.record_per_edge)
-        ++stats_.messages_per_edge[graph_.edge_id(from, port)];
-    ++round_messages_;
-    stats_.messages += 1;
-    stats_.words += size;
-
-    if (owns(target)) {
-        // The serial engine's staging path, verbatim.
-        ++inbox_count_[target];
-        staged_.emplace(target, static_cast<std::uint32_t>(arrival_port),
-                        std::move(msg));
-        ++in_flight_;
+    const auto arrival_port = static_cast<std::uint32_t>(reverse_port(from, port));
+    if (target >= lo_ && target < hi_) {
+        stage(target, arrival_port, std::move(msg));
         return;
     }
     // Cross-rank: one Data frame in the owner's coalescing buffer, tagged
     // with the current round so the receiver can place it exactly.
     const int peer = table_.owner(target);
     auto& buf = out_frames_[static_cast<std::size_t>(peer)];
-    append_frame(buf, FrameKind::Data, msg.tag, round_, target,
-                 static_cast<std::uint32_t>(arrival_port), msg.words.data(),
-                 msg.words.size());
+    append_frame(buf, FrameKind::Data, msg.tag, round_, target, arrival_port,
+                 msg.words.data(), msg.words.size());
     ++out_count_[static_cast<std::size_t>(peer)];
     ++data_sent_[static_cast<std::size_t>(peer)];
     ++remote_staged_round_;
@@ -169,137 +154,122 @@ bool SocketNetwork::step()
     DMST_ASSERT_MSG(!processes_.empty(), "init() must be called before stepping");
     // Entering with the global state unknown (fresh network) or last known
     // quiescent (the driver may have kicked vertices since): probe.
-    if (!global_state_valid_ || global_quiescent_) {
-        if (probe_quiescent())
-            return false;
-    }
+    if ((!global_state_valid_ || global_quiescent_) && probe_quiescent())
+        return false;
+    // The serial engine's sleep-deadlock check, on the state the last
+    // barrier agreed on, so every rank throws it at the same round.
+    if (global_asleep_)
+        throw_round_limit(true);
 
     ++round_;
-    in_round_ = true;
-    round_messages_ = 0;
     remote_staged_round_ = 0;
     std::fill(data_sent_.begin(), data_sent_.end(), 0);
     // Rotate the ledgers: what accumulated as "next" while we finished the
     // previous round is this round's state.
     peer_cur_.swap(peer_next_);
     std::fill(peer_next_.begin(), peer_next_.end(), PeerRound{});
-    DMST_ASSERT(remote_cur_.empty());
-    remote_cur_.swap(remote_next_);
 
-    if (trace_)
-        trace_->set_now(round_, 0);
-    for (VertexId v = lo_; v < hi_; ++v)
-        reset_round_words(v);
+    step_phase();
+    exchange_barrier();
+    deliver_phase();
+    fold_transport_stats();
+    return true;
+}
+
+bool SocketNetwork::block_done() const
+{
     for (VertexId v = lo_; v < hi_; ++v) {
-        Context ctx = context_for(v);
-        processes_[v]->on_round(ctx);
+        if (!processes_[v]->done())
+            return false;
     }
-    stats_.activations += hi_ - lo_;
-    DMST_ASSERT(live_ <= in_flight_);
-    in_flight_ -= live_;
-    live_ = 0;
+    return true;
+}
 
-    local_done_ = true;
-    for (VertexId v = lo_; v < hi_; ++v) {
-        if (!processes_[v]->done()) {
-            local_done_ = false;
-            break;
-        }
-    }
-    const std::uint64_t staged_out = staged_.size() + remote_staged_round_;
+void SocketNetwork::exchange_barrier()
+{
+    const bool local_done = block_done();
+    const bool awake = active_.booked > 0;
+    const std::uint64_t staged_out = staged_count() + remote_staged_round_;
+    // Arrivals from peers that ran ahead join the staging buffer after the
+    // local sends, in arrival order; the rest stage as they arrive
+    // (handle_data) while the wait below polls.
+    for (RemoteMsg& rm : remote_next_)
+        stage(rm.dst, rm.port, std::move(rm.msg));
+    remote_next_.clear();
 
+    bool all_done = local_done;
+    bool any_awake = awake;
+    std::uint64_t global_staged = staged_out;
     if (transport_) {
+        in_round_ = true;
         // The barrier rides the same in-order channel as the data, after
         // all of it — its receipt implies the round's data is complete.
+        const std::uint64_t flags = (local_done ? kBarrierFlagDone : 0) |
+                                    (awake ? kBarrierFlagAwake : 0);
         for (int p = 0; p < procs_; ++p) {
             if (p == rank_)
                 continue;
             const std::uint64_t words[kBarrierWords] = {
-                data_sent_[static_cast<std::size_t>(p)],
-                local_done_ ? kBarrierFlagDone : 0, staged_out};
+                data_sent_[static_cast<std::size_t>(p)], flags, staged_out};
             append_frame(out_frames_[static_cast<std::size_t>(p)],
                          FrameKind::Barrier, 0, round_, 0, 0, words,
                          kBarrierWords);
             ++out_count_[static_cast<std::size_t>(p)];
             flush_peer(p);
         }
-        wait_for_round_barrier();
-    }
-
-    // Global quiescence falls out of the barrier ledger: everyone done and
-    // nothing staged anywhere (each rank counts its own sends, so the sum
-    // counts every staged message exactly once).
-    bool all_done = local_done_;
-    std::uint64_t global_staged = staged_out;
-    for (int p = 0; p < procs_; ++p) {
-        if (p == rank_)
-            continue;
-        const PeerRound& pr = peer_cur_[static_cast<std::size_t>(p)];
-        all_done = all_done && pr.peer_done;
-        global_staged += pr.peer_staged;
-    }
-    global_quiescent_ = all_done && global_staged == 0;
-    global_state_valid_ = true;
-    in_round_ = false;
-
-    deliver_round();
-
-    stats_.rounds = round_;
-    if (config_.record_per_round)
-        stats_.messages_per_round.push_back(round_messages_);
-    fold_transport_stats();
-    return true;
-}
-
-void SocketNetwork::wait_for_round_barrier()
-{
-    poll_until(
-        [this] {
-            for (int p = 0; p < procs_; ++p) {
-                if (p == rank_)
-                    continue;
-                const PeerRound& pr = peer_cur_[static_cast<std::size_t>(p)];
-                if (!pr.barrier_seen ||
-                    pr.frames_received < pr.frames_expected)
-                    return false;
+        poll_until(
+            [this] {
+                for (int p = 0; p < procs_; ++p) {
+                    if (p == rank_)
+                        continue;
+                    const PeerRound& pr = peer_cur_[static_cast<std::size_t>(p)];
+                    if (!pr.barrier_seen ||
+                        pr.frames_received < pr.frames_expected)
+                        return false;
+                }
+                return true;
+            },
+            "round barrier");
+        in_round_ = false;
+        for (int p = 0; p < procs_; ++p) {
+            if (p == rank_)
+                continue;
+            const PeerRound& pr = peer_cur_[static_cast<std::size_t>(p)];
+            if (pr.frames_received != pr.frames_expected) {
+                std::ostringstream oss;
+                oss << "socket engine: rank " << rank_ << " accepted "
+                    << pr.frames_received << " data frames from rank " << p
+                    << " at round " << round_ << " but its barrier counted "
+                    << pr.frames_expected
+                    << " (frames were dropped as malformed, or forged)";
+                throw std::runtime_error(oss.str());
             }
-            return true;
-        },
-        "round barrier");
-    for (int p = 0; p < procs_; ++p) {
-        if (p == rank_)
-            continue;
-        const PeerRound& pr = peer_cur_[static_cast<std::size_t>(p)];
-        if (pr.frames_received != pr.frames_expected) {
-            std::ostringstream oss;
-            oss << "socket engine: rank " << rank_ << " accepted "
-                << pr.frames_received << " data frames from rank " << p
-                << " at round " << round_ << " but its barrier counted "
-                << pr.frames_expected
-                << " (frames were dropped as malformed, or forged)";
-            throw std::runtime_error(oss.str());
+            // Each rank counts its own sends, so the sum counts every
+            // staged message exactly once.
+            all_done = all_done && pr.peer_done;
+            any_awake = any_awake || pr.peer_awake;
+            global_staged += pr.peer_staged;
         }
     }
+    global_quiescent_ = all_done && global_staged == 0;
+    global_asleep_ = !any_awake && global_staged == 0;
+    global_state_valid_ = true;
 }
 
 bool SocketNetwork::probe_quiescent()
 {
-    local_done_ = true;
-    for (VertexId v = lo_; v < hi_; ++v) {
-        if (!processes_[v]->done()) {
-            local_done_ = false;
-            break;
-        }
-    }
+    const bool local_done = block_done();
+    // A driver kick may have woken someone; the next barrier tells.
+    global_asleep_ = false;
     if (!transport_) {
         // Nothing can be in flight between run() epochs; done is all there
         // is to know.
-        global_quiescent_ = local_done_;
+        global_quiescent_ = local_done;
         global_state_valid_ = true;
         return global_quiescent_;
     }
     const std::uint64_t epoch = ++probe_epoch_;
-    const std::uint64_t words[1] = {local_done_ ? 1u : 0u};
+    const std::uint64_t words[1] = {local_done ? 1u : 0u};
     for (int p = 0; p < procs_; ++p) {
         if (p != rank_)
             send_single_frame(p, FrameKind::Probe, epoch, words, 1);
@@ -316,7 +286,7 @@ bool SocketNetwork::probe_quiescent()
             return true;
         },
         "quiescence probe");
-    bool all_done = local_done_;
+    bool all_done = local_done;
     const auto& slots = probe_stash_[epoch];
     for (int p = 0; p < procs_; ++p) {
         if (p != rank_)
@@ -374,51 +344,6 @@ void SocketNetwork::allreduce_or(std::uint64_t* words, std::size_t count)
     reduce_stash_.erase(reduce_stash_.begin(),
                         reduce_stash_.upper_bound(epoch));
     fold_transport_stats();
-}
-
-void SocketNetwork::deliver_round()
-{
-    // Remote arrivals enter local flight here (local sends entered at
-    // send_from); both leave when the next activation consumes the arena.
-    in_flight_ += remote_cur_.size();
-    for (const RemoteMsg& rm : remote_cur_)
-        ++inbox_count_[rm.dst];
-
-    const std::size_t total = staged_.size() + remote_cur_.size();
-    if (slab_.size() < total)
-        slab_.resize(std::max(total, 2 * slab_.size()));
-    live_ = total;
-
-    // Stable counting scatter, exactly the serial engine's: local staged
-    // messages first (already in (sender id, send order)), then remote
-    // frames in arrival order. Messages tie on arrival port only if they
-    // crossed the same edge direction — one sender, one in-order channel —
-    // so the stable per-span port sort reproduces the serial inbox.
-    Incoming* base = slab_.data();
-    std::size_t cursor = 0;
-    for (VertexId v = lo_; v < hi_; ++v) {
-        inbox_span_[v] = InboxSpan{base + cursor, inbox_count_[v]};
-        scatter_off_[v] = cursor;
-        cursor += inbox_count_[v];
-        inbox_count_[v] = 0;
-    }
-    staged_.for_each([&](Staged& s) {
-        Incoming& slot = base[scatter_off_[s.target]++];
-        slot.port = s.port;
-        slot.msg = std::move(s.msg);
-    });
-    staged_.clear();
-    for (RemoteMsg& rm : remote_cur_) {
-        Incoming& slot = base[scatter_off_[rm.dst]++];
-        slot.port = rm.port;
-        slot.msg = std::move(rm.msg);
-    }
-    remote_cur_.clear();
-
-    for (VertexId v = lo_; v < hi_; ++v) {
-        const InboxSpan& span = inbox_span_[v];
-        sort_span_by_port(span.data, span.len, sort_scratch_);
-    }
 }
 
 // --------------------------------------------------- hardened receive path
@@ -480,31 +405,28 @@ void SocketNetwork::handle_data(int src, const WireFrame& f)
         ++frame_malformed_;
         return;
     }
-    std::vector<RemoteMsg>* bucket = nullptr;
-    PeerRound* slot = nullptr;
-    if (in_round_ && f.round == round_) {
-        bucket = &remote_cur_;
-        slot = &peer_cur_[static_cast<std::size_t>(src)];
-    } else if (f.round == round_ + 1) {
-        bucket = &remote_next_;
-        slot = &peer_next_[static_cast<std::size_t>(src)];
-    } else {
+    const bool this_round = in_round_ && f.round == round_;
+    if (!this_round && f.round != round_ + 1) {
         ++frame_malformed_;  // stale or far-future round
         return;
     }
-    RemoteMsg rm;
-    rm.dst = dst;
-    rm.port = f.port;
-    rm.msg.tag = f.tag;
+    Message msg;
+    msg.tag = f.tag;
     for (std::size_t i = 0; i < f.nwords; ++i)
-        rm.msg.words.push_back(f.word(i));
-    bucket->push_back(std::move(rm));
-    ++slot->frames_received;
+        msg.words.push_back(f.word(i));
+    if (this_round) {
+        stage(dst, f.port, std::move(msg));
+        ++peer_cur_[static_cast<std::size_t>(src)].frames_received;
+    } else {
+        remote_next_.push_back(RemoteMsg{dst, f.port, std::move(msg)});
+        ++peer_next_[static_cast<std::size_t>(src)].frames_received;
+    }
 }
 
 void SocketNetwork::handle_barrier(int src, const WireFrame& f)
 {
-    if (f.nwords != kBarrierWords) {
+    if (f.nwords != kBarrierWords ||
+        (f.word(1) & ~(kBarrierFlagDone | kBarrierFlagAwake)) != 0) {
         ++frame_malformed_;
         return;
     }
@@ -524,6 +446,7 @@ void SocketNetwork::handle_barrier(int src, const WireFrame& f)
     slot->barrier_seen = true;
     slot->frames_expected = f.word(0);
     slot->peer_done = (f.word(1) & kBarrierFlagDone) != 0;
+    slot->peer_awake = (f.word(1) & kBarrierFlagAwake) != 0;
     slot->peer_staged = f.word(2);
 }
 

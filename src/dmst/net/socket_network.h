@@ -6,31 +6,40 @@
 #include <memory>
 #include <vector>
 
-#include "dmst/congest/network_base.h"
+#include "dmst/congest/network.h"
 #include "dmst/net/peer_table.h"
 #include "dmst/net/transport.h"
 
 namespace dmst {
 
-// Real-network engine (Engine::Socket): the run is `procs` cooperating
-// processes, each owning one contiguous vertex block (net/peer_table.h)
-// and stepping it with exactly the serial engine's semantics; messages
-// between blocks travel as wire frames (net/wire.h) over a full TCP mesh
-// (net/transport.h). Lock-step is kept by a per-round barrier
-// frame: each rank ends its round by telling every peer how many data
-// frames it sent them, whether its block is done, and how many messages it
-// staged for the next round; a rank only delivers and advances once every
+// Real-network engine (Engine::Socket): the serial engine plus a wire. The
+// run is `procs` cooperating processes, each owning one contiguous vertex
+// block (net/peer_table.h) and stepping it through the serial engine's
+// own sleep lane and datapath (it derives from Network): only booked and
+// targeted vertices run, and local sends stage exactly as serially. What
+// the wire adds: a send to another rank's vertex becomes a Data frame
+// (net/wire.h) on a full TCP mesh (net/transport.h), and a per-round
+// barrier exchange runs between the step and deliver phases. Each rank
+// ends its step phase by telling every peer how many data frames it sent
+// them, its flags (block done; a wakeup booked) and how many messages it
+// staged for the next round; it delivers and advances only once every
 // peer's barrier has arrived and the counted data frames with it. Because
 // the barrier travels after the data on the same in-order channel, its
-// receipt implies the round's data is complete — the count is an integrity
-// check, not the ordering mechanism.
+// receipt implies the round's data is complete — the count is an
+// integrity check, not the ordering mechanism.
 //
-// Determinism. A vertex's inbox is scattered exactly like the serial
-// engine's — local sends in (sender id, send order), then remote frames in
-// arrival order — and stable-sorted by arrival port. Two messages tie on
-// port only if they crossed the same edge direction, i.e. came from one
-// sender over one in-order channel, so the serial tie-break is reproduced
-// bit-for-bit and the union of the ranks' outputs equals a serial run.
+// Determinism. The round's remote arrivals enter the serial staging
+// buffer after the local sends, in arrival order, and Network's deliver
+// phase scatters them stably by target and stable-sorts each span by
+// arrival port. Two messages tie on port only if they crossed the same
+// edge direction, i.e. came from one sender over one in-order channel, so
+// the serial tie-break is reproduced bit-for-bit and the union of the
+// ranks' outputs — activations included — equals a serial run.
+//
+// Sleep deadlock. The barrier's flags also say whether the rank has a
+// wakeup booked, so every rank sees the serial engine's deadlock
+// predicate (nobody awake, nothing staged anywhere, not everyone done)
+// in the same round and throws the same diagnostic.
 //
 // Quiescence and collectives. run() epochs are separated by driver kicks
 // the network cannot see, so entering step() with the global state unknown
@@ -50,7 +59,7 @@ namespace dmst {
 //
 // Composition: rejects the conditioner, the loss shim and crash-stop —
 // this backend's links are real links, made reliable by the kernel's TCP.
-class SocketNetwork : public NetworkBase {
+class SocketNetwork : public Network {
 public:
     SocketNetwork(const WeightedGraph& g, NetConfig config);
     ~SocketNetwork() override;
@@ -70,7 +79,8 @@ protected:
     void send_from(VertexId from, std::size_t port, Message&& msg) override;
 
 private:
-    // One cross-rank message parked until its round's deliver phase.
+    // A cross-rank message from a peer already one round ahead, parked
+    // until our barrier exchange of its round.
     struct RemoteMsg {
         VertexId dst = 0;
         std::uint32_t port = 0;
@@ -81,6 +91,7 @@ private:
     struct PeerRound {
         bool barrier_seen = false;
         bool peer_done = false;
+        bool peer_awake = false;            // peer has a wakeup booked
         std::uint64_t frames_expected = 0;  // data frames the barrier counted
         std::uint64_t frames_received = 0;  // data frames actually accepted
         std::uint64_t peer_staged = 0;      // peer's sends staged for next round
@@ -92,11 +103,11 @@ private:
     };
 
     bool probe_quiescent();
+    bool block_done() const;  // every process of this rank's block done
     void flush_peer(int peer);
     void send_single_frame(int peer, FrameKind kind, std::uint64_t epoch,
                            const std::uint64_t* words, std::size_t nwords);
-    void wait_for_round_barrier();
-    void deliver_round();
+    void exchange_barrier();
     void fold_transport_stats();
 
     // Hardened receive path: every field of every frame is validated
@@ -120,16 +131,8 @@ private:
     std::unique_ptr<Transport> transport_;  // null when procs == 1
     Transport::PacketSink sink_;
 
-    // Serial-identical local datapath state.
-    StagedBuffer staged_;         // this round's local-target sends
-    std::vector<Incoming> slab_;  // grow-only inbox arena
-    std::size_t live_ = 0;
-    SortScratch sort_scratch_;
-    std::uint64_t round_messages_ = 0;
-
-    // Cross-rank arrivals: cur is consumed by this round's deliver phase,
-    // next stashes frames from peers already one round ahead.
-    std::vector<RemoteMsg> remote_cur_;
+    // Cross-rank arrivals for round_ + 1 from peers already one round
+    // ahead; this round's arrivals stage straight into the serial buffer.
     std::vector<RemoteMsg> remote_next_;
 
     // Per-peer outgoing frame coalescing buffers and this-round counters.
@@ -149,11 +152,13 @@ private:
     std::uint64_t reduce_consumed_ = 0;
     std::map<std::uint64_t, std::vector<ReduceSlot>> reduce_stash_;
 
-    // Global-state cache maintained at barriers and probes.
+    // True while the barrier exchange collects round_'s arrivals.
     bool in_round_ = false;
-    bool local_done_ = false;
+
+    // Global-state cache maintained at barriers and probes.
     bool global_state_valid_ = false;
     bool global_quiescent_ = false;
+    bool global_asleep_ = false;  // no rank awake and nothing staged
 
     // Frame-level drops (transport-level ones live in TransportStats).
     std::uint64_t frame_malformed_ = 0;

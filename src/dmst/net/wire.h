@@ -55,9 +55,11 @@ enum class FrameKind : std::uint8_t {
     Reduce = 4,   // allreduce contribution (round = reduce epoch): words
 };
 
-// Barrier payload layout (nwords == 3).
+// Barrier payload layout (nwords == 3). words[1] holds the flags; a
+// barrier with any other flag bit set is malformed.
 constexpr std::size_t kBarrierWords = 3;
-constexpr std::uint64_t kBarrierFlagDone = 1;  // bit 0 of words[1]
+constexpr std::uint64_t kBarrierFlagDone = 1;   // bit 0: block done
+constexpr std::uint64_t kBarrierFlagAwake = 2;  // bit 1: a wakeup booked
 
 // ---------------------------------------------------------------- header
 

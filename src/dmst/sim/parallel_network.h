@@ -38,8 +38,9 @@ namespace dmst {
 // steady state performs zero per-message heap allocations at bandwidth=1.
 // With two barriers per round and rounds of tens of microseconds, the
 // barrier sets the engine's speed: ThreadPool's waiters spin on atomics
-// before they park, and park at once when the pool has more workers than
-// the machine has CPUs (thread_pool.h).
+// before they park, and a pool never runs more workers than the machine
+// has CPUs, so with threads above that the shards share the workers
+// (thread_pool.h).
 //
 // A process exception (e.g. a bandwidth violation) is captured per shard
 // and rethrown after the phase barrier; when several shards throw in the

@@ -37,25 +37,20 @@ inline void cpu_relax()
 #endif
 }
 
-// Oversubscription rule: spin only if every worker can have its own CPU.
-std::chrono::nanoseconds initial_spin(int workers)
+int hardware_workers()
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const bool fits = hw != 0 && static_cast<unsigned>(workers) <= hw;
-    return fits ? kMaxSpin : std::chrono::nanoseconds{0};
+    return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 }
 
 }  // namespace
 
 ThreadPool::ThreadPool(int workers)
-    : workers_(workers),
-      initial_spin_(initial_spin(workers)),
-      done_spin_(initial_spin_)
+    : workers_(std::min(workers, hardware_workers())), done_spin_(kMaxSpin)
 {
     DMST_ASSERT_MSG(workers >= 1, "ThreadPool needs at least one worker");
-    threads_.reserve(static_cast<std::size_t>(workers - 1));
+    threads_.reserve(static_cast<std::size_t>(workers_ - 1));
     try {
-        for (int i = 1; i < workers; ++i)
+        for (int i = 1; i < workers_; ++i)
             threads_.emplace_back([this, i] { worker_main(i); });
     } catch (...) {
         stop();  // a throwing constructor runs no destructor
@@ -80,17 +75,15 @@ void ThreadPool::await(std::condition_variable& cv,
 {
     if (ready())
         return;
-    if (spin.count() > 0) {
-        const auto deadline = std::chrono::steady_clock::now() + spin;
-        do {
-            cpu_relax();
-            if (ready()) {
-                spin = kMaxSpin;
-                return;
-            }
-        } while (std::chrono::steady_clock::now() < deadline);
-        spin = std::max(spin / 2, kMinSpin);
-    }
+    const auto deadline = std::chrono::steady_clock::now() + spin;
+    do {
+        cpu_relax();
+        if (ready()) {
+            spin = kMaxSpin;
+            return;
+        }
+    } while (std::chrono::steady_clock::now() < deadline);
+    spin = std::max(spin / 2, kMinSpin);
     std::unique_lock<std::mutex> lock(mu_);
     cv.wait(lock, ready);
 }
@@ -132,7 +125,7 @@ void ThreadPool::run_jobs(int job_count, const std::function<void(int)>& job)
 void ThreadPool::worker_main(int index)
 {
     std::uint64_t seen_epoch = 0;
-    std::chrono::nanoseconds spin = initial_spin_;
+    std::chrono::nanoseconds spin = kMaxSpin;
     for (;;) {
         await(cv_start_, spin, [&] {
             return epoch_.load(std::memory_order_acquire) != seen_epoch;
@@ -150,10 +143,7 @@ void ThreadPool::worker_main(int index)
 
 int resolve_threads(int requested)
 {
-    if (requested >= 1)
-        return requested;
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
+    return requested >= 1 ? requested : hardware_workers();
 }
 
 }  // namespace dmst

@@ -20,7 +20,9 @@ namespace dmst {
 // deterministically after the barrier.
 //
 // The caller joins: a pool of W workers spawns W-1 threads, and the thread
-// calling run_jobs() is worker 0, so W workers occupy exactly W CPUs.
+// calling run_jobs() is worker 0, so W workers occupy exactly W CPUs. The
+// pool never oversubscribes: asked for more workers than the hardware has
+// CPUs, it runs one per CPU, and the callers' jobs share them.
 //
 // Barrier: run_jobs() publishes the job and bumps an atomic epoch (start),
 // and the helper threads count an atomic `remaining_` down to zero
@@ -32,15 +34,11 @@ namespace dmst {
 // write when it checks under the mutex or is already blocked when the
 // notify comes: no wakeup is lost. A phase of a few tens of microseconds
 // thus crosses its barrier without a syscall.
-//
-// Oversubscription rule: the pool spins only when W <= hardware
-// concurrency. With more workers than CPUs a spinning waiter would burn
-// the time slice of the very thread it waits for, so such a pool parks at
-// once.
 class ThreadPool {
 public:
-    // A pool of `workers` >= 1 spawns workers-1 threads; it is idle between
-    // run_jobs calls.
+    // A pool asked for `workers` >= 1 runs min(workers, hardware
+    // concurrency) workers (a concurrency of 0 counts as 1), spawning one
+    // thread fewer; it is idle between run_jobs calls.
     explicit ThreadPool(int workers);
     ~ThreadPool();
 
@@ -68,8 +66,6 @@ private:
     void signal(std::condition_variable& cv);
 
     const int workers_;
-    // Every waiter's first spin window; zero when oversubscribed.
-    const std::chrono::nanoseconds initial_spin_;
     std::chrono::nanoseconds done_spin_;  // the caller's window
     std::vector<std::thread> threads_;
     // Written by the caller before the epoch bump that publishes it; null

@@ -43,12 +43,18 @@
 #include <thread>
 #include <vector>
 
+#include "dmst/core/controlled_ghs.h"
+#include "dmst/core/driver_harness.h"
+#include "dmst/core/elkin_mst.h"
+#include "dmst/core/mst_output.h"
 #include "dmst/core/sync_boruvka.h"
 #include "dmst/graph/generators.h"
 #include "dmst/net/peer_table.h"
 #include "dmst/net/transport.h"
 #include "dmst/net/wire.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/engine.h"
+#include "dmst/util/assert.h"
 #include "dmst/util/rng.h"
 
 namespace dmst {
@@ -377,6 +383,112 @@ TEST(TcpHardening, RecordsBehindTheHelloAreDelivered)
     ::close(fd);
 }
 
+// Binds and listens on a loopback port, playing a rank whose higher
+// ranks dial it.
+int listen_on(int port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    const int one = 1;
+    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
+        ::listen(fd, 4) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
+// Done after its first activation; never sends.
+class OneRoundProcess : public Process {
+public:
+    void on_round(Context&) override { done_ = true; }
+    bool done() const override { return done_; }
+
+private:
+    bool done_ = false;
+};
+
+// A barrier whose flags word carries a bit other than Done and Awake is
+// forged or corrupt: the real rank 1 drops and counts it, then completes
+// its round on the valid barrier that follows.
+TEST(TcpHardening, BarrierWithUnknownFlagIsDroppedAndCounted)
+{
+    const int base = pick_base_port(2);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+    const int listener = listen_on(base);
+    ASSERT_GE(listener, 0);
+
+    Rng rng(781);
+    const WeightedGraph g = gen_path(4, rng);
+    RunStats stats;
+    std::string error;
+    std::thread rank1([&] {
+        try {
+            NetConfig config;
+            config.engine = Engine::Socket;
+            config.socket = rank_config(2, 1, base);
+            config.socket.round_timeout_ms = kIoTimeoutMs;
+            auto net = make_network(g, config);
+            net->init([](VertexId) { return std::make_unique<OneRoundProcess>(); });
+            stats = net->run();
+        } catch (const std::exception& e) {
+            error = e.what();
+        }
+    });
+    // A failed assertion below returns early; rank 1 then gives up at its
+    // handshake or round timeout and is joined here.
+    struct Joiner {
+        std::thread& t;
+        ~Joiner()
+        {
+            if (t.joinable())
+                t.join();
+        }
+    } join_rank1{rank1};
+
+    // Rank 1 dials and leads with its hello, which names the session.
+    const int fd = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+    ASSERT_GE(fd, 0);
+    const std::vector<std::uint8_t> hello = read_some(fd, 4 + kPacketHeaderBytes);
+    ASSERT_EQ(hello.size(), 4 + kPacketHeaderBytes);
+    PacketHeader h;
+    ASSERT_EQ(parse_packet_header(hello.data() + 4, kPacketHeaderBytes, h),
+              WireError::Ok);
+    send_all(fd, record(PacketKind::Hello, 0, h.session));
+
+    // Rank 0's side of the run: not done at the opening probe, a forged
+    // round-1 barrier (taken, it would keep rank 1 waiting for a round 2),
+    // then the valid one, done at the closing probe, and goodbye.
+    auto frame = [](FrameKind kind, std::uint64_t round,
+                    std::vector<std::uint64_t> words) {
+        std::vector<std::uint8_t> f;
+        append_frame(f, kind, 0, round, 0, 0, words.data(), words.size());
+        return f;
+    };
+    const std::uint64_t unknown_flag = 4;
+    for (const auto& f :
+         {frame(FrameKind::Probe, 1, {0}),
+          frame(FrameKind::Barrier, 1, {0, unknown_flag, 0}),
+          frame(FrameKind::Barrier, 1, {0, kBarrierFlagDone, 0}),
+          frame(FrameKind::Probe, 2, {1})})
+        send_all(fd, record(PacketKind::Frames, 0, h.session, f, 1));
+    send_all(fd, record(PacketKind::Bye, 0, h.session));
+
+    rank1.join();
+    ::close(fd);
+    ASSERT_EQ(error, "");
+    EXPECT_EQ(stats.rounds, 1u);
+    EXPECT_EQ(stats.activations, 2u);  // rank 1 hosts vertices 2 and 3
+    EXPECT_EQ(stats.malformed_frames, 1u);
+}
+
 // ------------------------------------------------------- packet accounting
 
 // Every record and byte one rank writes is counted by the other when read,
@@ -423,6 +535,7 @@ struct RankReport {
     std::uint64_t rounds = 0;
     std::uint64_t messages = 0;
     std::uint64_t words = 0;
+    std::uint64_t activations = 0;
     Weight owned_weight = 0;
     std::vector<EdgeId> owned;
 };
@@ -439,39 +552,62 @@ void write_all(int fd, const void* data, std::size_t len)
     }
 }
 
-// Child body: run boruvka over the socket engine as `rank`, report the
+// A driver run on one engine: run(g, engine, socket) configures the
+// driver's Options for `engine` (and `socket`, on Engine::Socket) and
+// returns its result.
+template <class Options, class Result>
+auto on_engine(Result (*driver)(const WeightedGraph&, const Options&))
+{
+    return [driver](const WeightedGraph& g, Engine engine,
+                    const SocketConfig& socket) {
+        Options opts;
+        opts.engine = engine;
+        opts.socket = socket;
+        return driver(g, opts);
+    };
+}
+
+// Whether vertex v, which this rank does not host, kept the remote-vertex
+// defaults: no MST ports and, on forest results, parent port kNoPort.
+template <class Result>
+bool keeps_remote_defaults(const Result& r, VertexId v)
+{
+    if (!r.mst_ports[v].empty())
+        return false;
+    if constexpr (harness_detail::kHasForest<Result>)
+        return r.parent_port[v] == kNoPort;
+    return true;
+}
+
+// Child body: run the driver over the socket engine as `rank`, report the
 // owned slice through `fd`. Never returns; exits 5 if a vertex of another
-// rank reports a parent port other than kNoPort.
+// rank left the remote-vertex defaults.
+template <class Run>
 [[noreturn]] void child_main(const WeightedGraph& g, int procs, int rank,
-                             int base_port, int fd)
+                             int base_port, int fd, const Run& run)
 {
     try {
-        SyncBoruvkaOptions opts;
-        opts.engine = Engine::Socket;
-        opts.socket.procs = procs;
-        opts.socket.rank = rank;
-        opts.socket.base_port = base_port;
-        const auto r = run_sync_boruvka(g, opts);
+        SocketConfig socket;
+        socket.procs = procs;
+        socket.rank = rank;
+        socket.base_port = base_port;
+        const auto r = run(g, Engine::Socket, socket);
 
         PeerTable table(g.vertex_count(), procs);
-        // A vertex this rank does not host keeps the remote-vertex default.
         for (VertexId v = 0; v < g.vertex_count(); ++v)
-            if (table.owner(v) != rank && r.parent_port[v] != kNoPort)
+            if (table.owner(v) != rank && !keeps_remote_defaults(r, v))
                 ::_exit(5);
         RankReport rep;
-        rep.rounds = r.stats.rounds;
-        rep.messages = r.stats.messages;
-        rep.words = r.stats.words;
-        for (EdgeId e : r.mst_edges) {
+        for (EdgeId e : collect_claimed_edges(g, r.mst_ports)) {
             const Edge& ed = g.edge(e);
             if (table.owner(std::min(ed.u, ed.v)) != rank)
                 continue;
             rep.owned.push_back(e);
             rep.owned_weight += ed.w;
         }
-        std::vector<std::uint64_t> out = {rep.rounds, rep.messages, rep.words,
-                                          rep.owned_weight,
-                                          rep.owned.size()};
+        std::vector<std::uint64_t> out = {
+            r.stats.rounds,      r.stats.messages, r.stats.words,
+            r.stats.activations, rep.owned_weight, rep.owned.size()};
         for (EdgeId e : rep.owned)
             out.push_back(e);
         write_all(fd, out.data(), out.size() * sizeof(std::uint64_t));
@@ -501,19 +637,21 @@ bool read_report(int fd, RankReport& rep)
     std::vector<std::uint8_t> raw;
     if (!read_all(fd, raw))
         return false;
-    if (raw.size() < 5 * sizeof(std::uint64_t) ||
+    constexpr std::size_t kFixed = 6;
+    if (raw.size() < kFixed * sizeof(std::uint64_t) ||
         raw.size() % sizeof(std::uint64_t) != 0)
         return false;
     const std::uint64_t* w = reinterpret_cast<const std::uint64_t*>(raw.data());
     rep.rounds = w[0];
     rep.messages = w[1];
     rep.words = w[2];
-    rep.owned_weight = w[3];
-    const std::uint64_t count = w[4];
-    if (raw.size() != (5 + count) * sizeof(std::uint64_t))
+    rep.activations = w[3];
+    rep.owned_weight = w[4];
+    const std::uint64_t count = w[5];
+    if (raw.size() != (kFixed + count) * sizeof(std::uint64_t))
         return false;
     for (std::uint64_t i = 0; i < count; ++i)
-        rep.owned.push_back(static_cast<EdgeId>(w[5 + i]));
+        rep.owned.push_back(static_cast<EdgeId>(w[kFixed + i]));
     return true;
 }
 
@@ -541,11 +679,15 @@ void fork_ranks(int procs, Child child, std::vector<pid_t>& pids,
     }
 }
 
-void run_parity_launch(int procs, std::size_t n, std::size_t m)
+// Launches `run` on g over `procs` forked socket ranks and checks the merge
+// contract against its serial run: every rank's rounds equal serial's, the
+// ranks' messages, words and activations sum to serial's (activations
+// too: each rank steps its block through the serial engine's sleep lane),
+// and the owned slices partition Kruskal's MST.
+template <class Run>
+void run_parity_launch(int procs, const WeightedGraph& g, const Run& run)
 {
-    Rng rng(777);
-    const WeightedGraph g = gen_erdos_renyi(n, m, rng);
-    const auto serial = run_sync_boruvka(g);
+    const auto serial = run(g, Engine::Serial, SocketConfig{});
     const MstResult oracle = mst_kruskal(g);
 
     const int base = pick_base_port(procs);
@@ -555,7 +697,7 @@ void run_parity_launch(int procs, std::size_t n, std::size_t m)
     std::vector<int> pipes;
     ASSERT_NO_FATAL_FAILURE(fork_ranks(
         procs,
-        [&](int r, int fd) { child_main(g, procs, r, base, fd); },
+        [&](int r, int fd) { child_main(g, procs, r, base, fd, run); },
         pids, pipes));
 
     std::vector<RankReport> reports(static_cast<std::size_t>(procs));
@@ -576,7 +718,7 @@ void run_parity_launch(int procs, std::size_t n, std::size_t m)
     }
 
     // The merge contract (parity_diff.py's SOCKET_EQUAL / SOCKET_SUM).
-    std::uint64_t sum_messages = 0, sum_words = 0;
+    std::uint64_t sum_messages = 0, sum_words = 0, sum_activations = 0;
     Weight sum_weight = 0;
     std::set<EdgeId> merged;
     std::size_t total_owned = 0;
@@ -585,16 +727,34 @@ void run_parity_launch(int procs, std::size_t n, std::size_t m)
         EXPECT_EQ(rep.rounds, serial.stats.rounds) << "rank " << r;
         sum_messages += rep.messages;
         sum_words += rep.words;
+        sum_activations += rep.activations;
         sum_weight += rep.owned_weight;
         merged.insert(rep.owned.begin(), rep.owned.end());
         total_owned += rep.owned.size();
     }
     EXPECT_EQ(sum_messages, serial.stats.messages);
     EXPECT_EQ(sum_words, serial.stats.words);
+    EXPECT_EQ(sum_activations, serial.stats.activations);
     EXPECT_EQ(sum_weight, oracle.total_weight);
     EXPECT_EQ(total_owned, merged.size()) << "owned slices overlap";
     const std::set<EdgeId> expect(oracle.edges.begin(), oracle.edges.end());
     EXPECT_EQ(merged, expect);
+}
+
+void run_boruvka_launch(int procs, std::size_t n, std::size_t m)
+{
+    Rng rng(777);
+    run_parity_launch(procs, gen_erdos_renyi(n, m, rng),
+                      on_engine(run_sync_boruvka));
+}
+
+// Elkin's phases (the Controlled-GHS timetable, the pipelined upcast)
+// leave most vertices asleep in most rounds.
+void run_elkin_launch(int procs)
+{
+    Rng rng(779);
+    run_parity_launch(procs, gen_erdos_renyi(64, 160, rng),
+                      on_engine(run_elkin_mst));
 }
 
 // Child body: run boruvka over the socket engine `kNetworks` times in a
@@ -606,14 +766,14 @@ constexpr int kNetworks = 4;
                                      int rank, int base_port, int fd)
 {
     try {
-        SyncBoruvkaOptions opts;
-        opts.engine = Engine::Socket;
-        opts.socket.procs = procs;
-        opts.socket.rank = rank;
-        opts.socket.base_port = base_port;
+        SocketConfig socket;
+        socket.procs = procs;
+        socket.rank = rank;
+        socket.base_port = base_port;
         std::vector<std::uint64_t> out;
         for (int i = 0; i < kNetworks; ++i) {
-            const auto r = run_sync_boruvka(g, opts);
+            const auto r =
+                on_engine(run_sync_boruvka)(g, Engine::Socket, socket);
             out.push_back(r.stats.net_packets_out);
             out.push_back(r.stats.net_packets_in);
         }
@@ -670,9 +830,108 @@ TEST(SocketParity, BackToBackNetworksBalancePackets)
             << "network " << i;
 }
 
-TEST(SocketParity, Tcp2) { run_parity_launch(2, 48, 112); }
-TEST(SocketParity, Tcp4) { run_parity_launch(4, 48, 112); }
-TEST(SocketParity, Tcp8) { run_parity_launch(8, 64, 160); }
+TEST(SocketParity, Tcp2) { run_boruvka_launch(2, 48, 112); }
+TEST(SocketParity, Tcp4) { run_boruvka_launch(4, 48, 112); }
+TEST(SocketParity, Tcp8) { run_boruvka_launch(8, 64, 160); }
+TEST(SocketParity, SleepingElkin2) { run_elkin_launch(2); }
+TEST(SocketParity, SleepingElkin4) { run_elkin_launch(4); }
+
+// Controlled-GHS sleeps between the stages of its timetable. Its result is
+// a forest, so the ranks also keep the remote parent-port default; k = 2n
+// leaves at most 2n/k = 1 fragment, the MST.
+TEST(SocketParity, SleepingControlledGhs3)
+{
+    Rng rng(780);
+    const WeightedGraph g = gen_grid(6, 8, rng);
+    run_parity_launch(3, g,
+                      [](const WeightedGraph& graph, Engine engine,
+                         const SocketConfig& socket) {
+                          GhsOptions opts;
+                          opts.engine = engine;
+                          opts.socket = socket;
+                          opts.k = 2 * graph.vertex_count();
+                          return run_controlled_ghs(graph, opts);
+                      });
+}
+
+// Never done, never mailed, asleep for good after its first round.
+class SleeperProcess : public Process {
+public:
+    void on_round(Context&) override {}
+    bool done() const override { return false; }
+    std::uint64_t next_wakeup(const Context&) const override { return kNever; }
+};
+
+// Child body: run sleepers as `rank` and write what run() threw through
+// `fd`. Exits 0 on an InvariantViolation, 3 on any other exception, 4 if
+// run() returned.
+[[noreturn]] void child_deadlock(const WeightedGraph& g, int procs, int rank,
+                                 int base_port, int fd)
+{
+    std::string what;
+    int code = 4;
+    try {
+        NetConfig config;
+        config.engine = Engine::Socket;
+        config.max_rounds = 1000;
+        config.socket.procs = procs;
+        config.socket.rank = rank;
+        config.socket.base_port = base_port;
+        auto net = make_network(g, config);
+        net->init([](VertexId) { return std::make_unique<SleeperProcess>(); });
+        net->run();
+    } catch (const InvariantViolation& e) {
+        what = e.what();
+        code = 0;
+    } catch (const std::exception& e) {
+        what = e.what();
+        code = 3;
+    }
+    write_all(fd, what.data(), what.size());
+    ::close(fd);
+    ::_exit(code);
+}
+
+// The serial engine throws at once on a sleep deadlock; so must every
+// rank, from the barrier flags alone — not at max_rounds, and not at the
+// round timeout.
+TEST(SocketParity, SleepDeadlockFailsFastOnEveryRank)
+{
+    constexpr int procs = 2;
+    Rng rng(782);
+    const WeightedGraph g = gen_path(6, rng);
+    const int base = pick_base_port(procs);
+    ASSERT_GT(base, 0) << "no free loopback port block";
+
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<pid_t> pids;
+    std::vector<int> pipes;
+    ASSERT_NO_FATAL_FAILURE(fork_ranks(
+        procs,
+        [&](int r, int fd) { child_deadlock(g, procs, r, base, fd); },
+        pids, pipes));
+    for (int r = 0; r < procs; ++r) {
+        const int fd = pipes[static_cast<std::size_t>(r)];
+        std::vector<std::uint8_t> raw;
+        const bool read_ok = read_all(fd, raw);
+        ::close(fd);
+        int status = 0;
+        ASSERT_EQ(::waitpid(pids[static_cast<std::size_t>(r)], &status, 0),
+                  pids[static_cast<std::size_t>(r)]);
+        const std::string what(raw.begin(), raw.end());
+        ASSERT_TRUE(read_ok);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "rank " << r << " (status " << status << "): " << what;
+        // Serial's diagnostic after round 1, naming this rank's block.
+        EXPECT_NE(what.find("sleep deadlock: protocol stuck after 1 rounds"),
+                  std::string::npos)
+            << "rank " << r << ": " << what;
+        EXPECT_NE(what.find("3 of 3 processes not done"), std::string::npos)
+            << "rank " << r << ": " << what;
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(SocketConfig{}.round_timeout_ms / 10));
+}
 
 }  // namespace
 }  // namespace dmst
