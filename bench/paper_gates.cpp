@@ -5,19 +5,35 @@
 // verifier, its analysis) proves. The asymptotic bounds carry a constant
 // at least 1.2x the largest ratio measured at --max_n = 256, 1024 and
 // 16384 (noted next to each); the structural ones (forest shape,
-// Cole–Vishkin colours, identical MSTs) hold exactly. It prints one row
-// per check —
+// Cole–Vishkin colours, identical MSTs) hold exactly. Three more groups
+// gate the substrate the drivers run on, each at its experiment's seeds
+// on the families er, grid and path (workload seed 13):
+//
+//   cond-*  E13, the conditioned substrate (congest/conditioner.h): Elkin
+//           at b = 2, conditioner seed 7, configs hetero, adv and
+//           het+adv, serial engine, n = 64, 256, 1024 up to --max_n.
+//   sync-*  E14, the synchronizer ladder (sim/synchronizer.h): Elkin
+//           behind α and β, native GHS with no synchronizer, and the
+//           multi-epoch Borůvka, async engine at max_delay {1, 4} x
+//           event_seed {1, 2}.
+//   loss-*  E15, the loss shim (congest/faults.h): Elkin at b = 2, loss
+//           seed 11, drop rate {0, 0.05, 0.2}, async engine.
+//
+// The async groups run one worker (outputs do not depend on the worker
+// count) at n = 64, then 256 and 1024 while n <= --max_n / 4. It prints
+// one row per check —
 //
 //   gate  case  measured  bound  ratio  ok
 //
 // where bound is the constant times the formula and ratio = measured /
-// bound — and exits 1 naming every row that fails. Lock-step counters are
+// bound; a yes/no check measures 1 when it fails, against bound 0. It
+// exits 1 naming every row that fails. Lock-step counters are
 // engine-invariant (scenario_runner + scripts/parity_diff.py check that),
 // so there is no --engine flag.
 //
 //   paper_gates [--max_n=1024]
 //
-// --max_n extends the size sweeps (E1, E2a, E5, E12); the fixed-size
+// --max_n extends the size sweeps (E1, E2a, E5, E12, E13); the fixed-size
 // comparisons (E2b at 512, E3, E4, E6, E10 at 1024) run at min(size,
 // max_n). Each sweep keeps its experiment's seed.
 
@@ -32,6 +48,7 @@
 #include "dmst/core/controlled_ghs.h"
 #include "dmst/core/elkin_mst.h"
 #include "dmst/core/forest_stats.h"
+#include "dmst/core/ghs_native.h"
 #include "dmst/core/mst_output.h"
 #include "dmst/core/pipeline_mst.h"
 #include "dmst/core/sync_boruvka.h"
@@ -42,6 +59,8 @@
 #include "dmst/proto/bfs.h"
 #include "dmst/proto/cv.h"
 #include "dmst/proto/pipeline.h"
+#include "dmst/seq/mst.h"
+#include "dmst/sim/engine.h"
 #include "dmst/util/cli.h"
 #include "dmst/util/intmath.h"
 #include "dmst/util/rng.h"
@@ -79,6 +98,20 @@ constexpr double kUpcast = 4.1;
 // HELLO, the BFS waves and the snapshot/verdict convergecasts are
 // O(D^ + h); tokens pipeline b per edge per round; each token half climbs
 // at most h+1 hops and each pair completion one count update D^+1 hops.
+// β-synchronizer: READY up and GO down a BFS forest cost < 2n control
+// messages per pulse; sync_messages <= kBetaControl * n * pulses leaves
+// headroom for the epoch restarts. Measured max 0.71 (er n=256).
+constexpr double kBetaControl = 3.0;
+// Both synchronizers run pulse levels past the last serial round only in
+// the endgame: pulses <= 2 * rounds + kPulseSkew. Measured max 0.50.
+constexpr double kPulseSkew = 16.0;
+// Loss shim: with independent per-attempt loss p on data and ACK, the
+// expected retransmissions per message are ~2p/(1-2p). The gate
+// retransmissions <= (kRetransPerLoss * p + kRetransSlack) * messages
+// leaves slack for burst windows and small samples, and still catches a
+// timer that fires every round. Measured max 0.56 (path n=64 p=0.2).
+constexpr double kRetransPerLoss = 5.0;
+constexpr double kRetransSlack = 0.02;
 
 class Gates {
 public:
@@ -376,6 +409,198 @@ void run_gates(Gates& gates, std::size_t max_n)
     }
 }
 
+// E13: the conditioner never changes the MST, and per-link caps in
+// [1, b] never make a run faster.
+void cond_gates(Gates& gates, std::size_t max_n)
+{
+    for (const char* family : {"er", "grid", "path"}) {
+        for (std::size_t n = 64; n <= max_n; n *= 4) {
+            auto g = make_workload(family, n, 13);
+            ElkinOptions ideal;
+            ideal.bandwidth = 2;
+            const auto base = run_elkin_mst(g, ideal);
+            for (const std::string config : {"hetero", "adv", "het+adv"}) {
+                ElkinOptions o = ideal;
+                o.conditioner.hetero_bandwidth = config != "adv";
+                o.conditioner.adversarial_order = config != "hetero";
+                o.conditioner.seed = 7;
+                const auto run = run_elkin_mst(g, o);
+                const std::string where = at("E13", family, n, config);
+                gates.check("cond-identical-mst", where,
+                            run.mst_edges != base.mst_edges, 0);
+                if (o.conditioner.hetero_bandwidth)
+                    gates.check("cond-caps-never-faster", where,
+                                base.stats.rounds, run.stats.rounds);
+            }
+        }
+    }
+}
+
+// The async groups' sizes: 64, then 256 and 1024 while n <= max_n / 4.
+std::vector<std::size_t> async_sizes(std::size_t max_n)
+{
+    std::vector<std::size_t> sizes{64};
+    for (std::size_t n = 256; n <= 1024 && n <= max_n / 4; n *= 4)
+        sizes.push_back(n);
+    return sizes;
+}
+
+// Driver options on the async engine with one worker.
+template <class Options>
+Options on_async()
+{
+    Options o;
+    o.engine = Engine::Async;
+    o.threads = 1;
+    return o;
+}
+
+// Elkin behind the α- or β-synchronizer (async.sync), gated against the
+// serial run: the same MST and payload, pulse levels that cover the
+// serial rounds with a bounded endgame skew, at least one time unit per
+// level, and a one-word control plane within the synchronizer's budget.
+RunStats sync_gated(Gates& gates, const std::string& point,
+                    const WeightedGraph& g, const DistributedMstResult& serial,
+                    const AsyncConfig& async)
+{
+    auto o = on_async<ElkinOptions>();
+    o.async = async;
+    const auto run = run_elkin_mst(g, o);
+    const RunStats& s = run.stats;
+    const RunStats& base = serial.stats;
+    const std::string where = point + " " + sync_name(async.sync);
+    gates.check("sync-identical-mst", where, run.mst_edges != serial.mst_edges,
+                0);
+    gates.check("sync-payload-exact", where,
+                s.messages != base.messages || s.words != base.words, 0);
+    gates.check("sync-pulses-cover-rounds", where, base.rounds, s.rounds);
+    gates.check("sync-pulse-skew", where, s.rounds,
+                2.0 * base.rounds + kPulseSkew);
+    gates.check("sync-vtime-covers-pulses", where, s.rounds, s.virtual_time);
+    gates.check("sync-one-word-control", where,
+                s.sync_words != s.sync_messages, 0);
+    gates.check("sync-control-plane", where, s.sync_messages == 0, 0);
+    if (async.sync == SyncMode::Alpha)  // one ACK per payload, plus SAFEs
+        gates.check("sync-alpha-safe-traffic", where, s.messages,
+                    s.sync_messages - 1.0);
+    else
+        gates.check("sync-beta-budget", where, s.sync_messages,
+                    kBetaControl * g.vertex_count() * s.rounds);
+    return s;
+}
+
+// The native GHS with no synchronizer: no control traffic, the MST's
+// weight, a tree the verification protocol accepts, and a replay-exact
+// schedule.
+void native_gated(Gates& gates, const std::string& point,
+                  const WeightedGraph& g, AsyncConfig async)
+{
+    auto o = on_async<GhsNativeOptions>();
+    o.async = async;
+    o.async.sync = SyncMode::None;
+    const auto r = run_ghs_native(g, o);
+    const auto replay = run_ghs_native(g, o);
+    const std::string where = point + " none";
+    Weight weight = 0;
+    for (EdgeId e : collect_claimed_edges(g, r.mst_ports))
+        weight += g.edge(e).w;
+    gates.check("sync-native-no-control", where,
+                r.stats.sync_messages + r.stats.sync_words, 0);
+    gates.check("sync-native-weight", where,
+                weight != mst_kruskal(g).total_weight, 0);
+    gates.check("sync-native-verified", where,
+                !run_verify_mst(g, r.mst_ports).accepted, 0);
+    gates.check("sync-native-replay", where,
+                replay.stats.events != r.stats.events ||
+                    replay.stats.virtual_time != r.stats.virtual_time ||
+                    replay.stats.messages != r.stats.messages,
+                0);
+}
+
+// E14 on one graph: α and β host Elkin at every delay point, β's control
+// plane beats α's on dense graphs, the native GHS needs no synchronizer,
+// and the phase-kicked Borůvka resumes every epoch behind both.
+void ladder_gated(Gates& gates, const char* family, std::size_t n)
+{
+    auto g = make_workload(family, n, 13);
+    const auto serial = run_elkin_mst(g, ElkinOptions{});
+    for (const char* delay : {"1", "4"}) {
+        for (const char* seed : {"1", "2"}) {
+            const std::string point =
+                at("E14", family, n, std::string("d") + delay + " s" + seed);
+            AsyncConfig async;
+            async.max_delay = std::stoi(delay);
+            async.event_seed = std::stoull(seed);
+            async.sync = SyncMode::Alpha;
+            const RunStats alpha = sync_gated(gates, point, g, serial, async);
+            async.sync = SyncMode::Beta;
+            const RunStats beta = sync_gated(gates, point, g, serial, async);
+            if (g.edge_count() >= 3 * n)
+                gates.check("sync-beta-cheaper", point + " beta",
+                            beta.sync_messages, alpha.sync_messages - 1.0);
+            native_gated(gates, point, g, async);
+        }
+    }
+
+    const auto boruvka = run_sync_boruvka(g, SyncBoruvkaOptions{});
+    for (SyncMode sync : {SyncMode::Alpha, SyncMode::Beta}) {
+        auto o = on_async<SyncBoruvkaOptions>();
+        o.async.sync = sync;
+        const auto run = run_sync_boruvka(g, o);
+        const std::string where =
+            at("E14", family, n, std::string("boruvka ") + sync_name(sync));
+        gates.check("sync-epoch-resume", where,
+                    run.mst_edges != boruvka.mst_edges ||
+                        run.phases != boruvka.phases ||
+                        run.stats.messages != boruvka.stats.messages,
+                    0);
+    }
+}
+
+void sync_gates(Gates& gates, std::size_t max_n)
+{
+    for (const char* family : {"er", "grid", "path"})
+        for (std::size_t n : async_sizes(max_n))
+            ladder_gated(gates, family, n);
+}
+
+// E15: the loss shim is transparent, a no-op at p = 0, and retransmits
+// within its gate.
+void loss_gates(Gates& gates, std::size_t max_n)
+{
+    for (const char* family : {"er", "grid", "path"}) {
+        for (std::size_t n : async_sizes(max_n)) {
+            auto g = make_workload(family, n, 13);
+            auto clean = on_async<ElkinOptions>();
+            clean.bandwidth = 2;
+            const auto base = run_elkin_mst(g, clean);
+            for (const char* rate : {"0", "0.05", "0.2"}) {
+                const double p = std::stod(rate);
+                ElkinOptions o = clean;
+                o.faults.drop_rate = p;
+                o.faults.loss_seed = 11;
+                const auto run = run_elkin_mst(g, o);
+                const RunStats& s = run.stats;
+                const std::string where =
+                    at("E15", family, n, std::string("p=") + rate);
+                gates.check("loss-identical-mst", where,
+                            run.mst_edges != base.mst_edges, 0);
+                gates.check("loss-protocol-counts", where,
+                            s.messages != base.stats.messages ||
+                                s.words != base.stats.words,
+                            0);
+                if (p == 0)
+                    gates.check("loss-noop-at-zero", where,
+                                s.drops + s.retransmissions + s.acks +
+                                    s.timeouts,
+                                0);
+                gates.check("loss-retransmissions", where, s.retransmissions,
+                            (kRetransPerLoss * p + kRetransSlack) * s.messages);
+            }
+        }
+    }
+}
+
 }  // namespace
 
 int main(int argc, char** argv)
@@ -396,6 +621,9 @@ int main(int argc, char** argv)
     Gates gates;
     try {
         run_gates(gates, max_n);
+        cond_gates(gates, max_n);
+        sync_gates(gates, max_n);
+        loss_gates(gates, max_n);
     } catch (const std::exception& e) {
         std::cerr << "paper_gates: run failed: " << e.what() << "\n";
         return 1;

@@ -59,7 +59,8 @@ struct FaultConfig {
     // Retransmission timer of attempt k: RTT + min(rto_base << (k-1),
     // rto_cap) virtual-time units. The RTT term keeps the timer from firing before the
     // ACK could possibly arrive, so every retransmission corresponds to a
-    // real loss — the invariant bench_e15_faults gates overhead against.
+    // real loss — the invariant paper_gates' loss-* rows gate overhead
+    // against.
     int rto_base = 2;
     int rto_cap = 64;
     // Bounded adversary: attempt max_attempts (data and ACK both) always

@@ -33,10 +33,11 @@ enum class Knowledge { KT0, KT1 };
 // one thread; Parallel shards vertices over a worker pool (src/dmst/sim/).
 // Async is the event-driven engine (sim/async_network.h): every message
 // travels with an independent seeded delay and vertices are activated
-// per-event with no global barrier; an acknowledgment-based α-synchronizer
-// (sim/synchronizer.h) re-creates the synchronous round abstraction on
-// top, so protocol outputs (MST edges, verification verdicts, per-level
-// message counts) are bit-identical to the serial engine.
+// per-event with no global barrier; the α- or β-synchronizer
+// (sim/synchronizer.h, AsyncConfig::sync) re-creates the synchronous
+// round abstraction on top, so protocol outputs (MST edges, verification
+// verdicts, per-level message counts) are bit-identical to the serial
+// engine. Message-driven drivers may also run with no synchronizer.
 // Socket is the real-network backend (src/dmst/net/): vertices are sharded
 // over separate processes and messages travel as records on a TCP mesh;
 // each rank steps its local vertex block through the serial engine itself
@@ -69,7 +70,8 @@ struct SocketConfig {
 //           per-payload ACKs, but readiness convergecasts READY up a BFS
 //           spanning tree and broadcasts GO back down; ~2n control
 //           messages per pulse level. Same drivers, same bit-identical
-//           outputs, cheaper control plane (bench_e14_async gates it).
+//           outputs, cheaper control plane (paper_gates' sync-* rows
+//           gate it).
 //   None  — no synchronizer: payloads dispatch straight to the process's
 //           on_message handler at arrival, timers to on_wakeup. Requires
 //           every process to be a MessageProcess (the message-driven
@@ -157,10 +159,10 @@ struct RunStats {
     // processed. Unit delays (max_delay = 1) make this comparable to a
     // lock-step round count.
     std::uint64_t virtual_time = 0;
-    // α-synchronizer control traffic (ACK + SAFE), kept separate from
-    // `messages`/`words` so the payload counters stay bit-identical to the
-    // lock-step engines and the synchronizer overhead is measurable
-    // (bench_e14_async).
+    // Synchronizer control traffic (α: ACK + SAFE; β: ACK + READY + GO),
+    // kept separate from `messages`/`words` so the payload counters stay
+    // bit-identical to the lock-step engines and the synchronizer overhead
+    // is measurable (paper_gates' sync-* rows).
     std::uint64_t sync_messages = 0;
     std::uint64_t sync_words = 0;
 
@@ -170,7 +172,7 @@ struct RunStats {
     // Data transmissions beyond the first per protocol send; kept separate
     // from `messages` so the payload counters stay bit-identical to a
     // clean run (the invariance bar) and the retransmission overhead is
-    // directly gateable (bench_e15_faults).
+    // directly gateable (paper_gates' loss-* rows).
     std::uint64_t retransmissions = 0;
     // Shim ACKs generated by receivers (one per data arrival).
     std::uint64_t acks = 0;

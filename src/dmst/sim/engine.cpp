@@ -110,20 +110,6 @@ const char* sync_name(SyncMode sync)
     return "unknown";
 }
 
-void define_engine_flags(Args& args)
-{
-    args.define("engine", "serial",
-                "simulation engine: serial|parallel|async|socket");
-    args.define("threads", "0",
-                "parallel/async engine workers (0 = hardware concurrency)");
-}
-
-void read_engine_flags(const Args& args, NetConfig& config)
-{
-    config.engine = parse_engine(args.get("engine"));
-    config.threads = static_cast<int>(args.get_int("threads"));
-}
-
 void define_socket_flags(Args& args)
 {
     args.define("procs", "1", "socket engine: total ranks in the run");

@@ -10,8 +10,8 @@ namespace dmst {
 
 // Builds the engine selected by config.engine: the serial reference
 // Network, the sharded ParallelNetwork (config.threads workers), the
-// event-driven AsyncNetwork (config.async delay model under an
-// α-synchronizer), or the real-network SocketNetwork (config.socket; see
+// event-driven AsyncNetwork (config.async delay model under the α- or
+// β-synchronizer), or the real-network SocketNetwork (config.socket; see
 // src/dmst/net/). All honor the NetworkBase contract and produce
 // bit-identical protocol outputs; serial and parallel are additionally
 // bit-identical in RunStats. Throws std::invalid_argument for bandwidth
@@ -37,13 +37,6 @@ SyncMode parse_sync(const std::string& name);
 const char* sync_name(SyncMode sync);
 
 class Args;
-
-// The shared --engine/--threads CLI surface of the bench binaries:
-// define_engine_flags declares both flags, read_engine_flags writes them
-// into a NetConfig — a driver's Options is one. Keeps every bench's
-// engine selection identical.
-void define_engine_flags(Args& args);
-void read_engine_flags(const Args& args, NetConfig& config);
 
 // The shared --procs/--rank/--host/--base_port/
 // --round_timeout_ms CLI surface of the bench binaries. Only the socket

@@ -58,7 +58,7 @@ struct SyncEmit {
 // every neighbor (~2m control messages per level); the β-synchronizer
 // convergecasts READY up a BFS spanning tree and broadcasts GO back down
 // (~2n per level). Both host any round-programmed driver with bit-identical
-// protocol outputs; the control-plane cost is what bench_e14_async gates.
+// protocol outputs; paper_gates' sync-* rows gate the control-plane cost.
 //
 // Emit-based contract: the mutating notifications collect the control
 // messages the synchronizer wants sent into a caller-provided SyncEmit

@@ -71,17 +71,4 @@ void Table::print(std::ostream& os) const
         emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const
-{
-    auto emit = [&](const std::vector<std::string>& cells) {
-        for (std::size_t c = 0; c < columns_.size(); ++c) {
-            os << (c < cells.size() ? cells[c] : std::string{});
-            os << (c + 1 == columns_.size() ? "\n" : ",");
-        }
-    };
-    emit(columns_);
-    for (const auto& row : rows_)
-        emit(row);
-}
-
 }  // namespace dmst

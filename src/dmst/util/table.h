@@ -8,8 +8,8 @@
 
 namespace dmst {
 
-// Small column-aligned table used by the experiment binaries to print the
-// rows each bench regenerates, and to emit machine-readable CSV.
+// Small column-aligned table that the gate, bench and example binaries
+// print their rows through.
 class Table {
 public:
     explicit Table(std::vector<std::string> columns);
@@ -27,9 +27,6 @@ public:
 
     // Column-aligned ASCII rendering with a header rule.
     void print(std::ostream& os) const;
-
-    // RFC-4180-ish CSV (no quoting needed for our numeric content).
-    void print_csv(std::ostream& os) const;
 
 private:
     std::vector<std::string> columns_;

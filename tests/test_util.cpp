@@ -261,15 +261,6 @@ TEST(Table, PrintAligned)
     EXPECT_NE(out.find("----"), std::string::npos);
 }
 
-TEST(Table, PrintCsv)
-{
-    Table t({"a", "b"});
-    t.new_row().add(std::int64_t{1}).add(2.5, 1);
-    std::ostringstream os;
-    t.print_csv(os);
-    EXPECT_EQ(os.str(), "a,b\n1,2.5\n");
-}
-
 TEST(Table, TooManyCellsThrows)
 {
     Table t({"only"});
