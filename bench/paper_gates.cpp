@@ -19,9 +19,8 @@
 //   loss-*  E15, the loss shim (congest/faults.h): Elkin at b = 2, loss
 //           seed 11, drop rate {0, 0.05, 0.2}, async engine.
 //
-// The async groups run one worker (outputs do not depend on the worker
-// count) at n = 64, then 256 and 1024 while n <= --max_n / 4. It prints
-// one row per check —
+// The async groups run at n = 64, then 256 and 1024 while
+// n <= --max_n / 4. It prints one row per check —
 //
 //   gate  case  measured  bound  ratio  ok
 //
@@ -445,13 +444,12 @@ std::vector<std::size_t> async_sizes(std::size_t max_n)
     return sizes;
 }
 
-// Driver options on the async engine with one worker.
+// Driver options on the async engine.
 template <class Options>
 Options on_async()
 {
     Options o;
     o.engine = Engine::Async;
-    o.threads = 1;
     return o;
 }
 

@@ -22,10 +22,8 @@
 //                        round-programmed algorithms are skipped there)
 // Async cells skip conditioned grid points (the conditioner is a
 // lock-step device) and must produce the same MST and verdicts as the
-// serial engine; --verify enforces that per cell. Async cells also sweep
-// --threads (the sharded engine is bit-exact across worker counts, so a
-// threaded cell must match its serial-oracle row counter for counter —
-// scripts/parity_diff.py checks that over a JSONL sweep).
+// serial engine; --verify enforces that per cell. Only parallel cells
+// sweep --threads; every other engine runs one threads = 1 cell.
 //
 // Fault-injection axes (comma lists, congest/faults.h):
 //   --drop_rate=0,0.05,0.2   per-link data/ACK drop probability (async)
@@ -93,7 +91,7 @@ int main(int argc, char** argv)
     args.define("engines", "serial",
                 "comma list: serial,parallel,async,socket");
     args.define("threads", "0",
-                "comma list of parallel/async worker counts (0 = hardware)");
+                "comma list of parallel-engine worker counts (0 = hardware)");
     args.define("seed", "1", "workload seed");
     args.define("hetero_b", "0",
                 "comma list (0/1): hash per-link bandwidth caps in [1, b]");
@@ -170,8 +168,11 @@ int main(int argc, char** argv)
         for (const std::string& name : split_list(args.get("engines")))
             spec.engines.push_back(parse_engine(name));
         spec.thread_counts.clear();
-        for (std::int64_t t : split_int_list(args.get("threads")))
+        for (std::int64_t t : split_int_list(args.get("threads"))) {
+            if (t < 0)
+                throw std::invalid_argument("--threads items must be >= 0");
             spec.thread_counts.push_back(static_cast<int>(t));
+        }
         spec.seed = static_cast<std::uint64_t>(args.get_int("seed"));
         spec.hetero_bs.clear();
         for (std::int64_t h : split_int_list(args.get("hetero_b")))

@@ -26,14 +26,6 @@ equivalence contracts:
     (sync_messages == sync_words == 0). The payload counters are NOT
     compared: a natively asynchronous protocol's message schedule is
     delay-dependent by design — only its output is invariant;
-  - async rows at the same (max_delay, event_seed, sync, drop_rate,
-    loss_seed) point but different worker counts must be bit-identical on
-    EVERY counter, including the async-only ones (rounds, activations,
-    events, virtual_time, sync_messages, sync_words) and the fault-shim
-    counters (drops, retransmissions, acks, timeouts): the sharded engine's determinism
-    contract says threading never changes the schedule, so any drift
-    here is an engine bug even when the serial comparison above still
-    passes;
   - socket-engine rows (one per rank of a dmst_launcher launch, grouped
     by procs within the scenario point) merge against the
     point's serial row: every rank 0..procs-1 must appear exactly once
@@ -69,10 +61,6 @@ ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
 # are schedule-invariant; payload counters vary with the delay draw.
 NATIVE_COMPARE = ("mst_weight", "verified", "model_verified",
                   "mutations_passed", "mutations_run")
-ASYNC_THREAD_COMPARE = ASYNC_COMPARE + (
-    "rounds", "activations", "events", "virtual_time", "sync_messages",
-    "sync_words", "verify_rounds", "drops", "retransmissions", "acks",
-    "timeouts")
 # Socket-rank merge: fields every rank must match the serial row on
 # exactly, and fields whose per-rank values must sum to the serial value.
 SOCKET_EQUAL = ("rounds", "verified", "model_verified", "mutations_passed",
@@ -126,7 +114,6 @@ def main(argv):
     mismatches = []
     lockstep_pairs = 0
     async_rows = 0
-    async_thread_pairs = 0
     socket_launches = 0
 
     def check(reference, row, fields, kind):
@@ -202,23 +189,6 @@ def main(argv):
             else:
                 check(serial, row, ASYNC_COMPARE, "async")
 
-        # Thread-invariance: async rows sharing a (delay, sync, loss)
-        # point are the same schedule run by different worker counts —
-        # exact on everything.
-        by_point = {}
-        for row in asyncs:
-            point = (row.get("max_delay"), row.get("event_seed"),
-                     row.get("sync", "alpha"), row.get("drop_rate"),
-                     row.get("loss_seed"))
-            by_point.setdefault(point, []).append(row)
-        for point_rows in by_point.values():
-            ref = min(point_rows, key=lambda r: r.get("threads", 0))
-            for row in point_rows:
-                if row is ref:
-                    continue
-                async_thread_pairs += 1
-                check(ref, row, ASYNC_THREAD_COMPARE, "async-threads")
-
         # Socket-rank merge: one launch per procs; the ranks' owned slices
         # must partition the serial row exactly.
         by_launch = {}
@@ -230,7 +200,6 @@ def main(argv):
 
     print(f"parity_diff: {rows} rows, {len(groups)} scenario points, "
           f"{lockstep_pairs} lock-step comparisons, {async_rows} async "
-          f"comparisons, {async_thread_pairs} async thread-invariance "
           f"comparisons, {socket_launches} socket launch merges")
     if mismatches:
         for m in mismatches:

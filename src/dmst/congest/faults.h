@@ -132,8 +132,7 @@ struct FaultPlan {
 // counter) alone — nothing here reads engine, shard, or
 // thread state. The caller owns the per-(link, direction) attempt counter
 // (the burst-window clock) and must advance it in a deterministic order;
-// the engines key it by sender (vertex, port), which only the sender's
-// shard touches.
+// the async engine keys it by sender (vertex, port).
 class LinkFaults {
 public:
     LinkFaults() = default;  // disabled

@@ -104,7 +104,9 @@ struct NetConfig {
     bool record_per_round = false;          // keep a per-round message trace
     bool record_per_edge = false;           // keep a per-edge message histogram
     Engine engine = Engine::Serial;         // which engine make_network builds
-    int threads = 0;  // parallel engine worker count; 0 = hardware concurrency
+    // Parallel engine worker count, 0 = hardware concurrency; the other
+    // engines ignore it, and make_network rejects a negative value.
+    int threads = 0;
     // Adversarial network conditioning (congest/conditioner.h): per-link
     // bandwidth caps and an adversarial inbox permutation. Disabled by
     // default — the ideal lock-step substrate. A lock-step device: it
@@ -793,8 +795,8 @@ protected:
     // levels, or virtual time under native dispatch).
     std::uint64_t round_ = 0;
     // Per-vertex override of Context::round(), for engines whose vertices
-    // run at different rounds concurrently (the sharded async engine: a
-    // single round_ would be both wrong across shards and a data race).
+    // are at different rounds at once (the async engine: neighbors' pulse
+    // levels skew, and native dispatch counts activations per vertex).
     // Null on the lock-step engines — round() then pays one pointer test,
     // like the trace hook.
     const std::uint64_t* round_by_vertex_ = nullptr;

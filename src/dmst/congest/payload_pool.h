@@ -22,12 +22,6 @@ namespace dmst {
 // their high-water capacity, so the warm steady state acquires and
 // releases without touching the allocator (pinned by
 // tests/test_substrate_alloc.cpp).
-//
-// Threading contract (mirrors the engine's sharding): each shard owns one
-// pool. acquire() and release() are owner-shard-only; a consumer shard may
-// move out of a slot it received a pointer to, but must hand the freed
-// pointer back to the owner (the engine returns them at its barrier), and
-// every cross-shard hand-off is ordered by a phase barrier.
 class PayloadPool {
 public:
     // Moves `msg` into a fresh slot and returns its stable address.

@@ -121,25 +121,15 @@ public:
     void set_sharding(int shards, const std::vector<int>& shard_of);
 
     // Engine clock, read by every subsequent event: the round and the
-    // async virtual time of the current activation. The clock is kept per
-    // shard so shards running at different rounds (the sharded async
-    // engine) stay exact and race-free. set_now writes every shard —
-    // coordinator-only, between phases (the lock-step engines' single
-    // global clock); set_now_for writes only the shard owning `v` —
-    // worker-safe, before each pulse (the async engine's per-vertex clock).
+    // async virtual time of the current activation (the async engine sets
+    // it before each activation). Writes every shard's copy —
+    // coordinator-only, between phases on the parallel engine.
     void set_now(std::uint64_t round, std::uint64_t vtime)
     {
         for (Shard& sh : shards_) {
             sh.now_round = round;
             sh.now_vtime = vtime;
         }
-    }
-
-    void set_now_for(VertexId v, std::uint64_t round, std::uint64_t vtime)
-    {
-        Shard& sh = shards_[shard_index(v)];
-        sh.now_round = round;
-        sh.now_vtime = vtime;
     }
 
     // Packs (phase, level) into the recorder's span key; Init/0 is key 0.
@@ -198,7 +188,7 @@ private:
         std::vector<std::uint64_t> keys;  // parallel to cells
         std::unordered_map<std::uint64_t, std::uint32_t> index;
         TagHistogram tags;
-        // Shard-local engine clock (see set_now / set_now_for).
+        // Engine clock (see set_now).
         std::uint64_t now_round = 0;
         std::uint64_t now_vtime = 0;
         // One-entry memo of the last key resolved through `index`; starts

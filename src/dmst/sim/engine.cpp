@@ -15,6 +15,8 @@ std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
 {
     if (config.bandwidth < 1)
         throw std::invalid_argument("bandwidth must be >= 1");
+    if (config.threads < 0)
+        throw std::invalid_argument("threads must be >= 0");
     const bool lock_step =
         config.engine == Engine::Serial || config.engine == Engine::Parallel;
     if (lock_step && config.faults.loss_enabled())

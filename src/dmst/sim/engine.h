@@ -14,13 +14,15 @@ namespace dmst {
 // β-synchronizer), or the real-network SocketNetwork (config.socket; see
 // src/dmst/net/). All honor the NetworkBase contract and produce
 // bit-identical protocol outputs; serial and parallel are additionally
-// bit-identical in RunStats. Throws std::invalid_argument for bandwidth
-// < 1 on every engine; for Engine::Serial and Engine::Parallel combined
-// with message loss (drop_rate > 0 — loss lives on the async engine);
-// for Engine::Async combined with an enabled lock-step conditioner or a
-// crash-stop fault schedule; for Engine::Socket combined with the
-// conditioner or any fault injection (a real transport has real links and
-// real loss); and for an invalid NetConfig::faults or NetConfig::socket.
+// bit-identical in RunStats. Only the parallel engine reads
+// config.threads. Throws std::invalid_argument for bandwidth < 1 or
+// threads < 0 on every engine; for Engine::Serial and Engine::Parallel
+// combined with message loss (drop_rate > 0 — loss lives on the async
+// engine); for Engine::Async combined with an enabled lock-step
+// conditioner or a crash-stop fault schedule; for Engine::Socket combined
+// with the conditioner or any fault injection (a real transport has real
+// links and real loss); and for an invalid NetConfig::faults or
+// NetConfig::socket.
 std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
                                           const NetConfig& config);
 

@@ -29,9 +29,9 @@ namespace dmst {
 // reference in tests/test_event_queue.cpp): pop_due(t) yields exactly the
 // events with time == t, in ascending seq — bit-identical to draining a
 // (time, seq) min-heap. Buckets are FIFO, so callers pushing each
-// timestamp's events in ascending seq order (the engine's canonical merge
-// does) hit a pre-sorted fast path; out-of-order seqs are insertion-sorted
-// on pop.
+// timestamp's events in ascending seq order (the engine numbers each event
+// as it pushes it) hit a pre-sorted fast path; out-of-order seqs are
+// sorted on pop.
 //
 // Ev must expose `std::uint64_t time` and `std::uint64_t seq` members and
 // be movable; all storage is grow-only, so the steady state allocates

@@ -370,12 +370,9 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                          static_cast<std::size_t>(spec.socket.procs) >
                              g.vertex_count()))
                         continue;
+                    // Only the parallel engine has workers to sweep.
                     const std::vector<int> single_run = {1};
-                    // Both multi-worker engines sweep the thread axis; the
-                    // async engine is bit-exact across worker counts, so
-                    // its threaded cells double as parity probes.
-                    const bool threaded_engine =
-                        engine == Engine::Parallel || is_async;
+                    const bool threaded_engine = engine == Engine::Parallel;
                     const auto& threads_axis =
                         threaded_engine ? spec.thread_counts : single_run;
                     for (int threads : threads_axis) {

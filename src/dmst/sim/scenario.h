@@ -25,10 +25,9 @@ struct ScenarioSpec {
     std::vector<std::size_t> sizes = {256};
     std::vector<int> bandwidths = {1};
     std::vector<Engine> engines = {Engine::Serial};
-    // Worker counts swept for the multi-worker engines (parallel and
-    // async); the serial engine runs each cell once (threads reported as
-    // 1) regardless of this list. Async cells are bit-exact across worker
-    // counts, so sweeping them doubles as a determinism probe.
+    // Worker counts swept for the parallel engine; the serial, async and
+    // socket engines run each cell once (threads reported as 1)
+    // regardless of this list.
     std::vector<int> thread_counts = {0};
     // Network-conditioner axes (congest/conditioner.h): per-link bandwidth
     // caps (0/1) and adversarial delivery order (0/1). The default grid is
@@ -239,11 +238,11 @@ using ScenarioCallback = std::function<void(const ScenarioCell&)>;
 // async engine only at the ideal conditioner point and never on crash
 // cells; sync = none cells run only for algorithm "ghs_native" (the
 // message-driven driver); loss seeds beyond the first are skipped at
-// drop_rate 0; the serial engine runs a single (threads = 1) cell while
-// parallel and async sweep the thread axis. The socket engine runs
-// single-threaded cells at the ideal conditioner, first async point and
-// clean fault point only, and skips sizes smaller than its process count
-// (every rank needs a non-empty vertex block).
+// drop_rate 0; only the parallel engine sweeps the thread axis (the
+// others run a single threads = 1 cell). The socket engine runs at the
+// ideal conditioner, first async point and clean fault point only, and
+// skips sizes smaller than its process count (every rank needs a
+// non-empty vertex block).
 std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                         const ScenarioCallback& on_cell = {});
 

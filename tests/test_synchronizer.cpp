@@ -115,10 +115,10 @@ TEST(Synchronizer, BeginPulseSortsBufferedPayloadsByPortThenLinkOrder)
     auto slot = [&pool](std::uint32_t tag) {
         return pool.acquire(Message{tag, {}});
     };
-    sync.buffer_payload(1, 1, AsyncIncoming{1, 1, 0, slot(11)});
-    sync.buffer_payload(1, 1, AsyncIncoming{0, 1, 0, slot(1)});
-    sync.buffer_payload(1, 1, AsyncIncoming{1, 0, 0, slot(10)});
-    sync.buffer_payload(1, 1, AsyncIncoming{0, 0, 0, slot(0)});
+    sync.buffer_payload(1, 1, AsyncIncoming{1, 1, slot(11)});
+    sync.buffer_payload(1, 1, AsyncIncoming{0, 1, slot(1)});
+    sync.buffer_payload(1, 1, AsyncIncoming{1, 0, slot(10)});
+    sync.buffer_payload(1, 1, AsyncIncoming{0, 0, slot(0)});
     sync.note_pulse_sends_done(1, out);
     sync.on_control(1, 0, 1, out);
     sync.on_control(1, 0, 1, out);
@@ -244,8 +244,8 @@ TEST(BetaSynchronizer, PayloadOneTagAheadIsBankedForTheNextPulse)
         sync.begin_pulse(v, inbox);
     // Vertex 1 at pulse 1 receives a current-tag payload and one from a
     // neighbor already executing pulse 2 (skew window {pulse, pulse + 1}).
-    sync.buffer_payload(1, 1, AsyncIncoming{0, 0, 0, slot(100)});
-    sync.buffer_payload(1, 2, AsyncIncoming{1, 0, 0, slot(200)});
+    sync.buffer_payload(1, 1, AsyncIncoming{0, 0, slot(100)});
+    sync.buffer_payload(1, 2, AsyncIncoming{1, 0, slot(200)});
     advance_all();
 
     sync.begin_pulse(1, inbox);  // pulse 2 consumes tag 1 only

@@ -1,4 +1,4 @@
-// Contract of the fork-join ThreadPool under the parallel and async engines:
+// Contract of the fork-join ThreadPool under the parallel engine:
 // a pool asked for W workers runs min(W, hardware concurrency) of them,
 // every job index runs exactly once per run_jobs, job j on worker
 // j % size() with worker 0 being the calling thread, and plain writes made

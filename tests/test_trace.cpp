@@ -303,16 +303,6 @@ TEST(TraceParity, ElkinTriEngine)
         opts.async.max_delay = 1;  // unit delays, still event-driven
         EXPECT_EQ(fingerprint(opts), serial) << "async max_delay=1";
     }
-    // Threaded async: the per-shard trace clocks and cell tables must fold
-    // to the same fingerprint as every other engine configuration.
-    for (int threads : {2, 8}) {
-        ElkinOptions opts;
-        opts.engine = Engine::Async;
-        opts.threads = threads;
-        opts.async.max_delay = 3;
-        opts.async.event_seed = 2;
-        EXPECT_EQ(fingerprint(opts), serial) << "async threads=" << threads;
-    }
 }
 
 TEST(TraceParity, VerifyTriEngine)
