@@ -22,22 +22,19 @@ double u01(std::uint64_t h)
 
 }  // namespace
 
-std::uint64_t FaultConfig::rto(int attempt, std::uint64_t rtt) const
+std::uint64_t FaultConfig::rto(int attempt, std::uint64_t rtt)
 {
     const int shift = std::min(attempt - 1, 30);
-    const std::uint64_t backoff =
-        std::min<std::uint64_t>(static_cast<std::uint64_t>(rto_base) << shift,
-                                static_cast<std::uint64_t>(rto_cap));
-    return rtt + backoff;
+    return rtt + std::min(kRtoBase << shift, kRtoCap);
 }
 
 std::uint64_t FaultConfig::worst_round_ticks() const
 {
     if (!loss_enabled()) return 1;
-    // Worst plan: attempts 1..max_attempts-1 all lose data or ACK, each
+    // Worst plan: attempts 1..kMaxAttempts-1 all lose data or ACK, each
     // costing its full timer; the forced final attempt completes in RTT.
     std::uint64_t t = 0;
-    for (int k = 1; k < max_attempts; ++k) t += rto(k, kRtt);
+    for (int k = 1; k < kMaxAttempts; ++k) t += rto(k, kRtt);
     return t + kRtt;
 }
 
@@ -128,15 +125,6 @@ LinkFaults::LinkFaults(const WeightedGraph& g, FaultConfig config)
     if (config_.burst_len < 1) {
         throw std::invalid_argument("FaultConfig: burst_len must be >= 1");
     }
-    if (config_.rto_base < 1 || config_.rto_cap < config_.rto_base) {
-        throw std::invalid_argument(
-            "FaultConfig: need rto_base >= 1 and rto_cap >= rto_base");
-    }
-    // max_attempts = 1 would force every attempt and silently disable the
-    // loss model, so it is rejected along with the out-of-range values.
-    if (config_.max_attempts < 2 || config_.max_attempts > 64) {
-        throw std::invalid_argument("FaultConfig: max_attempts must be in [2, 64]");
-    }
     for (const CrashPoint& cp : config_.crashes) {
         if (cp.vertex >= g.vertex_count()) {
             throw std::invalid_argument("FaultConfig: crash vertex out of range");
@@ -167,7 +155,7 @@ FaultPlan LinkFaults::plan_transmission(EdgeId e, int direction,
     std::uint64_t t = 0;
     for (std::uint32_t k = 1;; ++k) {
         const std::uint64_t window = attempt_counter++ / static_cast<std::uint64_t>(burst);
-        const bool forced = static_cast<int>(k) >= config_.max_attempts;
+        const bool forced = static_cast<int>(k) >= FaultConfig::kMaxAttempts;
         const bool data_lost =
             !forced && transmission_lost(config_, e, direction, /*domain=*/0, window);
         bool done = false;
@@ -188,7 +176,7 @@ FaultPlan LinkFaults::plan_transmission(EdgeId e, int direction,
         if (done) break;
         ++plan.timeouts;
         ++plan.retransmissions;
-        t += config_.rto(static_cast<int>(k), FaultConfig::kRtt);
+        t += FaultConfig::rto(static_cast<int>(k), FaultConfig::kRtt);
     }
     return plan;
 }

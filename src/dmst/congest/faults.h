@@ -23,7 +23,7 @@ namespace dmst {
 // attempt k is lost iff a seeded per-(link, direction) draw says so, the
 // receiver ACKs every data arrival, a lost data or ACK transmission fires
 // the sender's retransmission timer (capped exponential backoff on top of
-// the round-trip time), and attempt `max_attempts` always succeeds — a
+// the round-trip time), and attempt kMaxAttempts always succeeds — a
 // bounded adversary, so delivery is guaranteed and the protocols run
 // unmodified. The plan's wait until the first successful data arrival
 // rides the payload's event delay, so loss changes the interleaving and
@@ -37,9 +37,9 @@ namespace dmst {
 // the start of logical round `round`: it executes no further on_round,
 // and sends addressed to it fail (counted in RunStats::failed_sends). A
 // run that goes silent — no live sends, nothing in flight, not quiescent
-// — for `stall_window` consecutive rounds ends gracefully with
-// RunStats::stalled set, and the drivers harvest a partial forest from
-// the frozen per-vertex state.
+// — for 2n + 64 consecutive rounds (past any round-programmed quiet
+// window of the drivers) ends gracefully with RunStats::stalled set, and
+// the drivers harvest a partial forest from the frozen per-vertex state.
 struct CrashPoint {
     VertexId vertex = 0;
     // The first logical round the vertex does NOT execute. Round 1 is the
@@ -56,39 +56,36 @@ struct FaultConfig {
     // losses, 1 is i.i.d. per attempt.
     int burst_len = 1;
     std::uint64_t loss_seed = 11;
-    // Retransmission timer of attempt k: RTT + min(rto_base << (k-1),
-    // rto_cap) virtual-time units. The RTT term keeps the timer from firing before the
-    // ACK could possibly arrive, so every retransmission corresponds to a
-    // real loss — the invariant paper_gates' loss-* rows gate overhead
-    // against.
-    int rto_base = 2;
-    int rto_cap = 64;
-    // Bounded adversary: attempt max_attempts (data and ACK both) always
-    // succeeds, so shim delivery is guaranteed in bounded time.
-    int max_attempts = 8;
     // Crash-stop schedule, applied in (round, vertex) order.
     std::vector<CrashPoint> crashes;
-    // Graceful degradation: a stalled run (see stall_window) finishes with
-    // RunStats::stalled instead of throwing InvariantViolation.
+    // Graceful degradation: a stalled run (see the crash model above)
+    // finishes with RunStats::stalled instead of throwing
+    // InvariantViolation. Stall detection is armed only when crashes are
+    // configured — the loss shim alone cannot stall.
     bool graceful = true;
-    // Consecutive silent logical rounds before the run is declared
-    // stalled; 0 = auto (2n + 64, past any round-programmed quiet window
-    // of the drivers). Armed only when crashes are configured — the loss
-    // shim alone cannot stall.
-    std::uint64_t stall_window = 0;
 
     // The shim's link latencies on the async engine, whose seeded event
     // delay models the wire: one hop is one virtual-time unit, so an ACK
     // completes a round trip in 2.
     static constexpr std::uint64_t kOneWay = 1;
     static constexpr std::uint64_t kRtt = 2 * kOneWay;
+    // Retransmission timer of attempt k: RTT + min(kRtoBase << (k-1),
+    // kRtoCap) virtual-time units. The RTT term keeps the timer from
+    // firing before the ACK could possibly arrive, so every retransmission
+    // corresponds to a real loss — the invariant paper_gates' loss-* rows
+    // gate overhead against.
+    static constexpr std::uint64_t kRtoBase = 2;
+    static constexpr std::uint64_t kRtoCap = 64;
+    // Bounded adversary: attempt kMaxAttempts (data and ACK both) always
+    // succeeds, so shim delivery is guaranteed in bounded time.
+    static constexpr int kMaxAttempts = 8;
 
     bool loss_enabled() const { return drop_rate > 0.0; }
     bool crash_enabled() const { return !crashes.empty(); }
     bool enabled() const { return loss_enabled() || crash_enabled(); }
 
     // Full retransmission timer of attempt k (1-based), in virtual time.
-    std::uint64_t rto(int attempt, std::uint64_t rtt) const;
+    static std::uint64_t rto(int attempt, std::uint64_t rtt);
 
     // Upper bound on the virtual time one shim plan can take: the
     // completion time of a plan that loses every droppable attempt. 1 when loss is off. Sizes the async
@@ -138,8 +135,8 @@ public:
     LinkFaults() = default;  // disabled
 
     // Validates the config against the graph (crash vertices in range,
-    // drop_rate in [0, 1), positive burst/backoff/attempt parameters);
-    // throws std::invalid_argument on violation.
+    // drop_rate in [0, 1), positive burst length); throws
+    // std::invalid_argument on violation.
     LinkFaults(const WeightedGraph& g, FaultConfig config);
 
     bool enabled() const { return config_.enabled(); }
@@ -149,7 +146,7 @@ public:
 
     // Plans one transmission on (edge, direction): walks the
     // attempt/timeout recurrence until an ACK completes (guaranteed by
-    // attempt max_attempts), consuming one attempt-counter step per data
+    // attempt kMaxAttempts), consuming one attempt-counter step per data
     // attempt. Hops take FaultConfig::kOneWay.
     FaultPlan plan_transmission(EdgeId e, int direction,
                                 std::uint64_t& attempt_counter) const;

@@ -32,28 +32,10 @@ int Context::bandwidth(std::size_t port) const
     return net_->link_bandwidth(vertex_, port);
 }
 
-VertexId Context::neighbor_id(std::size_t port) const
-{
-    DMST_ASSERT_MSG(net_->config_.knowledge == Knowledge::KT1,
-                    "neighbor ids are not available in the clean network model (KT0)");
-    return net_->graph_.neighbor(vertex_, port);
-}
-
 InboxView Context::inbox() const
 {
     const NetworkBase::InboxSpan& span = net_->inbox_span_[vertex_];
     return InboxView(span.data, span.len);
-}
-
-void Context::set_timer(std::uint64_t delay, std::uint64_t timer_id)
-{
-    net_->schedule_timer(vertex_, std::max<std::uint64_t>(delay, 1), timer_id);
-}
-
-void Context::trace_instant(TracePhase phase, std::int64_t level)
-{
-    if (TraceRecorder* t = net_->trace_)
-        t->instant(vertex_, phase, level);
 }
 
 // --------------------------------------------------------- MessageProcess
@@ -64,10 +46,6 @@ void MessageProcess::on_round(Context& ctx)
         started_ = true;
         on_start(ctx);
     }
-    due_scratch_.clear();
-    ctx.net_->take_due_timers(ctx.vertex_, ctx.round(), due_scratch_);
-    for (std::uint64_t id : due_scratch_)
-        on_wakeup(ctx, id);
     for (const Incoming& in : ctx.inbox()) {
         // The handler owns its message; the inbox arena slot stays intact
         // for the rest of the round (payloads are inline, so this copy
@@ -75,14 +53,6 @@ void MessageProcess::on_round(Context& ctx)
         Message msg = in.msg;
         on_message(ctx, in.port, std::move(msg));
     }
-}
-
-std::uint64_t MessageProcess::next_wakeup(const Context& ctx) const
-{
-    std::uint64_t due = kNever;
-    for (const NetworkBase::PendingTimer& t : ctx.net_->timers_[ctx.vertex_])
-        due = std::min(due, t.due);
-    return due;
 }
 
 // ------------------------------------------------------------ NetworkBase
@@ -104,16 +74,13 @@ NetworkBase::NetworkBase(const WeightedGraph& g, NetConfig config)
                       return a.round != b.round ? a.round < b.round
                                                 : a.vertex < b.vertex;
                   });
-        stall_window_ = config_.faults.stall_window
-                            ? config_.faults.stall_window
-                            : 2 * static_cast<std::uint64_t>(g.vertex_count()) + 64;
+        stall_window_ = 2 * static_cast<std::uint64_t>(g.vertex_count()) + 64;
     }
     if (config_.trace.enabled) {
         trace_owned_ = std::make_unique<TraceRecorder>(g.vertex_count());
         trace_ = trace_owned_.get();
     }
     const std::size_t n = graph_.vertex_count();
-    timers_.resize(n);
     wake_.assign(n, Process::kNever);
     stamp_.assign(n, 0);
     inbox_span_.resize(n);
@@ -143,30 +110,6 @@ void NetworkBase::init(const Factory& factory)
         processes_.push_back(factory(v));
         DMST_ASSERT_MSG(processes_.back() != nullptr, "factory returned null process");
     }
-}
-
-void NetworkBase::schedule_timer(VertexId v, std::uint64_t delay,
-                                 std::uint64_t timer_id)
-{
-    const std::uint64_t now =
-        round_by_vertex_ ? round_by_vertex_[v] : round_;
-    timers_[v].push_back(PendingTimer{now + delay, timer_id});
-}
-
-void NetworkBase::take_due_timers(VertexId v, std::uint64_t now,
-                                  std::vector<std::uint64_t>& out)
-{
-    if (timers_.empty() || timers_[v].empty())
-        return;
-    std::vector<PendingTimer>& pending = timers_[v];
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        if (pending[i].due <= now)
-            out.push_back(pending[i].id);
-        else
-            pending[kept++] = pending[i];
-    }
-    pending.resize(kept);
 }
 
 void NetworkBase::sort_span_by_port(Incoming* first, std::size_t n,

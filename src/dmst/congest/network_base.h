@@ -22,11 +22,6 @@ class NetworkBase;
 class TraceRecorder;
 struct TraceTable;
 
-// Initial knowledge model. KT0 is the paper's clean network model: a vertex
-// knows its own id, its port count, and the weight of each incident edge —
-// but not its neighbors' ids. KT1 additionally exposes neighbor ids.
-enum class Knowledge { KT0, KT1 };
-
 // Which simulation engine executes the rounds. Serial and Parallel are
 // lock-step round engines and observably identical: same RunStats, same
 // delivery order, same process state evolution. Serial steps vertices on
@@ -73,9 +68,9 @@ struct SocketConfig {
 //           outputs, cheaper control plane (paper_gates' sync-* rows
 //           gate it).
 //   None  — no synchronizer: payloads dispatch straight to the process's
-//           on_message handler at arrival, timers to on_wakeup. Requires
-//           every process to be a MessageProcess (the message-driven
-//           surface below); sync_messages stays exactly 0.
+//           on_message handler at arrival. Requires every process to be
+//           a MessageProcess (the message-driven surface below);
+//           sync_messages stays exactly 0.
 enum class SyncMode : std::uint8_t { Alpha, Beta, None };
 
 // Parameters of the event-driven engine (Engine::Async); ignored by the
@@ -99,7 +94,6 @@ struct AsyncConfig {
 
 struct NetConfig {
     int bandwidth = 1;  // the b of CONGEST(b log n); >= 1
-    Knowledge knowledge = Knowledge::KT0;
     std::uint64_t max_rounds = 50'000'000;  // runaway guard; run() throws past it
     bool record_per_round = false;          // keep a per-round message trace
     bool record_per_edge = false;           // keep a per-edge message histogram
@@ -141,7 +135,7 @@ struct RunStats {
     std::uint64_t messages = 0;  // number of Message sends
     std::uint64_t words = 0;     // total 64-bit words sent (tags included)
     // Process activations: on_round() calls, or handler calls (on_start,
-    // on_message, on_wakeup) under native async dispatch. Engine-specific:
+    // on_message) under native async dispatch. Engine-specific:
     // the lock-step engines skip sleeping vertices (Process::next_wakeup),
     // the async engine pulses every vertex each pulse. Identical between
     // serial and parallel at every thread count; summed over a socket
@@ -256,11 +250,11 @@ public:
     // always 0 on the lock-step engines, whose notion of time is round().
     std::uint64_t virtual_time() const;
 
+    // The clean network model (KT0): a vertex knows its own id, its port
+    // count and the weight of each incident edge, but not its neighbors'
+    // ids — the Context has no way to ask for one.
     std::size_t degree() const;
     Weight weight(std::size_t port) const;
-
-    // Neighbor id on a port; throws InvariantViolation under KT0.
-    VertexId neighbor_id(std::size_t port) const;
 
     // Messages sent to this vertex in the previous round, ordered by port.
     InboxView inbox() const;
@@ -271,25 +265,9 @@ public:
     // round is exceeded.
     void send(std::size_t port, Message msg);
 
-    // Arms a local timer: a MessageProcess's on_wakeup(timer_id) fires once
-    // at least `delay` time units later (logical rounds on the lock-step
-    // engines, virtual-time units on the event-driven engine). delay < 1 is
-    // clamped to 1 — a timer never fires within the activation that set it.
-    // Timers are local bookkeeping, not messages: they move no words and
-    // charge no bandwidth. Multiple timers may share an id; each firing
-    // reports the id it was armed with.
-    void set_timer(std::uint64_t delay, std::uint64_t timer_id);
-
-    // ---- tracing (src/dmst/obs/trace.h) --------------------------------
-    // Spans are opened with the TraceScope RAII helper. Records a point
-    // event in (phase, level) — a protocol milestone; a no-op (one pointer
-    // test) unless NetConfig::trace.enabled.
-    void trace_instant(TracePhase phase, std::int64_t level = 0);
-
 private:
     friend class NetworkBase;
     friend class TraceScope;  // reads net_->trace_ inline
-    friend class MessageProcess;  // on_round adapter pops due timers
     Context(NetworkBase& net, VertexId vertex) : net_(&net), vertex_(vertex) {}
 
     NetworkBase* net_;
@@ -326,19 +304,19 @@ public:
 
 // The message-driven driver surface: the second half of the two-surface
 // contract. A MessageProcess is programmed against arrivals, not rounds —
-// on_start() once at wakeup, on_message() per delivered message, and
-// on_wakeup() per expired Context::set_timer timer. It still IS a Process:
-// the final on_round() adapter below replays an activation's due timers and
-// inbox through the handlers, so a message-driven driver runs unmodified on
-// every engine (serial, parallel, async behind a synchronizer, socket) —
-// the lock-step schedule is just one particular FIFO unit-delay execution.
+// on_start() once at wakeup and on_message() per delivered message; it has
+// no clock to set a timer on. It still IS a Process: the final on_round()
+// adapter below replays an activation's inbox through the handlers, so a
+// message-driven driver runs unmodified on every engine (serial, parallel,
+// async behind a synchronizer, socket) — the lock-step schedule is just
+// one particular FIFO unit-delay execution.
 // Under Engine::Async with AsyncConfig::sync == SyncMode::None the adapter
 // is bypassed entirely: the engine dispatches each event straight to the
 // handler at its arrival time, with per-link FIFO delivery and zero
 // synchronizer traffic (sync_messages == 0).
 //
 // Handler rules (the asynchronous CONGEST model):
-//   - handlers see only local state plus the one arriving message/timer;
+//   - handlers see only local state plus the one arriving message;
 //   - sends go out with Context::send exactly as from on_round; on the
 //     native path the bandwidth budget is per activation, and each send is
 //     delivered after its own independent seeded delay, FIFO per link;
@@ -355,26 +333,18 @@ public:
     // Called once per arriving message, in delivery order.
     virtual void on_message(Context& ctx, std::size_t port, Message&& msg) = 0;
 
-    // Called when a Context::set_timer timer expires.
-    virtual void on_wakeup(Context& ctx, std::uint64_t timer_id)
-    {
-        (void)ctx;
-        (void)timer_id;
-    }
-
     // Lock-step adapter: first activation runs on_start, then every
-    // activation fires due timers (in arming order) and dispatches the
-    // inbox (in inbox order) through the handlers. Final — a
-    // message-driven driver has no per-round logic by definition.
+    // activation dispatches the inbox (in inbox order) through the
+    // handlers. Final — a message-driven driver has no per-round logic by
+    // definition.
     void on_round(Context& ctx) final;
 
-    // Sleeps until the earliest pending timer is due (kNever without
-    // one): between arrivals and timers the adapter has nothing to do.
-    std::uint64_t next_wakeup(const Context& ctx) const final;
+    // Only an arrival wakes a message-driven process: between arrivals the
+    // adapter has nothing to do.
+    std::uint64_t next_wakeup(const Context&) const final { return kNever; }
 
 private:
     bool started_ = false;
-    std::vector<std::uint64_t> due_scratch_;
 };
 
 // Synchronous message-passing network over a weighted graph: the engine
@@ -625,20 +595,6 @@ protected:
         std::fill_n(table.data() + graph_.adj_begin(v), graph_.degree(v), 0);
     }
 
-    // ---- timer plumbing (Context::set_timer) ----------------------------
-    // Engine hook behind Context::set_timer. The base implementation books
-    // the timer against the vertex's logical-round clock (due at
-    // round + max(1, delay)); the MessageProcess adapter pops due entries
-    // at each activation. The event-driven engine overrides this in native
-    // mode to stage a Timer event on the virtual clock instead.
-    virtual void schedule_timer(VertexId v, std::uint64_t delay,
-                                std::uint64_t timer_id);
-
-    // Moves every timer of `v` due at or before `now` into `out`, in arming
-    // order. Used by the MessageProcess lock-step adapter only.
-    void take_due_timers(VertexId v, std::uint64_t now,
-                         std::vector<std::uint64_t>& out);
-
     // ---- conditioner plumbing shared by the lock-step engines ----------
 
     // Per-link bandwidth in units, for Context::bandwidth(port).
@@ -823,17 +779,8 @@ protected:
     std::unique_ptr<TraceRecorder> trace_owned_;
     TraceRecorder* trace_ = nullptr;
 
-    // Pending Context::set_timer timers per vertex (lock-step path; sized
-    // to n at construction). Only the shard stepping `v` touches row v.
-    struct PendingTimer {
-        std::uint64_t due;
-        std::uint64_t id;
-    };
-    std::vector<std::vector<PendingTimer>> timers_;
-
 private:
     friend class Context;
-    friend class MessageProcess;
     friend class TraceScope;
 };
 

@@ -135,8 +135,7 @@ void PipelineMstProcess::on_round(Context& ctx)
             finished_ = true;
             return;
         }
-        k_ = opts_.k_override ? std::max<std::uint64_t>(*opts_.k_override, 1)
-                              : std::max<std::uint64_t>(isqrt(n_), 1);
+        k_ = std::max<std::uint64_t>(isqrt(n_), 1);
         const std::uint64_t ghs_start = ctx.round() + bfs_.subtree_height() + 2;
         ghs_ = std::make_unique<GhsVertex>(id_, n_, k_, ghs_start, kGhsBase);
         for (std::size_t c : bfs_.children_ports())

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -39,7 +38,6 @@ namespace dmst {
 // only on the rank that owns the root.
 struct PipelineMstOptions : DriverOptions {
     VertexId root = 0;
-    std::optional<std::uint64_t> k_override;
 };
 
 struct PipelineMstResult : DriverMstResult {

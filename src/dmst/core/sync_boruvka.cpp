@@ -287,8 +287,6 @@ SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
         opts.faults.crash_enabled() ? fragment_count() : 0;
     bool converged = !multiple_fragments();
     while (!converged) {
-        if (opts.max_phases > 0 && phases >= opts.max_phases)
-            break;
         // Under crash-stop the guard is a degradation point, not an
         // invariant: dead merge centers slow (or end) convergence.
         if (opts.faults.crash_enabled() && phases >= phase_guard)

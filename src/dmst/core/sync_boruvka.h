@@ -100,8 +100,7 @@ private:
 // partial forest instead (a subset of the true MST by the cut property).
 struct SyncBoruvkaResult : DriverMstResult {
     int phases = 0;
-    // Fragment structure at the end of the run (useful with max_phases,
-    // ablation E10a: uncontrolled merging blows fragment heights up).
+    // Fragment structure at the end of the run.
     std::vector<std::uint64_t> fragment_id;
     std::vector<std::size_t> parent_port;
 };
@@ -110,11 +109,7 @@ struct SyncBoruvkaResult : DriverMstResult {
 // max_rounds is the budget summed across all phases. A sharded run
 // (Engine::Socket) returns the local shard's view (see DriverHarness):
 // mst_edges holds the locally claimed edges, to be unioned across ranks.
-struct SyncBoruvkaOptions : DriverOptions {
-    // Stop after this many phases even if several fragments remain
-    // (0 = run to a single fragment). With a cap, mst_edges stays empty.
-    int max_phases = 0;
-};
+struct SyncBoruvkaOptions : DriverOptions {};
 
 SyncBoruvkaResult run_sync_boruvka(const WeightedGraph& g,
                                    const SyncBoruvkaOptions& opts = {});

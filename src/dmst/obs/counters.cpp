@@ -30,7 +30,6 @@ void SpanCell::merge(const SpanCell& other)
 {
     messages += other.messages;
     words += other.words;
-    instants += other.instants;
     retransmissions += other.retransmissions;
     drops += other.drops;
     first_round = std::min(first_round, other.first_round);

@@ -43,18 +43,17 @@ private:
 };
 
 // One span accumulation cell: the recorder's unit of attribution. Every
-// traced send/instant lands in exactly one cell (the sender's innermost
+// traced send lands in exactly one cell (the sender's innermost
 // open span, or the Init cell), so summing cells reproduces the RunStats
 // totals — the conservation invariant TraceRecorder::finalize() checks.
 //
-// Round/virtual-time bounds are updated only on *activity* (a send
-// or an instant), never by opening or closing a span: idle re-entries of
+// Round/virtual-time bounds are updated only on *activity* (a send),
+// never by opening or closing a span: idle re-entries of
 // a protocol pump must not widen a span, or the async engine's trailing
 // inert pulses would break tri-engine trace parity.
 struct SpanCell {
     std::uint64_t messages = 0;
     std::uint64_t words = 0;
-    std::uint64_t instants = 0;
     // Fault-shim traffic attributed to this span (congest/faults.h):
     // retransmissions and lost transmissions of sends charged here, so
     // per-phase retransmission overhead is directly readable. Conserve
@@ -68,7 +67,7 @@ struct SpanCell {
 
     static constexpr std::uint64_t kUnset = ~std::uint64_t{0};
 
-    bool touched() const { return messages != 0 || instants != 0; }
+    bool touched() const { return messages != 0; }
 
     void touch(std::uint64_t round, std::uint64_t vtime)
     {

@@ -73,7 +73,6 @@ std::string get_string(const std::string& line, const std::string& key)
 void span_args_json(std::ostream& out, const TraceSpan& s)
 {
     out << "\"messages\":" << s.messages << ",\"words\":" << s.words
-        << ",\"instants\":" << s.instants
         << ",\"retransmissions\":" << s.retransmissions
         << ",\"drops\":" << s.drops
         << ",\"first_round\":" << s.first_round
@@ -129,7 +128,6 @@ TraceTable read_trace_jsonl(std::istream& in)
             s.level = static_cast<std::int64_t>(get_u64(line, "level"));
             s.messages = get_u64(line, "messages");
             s.words = get_u64(line, "words");
-            s.instants = get_u64(line, "instants");
             s.retransmissions = get_u64_or(line, "retransmissions", 0);
             s.drops = get_u64_or(line, "drops", 0);
             s.first_round = get_u64(line, "first_round");

@@ -12,14 +12,16 @@ namespace dmst {
 //
 //   chrome  Chrome-trace JSON, loadable in Perfetto (ui.perfetto.dev) or
 //           chrome://tracing. One track per driver phase plus one for the
-//           α-synchronizer control traffic; spans are complete ("X")
+//           synchronizer control traffic; spans are complete ("X")
 //           events on the logical-round timebase (1 round = 1 µs), with
-//           messages/words/virtual-time in args. A "dmst_totals"
-//           metadata event carries the RunStats totals so the report
-//           tool can re-check conservation from the file alone.
+//           the span row's fields in args. A "dmst_totals" global event
+//           carries the RunStats totals so the report tool can re-check
+//           conservation from the file alone.
 //
 //   jsonl   One self-describing JSON object per line: a "total" row, one
-//           "span" row per (phase, level), one "tag" row per codec tag.
+//           "span" row per (phase, level) — messages, words, fault-shim
+//           retransmissions and drops, first/last round and virtual
+//           time — and one "tag" row per codec tag.
 //           Lossless: read_trace_jsonl() reconstructs the exact table
 //           (the exporter round-trip test relies on that).
 

@@ -69,7 +69,7 @@ std::string TraceTable::parity_fingerprint() const
     for (const TraceSpan& s : spans) {
         oss << trace_phase_name(s.phase) << " " << s.level << " "
             << s.first_round << " " << s.last_round << " " << s.messages
-            << " " << s.words << " " << s.instants << "\n";
+            << " " << s.words << "\n";
     }
     return oss.str();
 }
@@ -112,14 +112,6 @@ std::uint32_t TraceRecorder::cell_for(Shard& sh, std::uint64_t key)
     return it->second;
 }
 
-void TraceRecorder::instant(VertexId v, TracePhase phase, std::int64_t level)
-{
-    Shard& sh = shards_[shard_index(v)];
-    SpanCell& cell = sh.cells[cell_for(sh, span_key(phase, level))];
-    ++cell.instants;
-    cell.touch(sh.now_round, sh.now_vtime);
-}
-
 std::shared_ptr<const TraceTable> TraceRecorder::finalize(
     const RunStats& stats) const
 {
@@ -145,7 +137,6 @@ std::shared_ptr<const TraceTable> TraceRecorder::finalize(
         s.level = static_cast<std::int64_t>(key & ((std::uint64_t{1} << 48) - 1));
         s.messages = cell.messages;
         s.words = cell.words;
-        s.instants = cell.instants;
         s.retransmissions = cell.retransmissions;
         s.drops = cell.drops;
         s.first_round = cell.first_round == SpanCell::kUnset ? 0 : cell.first_round;

@@ -25,7 +25,7 @@ namespace dmst {
 //     the RunStats totals by construction. finalize() checks that
 //     conservation invariant on every traced run.
 //
-//   - Per span the recorder keeps messages, words, instants, and the
+//   - Per span the recorder keeps messages, words, and the
 //     first/last *logical round* of activity — the engine-invariant clock
 //     all three engines agree on — plus first/last async virtual time as
 //     an engine-specific extra. The logical-round
@@ -55,7 +55,6 @@ struct TraceSpan {
     std::int64_t level = 0;
     std::uint64_t messages = 0;
     std::uint64_t words = 0;
-    std::uint64_t instants = 0;
     // Fault-shim traffic of sends attributed here (0 without faults).
     std::uint64_t retransmissions = 0;
     std::uint64_t drops = 0;
@@ -97,12 +96,12 @@ struct TraceTable {
     void validate() const;
 
     // Engine-invariant projection: one line per span with the
-    // (phase, level, first_round, last_round, messages, words, instants)
+    // (phase, level, first_round, last_round, messages, words)
     // fields. Same seed => identical string on all three engines, per
     // network run. Multi-epoch drivers (sync Borůvka) accumulate
     // engine-specific round offsets across epoch boundaries (the async
     // engine's endgame skew, see sim/async_network.h), so only their
-    // per-span messages/words/instants stay engine-invariant.
+    // per-span messages/words stay engine-invariant.
     std::string parity_fingerprint() const;
 };
 
@@ -150,8 +149,6 @@ public:
         return prev;
     }
     void restore_span(VertexId v, std::uint64_t key) { span_[v] = key; }
-
-    void instant(VertexId v, TracePhase phase, std::int64_t level);
 
     void on_send(VertexId from, std::uint32_t tag, std::uint64_t words)
     {

@@ -17,11 +17,7 @@ constexpr std::uint64_t kDelayStream = 0x64656c617921000bULL;
 // Queue span: the seeded delay draw plus, under the loss shim, the
 // worst-case retransmission wait a payload can carry. Auto mode keeps the
 // timing wheel while the span is small and falls back to the heap for wide
-// fault backoffs — same ordering contract either way. Native mode books
-// Context::set_timer timers as future events; give them scheduling room up
-// to the wheel's efficient span (longer delays are rejected at
-// schedule_timer).
-template <typename Ev>
+// fault backoffs — same ordering contract either way.
 int queue_span_for(const NetConfig& config)
 {
     if (config.async.max_delay < 1)
@@ -29,8 +25,6 @@ int queue_span_for(const NetConfig& config)
     int span = config.async.max_delay;
     if (config.faults.loss_enabled())
         span += static_cast<int>(config.faults.worst_round_ticks());
-    if (config.async.sync == SyncMode::None)
-        span = std::max(span, EventQueue<Ev>::kWheelMaxDelay);
     return span;
 }
 
@@ -38,8 +32,7 @@ int queue_span_for(const NetConfig& config)
 
 AsyncNetwork::AsyncNetwork(const WeightedGraph& g, NetConfig config)
     : NetworkBase(g, config),
-      queue_span_(queue_span_for<Event>(config)),
-      queue_(queue_span_)
+      queue_(queue_span_for(config))
 {
     switch (config_.async.sync) {
         case SyncMode::Alpha:
@@ -139,25 +132,6 @@ std::uint64_t AsyncNetwork::plan_fault_delivery(VertexId from, std::size_t port)
     return plan.delivery;
 }
 
-void AsyncNetwork::schedule_timer(VertexId v, std::uint64_t delay,
-                                  std::uint64_t timer_id)
-{
-    if (!native_) {
-        // Synchronized modes: timers live on the logical-round clock and
-        // fire through the MessageProcess lock-step adapter.
-        NetworkBase::schedule_timer(v, delay, timer_id);
-        return;
-    }
-    DMST_ASSERT_MSG(delay <= static_cast<std::uint64_t>(queue_span_),
-                    "native timer delay exceeds the scheduling window");
-    Event ev;
-    ev.kind = EventKind::Timer;
-    ev.target = v;
-    ev.level = timer_id;
-    ev.link_seq = static_cast<std::uint32_t>(delay);
-    schedule(std::move(ev));
-}
-
 void AsyncNetwork::send_emits()
 {
     for (const SyncEmit& e : emits_) {
@@ -221,9 +195,6 @@ void AsyncNetwork::apply(Event& ev)
             sync_->on_control(ev.target, ev.port, ev.level, emits_);
             send_emits();
             break;
-        case EventKind::Timer:
-            DMST_ASSERT_MSG(false, "timer event in a synchronized mode");
-            break;
     }
     touch(ev.target);
 }
@@ -241,16 +212,12 @@ void AsyncNetwork::dispatch_native(Event& ev)
     ++stats_.activations;
     Context ctx = context_for(v);
     MessageProcess* proc = native_procs_[v];
-    if (ev.kind == EventKind::Payload) {
-        Message msg = std::move(*ev.payload);
-        payloads_.release(ev.payload);
-        in_flight_ -= 1;
-        proc->on_message(ctx, ev.port, std::move(msg));
-    } else {
-        DMST_ASSERT_MSG(ev.kind == EventKind::Timer,
-                        "synchronizer event in native mode");
-        proc->on_wakeup(ctx, ev.level);
-    }
+    DMST_ASSERT_MSG(ev.kind == EventKind::Payload,
+                    "synchronizer event in native mode");
+    Message msg = std::move(*ev.payload);
+    payloads_.release(ev.payload);
+    in_flight_ -= 1;
+    proc->on_message(ctx, ev.port, std::move(msg));
     note_done(v, proc->done());
 }
 
@@ -326,24 +293,17 @@ void AsyncNetwork::start_native()
 void AsyncNetwork::schedule(Event&& ev)
 {
     ev.seq = event_seq_++;
-    if (ev.kind == EventKind::Timer) {
-        // Timers fire at exactly now + delay: deterministic local alarms,
-        // not message hops, so they consume no seeded delay draw (the
-        // stream is keyed per seq — skipping a seq is safe).
-        ev.time = now_ + static_cast<std::uint64_t>(ev.link_seq);
-    } else {
-        ev.time = now_ + static_cast<std::uint64_t>(ev.fault_wait) +
-                  static_cast<std::uint64_t>(delay_draw(ev.seq));
-        if (native_ && ev.kind == EventKind::Payload) {
-            // FIFO per directed link, which classic asynchronous protocols
-            // (GHS) assume: never deliver before the link's previous
-            // payload. Ties are safe — same-timestamp events apply in seq
-            // order and seq respects send order. Synchronized modes stay
-            // unclamped so their event schedules match their baselines.
-            std::uint64_t& last = link_last_[ev.link_seq];
-            ev.time = std::max(ev.time, last);
-            last = ev.time;
-        }
+    ev.time = now_ + static_cast<std::uint64_t>(ev.fault_wait) +
+              static_cast<std::uint64_t>(delay_draw(ev.seq));
+    if (native_ && ev.kind == EventKind::Payload) {
+        // FIFO per directed link, which classic asynchronous protocols
+        // (GHS) assume: never deliver before the link's previous payload.
+        // Ties are safe — same-timestamp events apply in seq order and seq
+        // respects send order. Synchronized modes stay unclamped so their
+        // event schedules match their baselines.
+        std::uint64_t& last = link_last_[ev.link_seq];
+        ev.time = std::max(ev.time, last);
+        last = ev.time;
     }
     queue_.push(std::move(ev));
 }

@@ -22,8 +22,8 @@ namespace dmst {
 //
 // Native mode (AsyncConfig::sync == SyncMode::None) drops the synchronizer
 // entirely: every process must be a MessageProcess, and the engine
-// dispatches each payload arrival straight to on_message (timers to
-// on_wakeup) at its delivery time — the asynchronous CONGEST model proper.
+// dispatches each payload arrival straight to on_message at its delivery
+// time — the asynchronous CONGEST model proper.
 // Differences from the synchronized modes:
 //   - delivery is FIFO per directed link (classic asynchronous protocols
 //     assume it): a payload's delivery time is clamped to be no earlier
@@ -109,22 +109,16 @@ public:
 
 protected:
     void send_from(VertexId from, std::size_t port, Message&& msg) override;
-    // Native mode books timers as engine events on the virtual clock
-    // (fired at now + delay exactly — timers draw no seeded delay);
-    // synchronized modes fall back to the logical-round store in the base.
-    void schedule_timer(VertexId v, std::uint64_t delay,
-                        std::uint64_t timer_id) override;
 
 private:
-    enum class EventKind : std::uint8_t { Payload, Ack, Safe, Timer };
+    enum class EventKind : std::uint8_t { Payload, Ack, Safe };
 
     struct Event {
         std::uint64_t time = 0;
         // Global schedule order, assigned at creation; the tie-break
         // within a timestamp.
         std::uint64_t seq = 0;
-        // Payload tag / ACK level / control level; Timer events carry the
-        // timer_id here instead.
+        // Payload tag / ACK level / control level.
         std::uint64_t level = 0;
         Message* payload = nullptr;  // pool slot; Payload events only
         VertexId target = 0;
@@ -134,8 +128,7 @@ private:
         std::uint32_t port = 0;
         // Payload: send order on the link in synchronized modes; in
         // native mode the sender's half-edge index, the slot of the FIFO
-        // clamp. Timer events carry the requested delay here (applied
-        // verbatim at schedule()).
+        // clamp.
         std::uint32_t link_seq = 0;
         // Loss-shim wait (congest/faults.h): the retransmission delay the
         // reliable-delivery shim charges this payload before its final
@@ -151,8 +144,8 @@ private:
 
     void apply(Event& ev);
     void execute_pulse(VertexId v);
-    // Native handler dispatch (Payload -> on_message, Timer -> on_wakeup)
-    // at the event's delivery time.
+    // Native handler dispatch (a payload to on_message) at the event's
+    // delivery time.
     void dispatch_native(Event& ev);
     // Native wakeup fan: on_start for every vertex, ascending id.
     void start_native();
@@ -192,7 +185,6 @@ private:
     // port).
     std::vector<std::uint64_t> fault_attempts_;
 
-    int queue_span_ = 1;  // queue window (bounds native timer delays)
     EventQueue<Event> queue_;
     PayloadPool payloads_;
     std::vector<Event> due_;            // pop_due batch of the current step

@@ -275,6 +275,7 @@ TEST(AsyncSchedule, PinnedCountersOfFixedCells)
         {"elkin", SyncMode::Beta, 0.2, 95780, 15052, 89029, 653, 41792, 3752,
          3752},
         {"ghs_native", SyncMode::None, 0.0, 1469, 193, 0, 49, 1533, 0, 0},
+        {"ghs_native", SyncMode::None, 0.2, 1468, 261, 0, 49, 1532, 865, 865},
     };
     const auto g = make_workload("er", 64, 7);
     for (const Cell& c : cells) {

@@ -61,7 +61,8 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
             FaultPlan expect;
             expect.delivery = 0;
             for (std::uint32_t k = 1;; ++k) {
-                const bool forced = static_cast<int>(k) >= fc.max_attempts;
+                const bool forced =
+                    static_cast<int>(k) >= FaultConfig::kMaxAttempts;
                 const bool data_lost =
                     !forced && LinkFaults::transmission_lost(fc, e, dir, 0, window);
                 bool done = false;
@@ -85,7 +86,7 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
                     break;
                 ++expect.timeouts;
                 ++expect.retransmissions;
-                t += fc.rto(static_cast<int>(k), rtt);
+                t += FaultConfig::rto(static_cast<int>(k), rtt);
                 ++window;
             }
 
@@ -105,9 +106,8 @@ TEST(Faults, PlanMatchesFirstPrinciplesReplay)
 TEST(Faults, BoundedAdversaryForcesDelivery)
 {
     // Near-certain loss: every plan must still deliver, within
-    // max_attempts data transmissions and worst_round_ticks time units.
-    FaultConfig fc = lossy(0.99, 5);
-    fc.max_attempts = 4;
+    // kMaxAttempts data transmissions and worst_round_ticks time units.
+    const FaultConfig fc = lossy(0.99, 5);
     Rng rng(4);
     auto g = gen_cycle(8, rng);
     LinkFaults lf(g, fc);
@@ -115,7 +115,8 @@ TEST(Faults, BoundedAdversaryForcesDelivery)
     std::uint64_t counter = 0;
     for (int i = 0; i < 64; ++i) {
         FaultPlan plan = lf.plan_transmission(0, 0, counter);
-        EXPECT_LE(plan.attempts, 4u);
+        EXPECT_LE(plan.attempts,
+                  static_cast<std::uint32_t>(FaultConfig::kMaxAttempts));
         EXPECT_GT(plan.delivery, 0u);
         EXPECT_LE(plan.delivery, fc.worst_round_ticks());
     }
@@ -160,9 +161,6 @@ TEST(Faults, ValidationRejectsBadConfigs)
     EXPECT_THROW(LinkFaults(g, fc), std::invalid_argument);
     fc = FaultConfig{};
     fc.burst_len = 0;
-    EXPECT_THROW(LinkFaults(g, fc), std::invalid_argument);
-    fc = FaultConfig{};
-    fc.max_attempts = 1;
     EXPECT_THROW(LinkFaults(g, fc), std::invalid_argument);
     fc = FaultConfig{};
     fc.crashes.push_back(CrashPoint{99, 1});  // vertex out of range
@@ -232,14 +230,13 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
     // by field, except max_rounds: the one place the budget is scaled.
     auto slice = [](const NetConfig& c) {
         return std::make_tuple(
-            c.bandwidth, c.knowledge, c.record_per_round, c.record_per_edge,
+            c.bandwidth, c.record_per_round, c.record_per_edge,
             c.engine, c.threads, c.conditioner.hetero_bandwidth,
             c.conditioner.adversarial_order, c.conditioner.seed,
             c.faults.drop_rate, c.faults.burst_len, c.faults.loss_seed,
-            c.faults.rto_base, c.faults.rto_cap, c.faults.max_attempts,
             c.faults.crashes.size(), c.faults.crashes.at(0).vertex,
             c.faults.crashes.at(0).round, c.faults.graceful,
-            c.faults.stall_window, c.async.max_delay, c.async.event_seed,
+            c.async.max_delay, c.async.event_seed,
             c.async.sync, c.socket.procs, c.socket.rank, c.socket.host,
             c.socket.base_port, c.socket.handshake_timeout_ms,
             c.socket.round_timeout_ms, c.trace.enabled);
@@ -247,7 +244,6 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
     for (const FaultConfig& faults : {off, on}) {
         ElkinOptions o;  // every field off its default
         o.bandwidth = 3;
-        o.knowledge = Knowledge::KT1;
         o.max_rounds = 1234;
         o.record_per_round = true;
         o.record_per_edge = true;
@@ -256,12 +252,8 @@ TEST(Faults, FaultAwareBudgetScalesWithWorstRound)
         o.conditioner = {true, true, 99};
         o.faults = faults;
         o.faults.burst_len = 3;
-        o.faults.rto_base = 5;
-        o.faults.rto_cap = 77;
-        o.faults.max_attempts = 9;
         o.faults.crashes = {{4, 6}};
         o.faults.graceful = false;
-        o.faults.stall_window = 13;
         o.async = {7, 8, SyncMode::Beta};
         o.socket.procs = 4;
         o.socket.rank = 2;

@@ -198,7 +198,7 @@ TEST(Network, WordsAccounted)
     EXPECT_EQ(stats.words, 3u * 2);  // tag + one payload word each
 }
 
-// Inspector process: checks inbox metadata, KT0/KT1 visibility rules.
+// Inspector process: checks inbox metadata.
 class InspectorProcess : public Process {
 public:
     void on_round(Context& ctx) override
@@ -237,88 +237,6 @@ TEST(Network, DeliveryPortAndPayload)
     EXPECT_EQ(p1.received_word_, 123u);
     // Message arrives at vertex 1's port towards vertex 0.
     EXPECT_EQ(g.neighbor(1, p1.arrival_port_), 0u);
-}
-
-class NeighborIdProbe : public Process {
-public:
-    void on_round(Context& ctx) override
-    {
-        if (ctx.degree() > 0)
-            observed_ = ctx.neighbor_id(0);
-        ran_ = true;
-    }
-    bool done() const override { return ran_; }
-
-    VertexId observed_ = kNoVertex;
-    bool ran_ = false;
-};
-
-TEST(Network, KT0HidesNeighborIds)
-{
-    Rng rng(6);
-    auto g = gen_path(2, rng);
-    Network net(g, NetConfig{.knowledge = Knowledge::KT0});
-    net.init([](VertexId) { return std::make_unique<NeighborIdProbe>(); });
-    EXPECT_THROW(net.run(), InvariantViolation);
-}
-
-TEST(Network, KT1ExposesNeighborIds)
-{
-    Rng rng(7);
-    auto g = gen_path(2, rng);
-    Network net(g, NetConfig{.knowledge = Knowledge::KT1});
-    net.init([](VertexId) { return std::make_unique<NeighborIdProbe>(); });
-    net.run();
-    EXPECT_EQ(static_cast<const NeighborIdProbe&>(net.process(0)).observed_, 1u);
-    EXPECT_EQ(static_cast<const NeighborIdProbe&>(net.process(1)).observed_, 0u);
-}
-
-// Records every neighbor id visible through KT1.
-class AllPortsProbe : public Process {
-public:
-    void on_round(Context& ctx) override
-    {
-        for (std::size_t p = 0; p < ctx.degree(); ++p)
-            observed_.push_back(ctx.neighbor_id(p));
-        ran_ = true;
-    }
-    bool done() const override { return ran_; }
-
-    std::vector<VertexId> observed_;
-    bool ran_ = false;
-};
-
-TEST(Network, KT1NeighborIdsMatchGraphOnEveryPort)
-{
-    Rng rng(13);
-    auto g = gen_erdos_renyi(24, 60, rng);
-    Network net(g, NetConfig{.knowledge = Knowledge::KT1});
-    net.init([](VertexId) { return std::make_unique<AllPortsProbe>(); });
-    net.run();
-    for (VertexId v = 0; v < g.vertex_count(); ++v) {
-        const auto& p = static_cast<const AllPortsProbe&>(net.process(v));
-        ASSERT_EQ(p.observed_.size(), g.degree(v));
-        for (std::size_t port = 0; port < g.degree(v); ++port)
-            EXPECT_EQ(p.observed_[port], g.neighbor(v, port))
-                << "vertex " << v << " port " << port;
-    }
-}
-
-TEST(Network, KT1ConsistentWithReversePorts)
-{
-    // neighbor(v, p) seen through port p must be the vertex whose
-    // reverse_port maps back to p — i.e. KT1 and the wiring agree.
-    Rng rng(14);
-    auto g = gen_grid(4, 5, rng);
-    Network net(g, NetConfig{.knowledge = Knowledge::KT1});
-    net.init([](VertexId) { return std::make_unique<AllPortsProbe>(); });
-    net.run();
-    for (VertexId v = 0; v < g.vertex_count(); ++v) {
-        for (std::size_t p = 0; p < g.degree(v); ++p) {
-            VertexId u = g.neighbor(v, p);
-            EXPECT_EQ(g.neighbor(u, net.reverse_port(v, p)), v);
-        }
-    }
 }
 
 TEST(Network, RoundLimitThrows)

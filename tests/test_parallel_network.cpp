@@ -211,45 +211,6 @@ TEST(ParallelNetwork, BandwidthViolationThrowsFromWorkerThread)
     EXPECT_THROW(net.run(), InvariantViolation);
 }
 
-TEST(ParallelNetwork, KnowledgeModelEnforcedOnWorkers)
-{
-    class NeighborIdProbe : public Process {
-    public:
-        void on_round(Context& ctx) override
-        {
-            observed_ = ctx.neighbor_id(0);
-            ran_ = true;
-        }
-        bool done() const override { return ran_; }
-        VertexId observed_ = kNoVertex;
-        bool ran_ = false;
-    };
-
-    Rng rng(82);
-    auto g = gen_path(6, rng);
-    {
-        NetConfig config;
-        config.knowledge = Knowledge::KT0;
-        config.threads = 2;
-        ParallelNetwork net(g, config);
-        net.init([](VertexId) { return std::make_unique<NeighborIdProbe>(); });
-        EXPECT_THROW(net.run(), InvariantViolation);
-    }
-    {
-        NetConfig config;
-        config.knowledge = Knowledge::KT1;
-        config.threads = 2;
-        ParallelNetwork net(g, config);
-        net.init([](VertexId) { return std::make_unique<NeighborIdProbe>(); });
-        net.run();
-        for (VertexId v = 0; v < g.vertex_count(); ++v) {
-            const auto& p =
-                static_cast<const NeighborIdProbe&>(net.process(v));
-            EXPECT_EQ(p.observed_, g.neighbor(v, 0));
-        }
-    }
-}
-
 TEST(ParallelNetwork, RoundLimitDiagnosticsReportStuckProcesses)
 {
     class Restless : public Process {

@@ -137,7 +137,6 @@ void expect_same_spans(const TraceTable& a, const TraceTable& b,
         const TraceSpan& y = b.spans[i];
         EXPECT_TRUE(x.phase == y.phase && x.level == y.level &&
                     x.messages == y.messages && x.words == y.words &&
-                    x.instants == y.instants &&
                     x.retransmissions == y.retransmissions &&
                     x.drops == y.drops && x.first_round == y.first_round &&
                     x.last_round == y.last_round)
@@ -293,36 +292,43 @@ TEST(SleepActivations, ElkinGrid2048SerialStaysUnderOneMillion)
     EXPECT_LE(r.stats.activations, 1'000'000u);
 }
 
-// A timer-driven message process sleeps between its timers on the
-// lock-step engines: one activation for on_start, one per firing.
-class TickerProcess final : public MessageProcess {
+// A message-driven process has no clock: only an arrival wakes it. Every
+// third vertex sends once on its port 0 from on_start, so the lock-step
+// engines activate each vertex once for on_start and each receiver once
+// more, and never anyone else.
+class SendOnceProcess final : public MessageProcess {
 public:
-    void on_start(Context& ctx) override { ctx.set_timer(10, 0); }
-    void on_message(Context&, std::size_t, Message&&) override {}
-    void on_wakeup(Context& ctx, std::uint64_t) override
+    void on_start(Context& ctx) override
     {
-        if (++fired_ < 3)
-            ctx.set_timer(10, 0);
+        started_ = true;
+        if (ctx.id() % 3 == 0)
+            ctx.send(0, Message{1, {ctx.id()}});
     }
-    bool done() const override { return fired_ == 3; }
+    void on_message(Context&, std::size_t, Message&&) override {}
+    bool done() const override { return started_; }
 
 private:
-    int fired_ = 0;
+    bool started_ = false;
 };
 
-TEST(SleepActivations, TimerDrivenMessageProcessWakesOnlyForTimers)
+TEST(SleepActivations, OnlyAnArrivalWakesAMessageProcess)
 {
     Rng rng(5);
     const WeightedGraph g = gen_grid(4, 5, rng);
+    std::set<VertexId> receivers;
+    for (VertexId v = 0; v < g.vertex_count(); v += 3)
+        receivers.insert(g.neighbor(v, 0));
+    ASSERT_LT(receivers.size(), g.vertex_count());
     for (Engine engine : {Engine::Serial, Engine::Parallel}) {
         NetConfig config;
         config.engine = engine;
         config.threads = 2;
         auto net = make_network(g, config);
-        net->init([](VertexId) { return std::make_unique<TickerProcess>(); });
+        net->init([](VertexId) { return std::make_unique<SendOnceProcess>(); });
         const RunStats s = net->run();
-        EXPECT_EQ(s.rounds, 31u) << engine_name(engine);
-        EXPECT_EQ(s.activations, 4 * g.vertex_count()) << engine_name(engine);
+        EXPECT_EQ(s.rounds, 2u) << engine_name(engine);
+        EXPECT_EQ(s.activations, g.vertex_count() + receivers.size())
+            << engine_name(engine);
     }
 }
 

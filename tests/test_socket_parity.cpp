@@ -34,6 +34,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <exception>
 #include <memory>
@@ -579,6 +580,14 @@ bool keeps_remote_defaults(const Result& r, VertexId v)
     return true;
 }
 
+// A forked rank's error exit: names the error on stderr (the test log),
+// then exits 3 without running the parent's atexit handlers.
+[[noreturn]] void rank_failed(int rank, const char* what)
+{
+    std::fprintf(stderr, "rank %d: %s\n", rank, what);
+    ::_exit(3);
+}
+
 // Child body: run the driver over the socket engine as `rank`, report the
 // owned slice through `fd`. Never returns; exits 5 if a vertex of another
 // rank left the remote-vertex defaults.
@@ -613,8 +622,10 @@ template <class Run>
         write_all(fd, out.data(), out.size() * sizeof(std::uint64_t));
         ::close(fd);
         ::_exit(0);
+    } catch (const std::exception& e) {
+        rank_failed(rank, e.what());
     } catch (...) {
-        ::_exit(3);
+        rank_failed(rank, "unknown exception");
     }
 }
 
@@ -780,8 +791,10 @@ constexpr int kNetworks = 4;
         write_all(fd, out.data(), out.size() * sizeof(std::uint64_t));
         ::close(fd);
         ::_exit(0);
+    } catch (const std::exception& e) {
+        rank_failed(rank, e.what());
     } catch (...) {
-        ::_exit(3);
+        rank_failed(rank, "unknown exception");
     }
 }
 

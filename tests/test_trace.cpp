@@ -553,7 +553,6 @@ TEST(TraceExport, JsonlRoundTrip)
         EXPECT_EQ(back.spans[i].last_round, t.spans[i].last_round);
         EXPECT_EQ(back.spans[i].first_vtime, t.spans[i].first_vtime);
         EXPECT_EQ(back.spans[i].last_vtime, t.spans[i].last_vtime);
-        EXPECT_EQ(back.spans[i].instants, t.spans[i].instants);
     }
     ASSERT_EQ(back.tags.size(), t.tags.size());
     for (std::size_t i = 0; i < t.tags.size(); ++i) {
