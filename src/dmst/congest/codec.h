@@ -2,8 +2,8 @@
 #define DMST_CONGEST_CODEC_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <utility>
 
 #include "dmst/congest/message.h"
 #include "dmst/graph/graph.h"
@@ -13,96 +13,80 @@ namespace dmst {
 
 // Typed wire codec for CONGEST messages.
 //
-// Every protocol payload in this library is a fixed sequence of 64-bit
-// words. This layer replaces hand-indexed `msg.words.at(i)` with per-tag
-// payload structs: each struct declares its fields once, and `encode(tag,
-// payload)` / `decode<P>(msg)` are the only places that touch the word
-// layout. decode() asserts that the payload was consumed exactly — a
-// length mismatch between sender and receiver is a protocol bug, caught at
-// the boundary instead of surfacing as a garbage field three hops later.
+// Every protocol payload is a fixed sequence of 64-bit words. Each payload
+// struct below names its fields once, in wire order, in `fields(f)`, which
+// calls `f(field, ...)`. encode() walks that list with a WordWriter and
+// decode() with a WordReader, so the two directions cannot disagree.
 //
-// Two trust levels share this layout:
-//   - decode<P>() — for the in-process engines, where every message was
-//     produced by encode() in the same address space. A length mismatch is
-//     a protocol bug and aborts via DMST_ASSERT.
-//   - try_decode<P>() — for bytes that crossed a process boundary (the
-//     socket backend). Truncated or over-long payloads come back as a
-//     routable DecodeStatus instead of an abort; the reader saturates on
-//     underrun (no .at() throw, no out-of-bounds read).
+// decode() throws InvariantViolation ("shorter" / "longer") unless the
+// message holds exactly the payload's words, so a protocol bug or a
+// well-framed socket payload of the wrong width fails the run at the
+// boundary. The reader saturates: no read goes out of bounds.
 //
-// Word layout conventions (shared by every struct below):
-//   - one u64 per field, in declaration order;
-//   - a vertex-id pair packs as (hi << 32) | lo into one word;
-//   - an EdgeKey is two words: the weight, then the packed endpoints.
+// Layout: a u64 or bool field is one word (a bool is 1 or 0; any nonzero
+// word reads as true); an EdgeKey is two, the weight and then (a << 32) | b;
+// a std::array<std::uint64_t, N> is N.
 
 // ----------------------------------------------------------- reader/writer
 
+// Field visitor that appends each field's words to a message.
 class WordWriter {
 public:
     explicit WordWriter(Message& m) : words_(m.words) {}
 
-    void u64(std::uint64_t v) { words_.push_back(v); }
-    void u32(std::uint32_t v) { words_.push_back(v); }
-    void flag(bool v) { words_.push_back(v ? 1 : 0); }
-
-    // Packs two 32-bit ids into one word: (hi << 32) | lo.
-    void vid_pair(VertexId hi, VertexId lo)
-    {
-        words_.push_back((std::uint64_t{hi} << 32) | lo);
-    }
-
-    // Two words: weight, then packed (a, b) endpoints.
-    void edge_key(const EdgeKey& k)
-    {
-        u64(k.w);
-        vid_pair(k.a, k.b);
-    }
+    template <typename... Fs>
+    void operator()(const Fs&... fs) { (put(fs), ...); }
 
 private:
+    void put(std::uint64_t v) { words_.push_back(v); }  // a bool is 1 or 0
+    void put(const EdgeKey& k)
+    {
+        words_.push_back(k.w);
+        words_.push_back((std::uint64_t{k.a} << 32) | k.b);
+    }
+    template <std::size_t N>
+    void put(const std::array<std::uint64_t, N>& a)
+    {
+        for (std::uint64_t v : a)
+            put(v);
+    }
+
     WordBuf& words_;
 };
 
-// Checked reader: reading past the end of the payload yields 0 and latches
-// a sticky underrun flag instead of throwing. The caller decides whether an
-// underrun is fatal (decode: assert) or routable (try_decode: status).
+// Field visitor that fills each field from a message's words. A read past
+// the end yields 0 and clears ok(), which decode() reports as "shorter".
 class WordReader {
 public:
     explicit WordReader(const Message& m) : words_(m.words) {}
 
-    std::uint64_t u64()
-    {
-        if (cursor_ >= words_.size()) {
-            ok_ = false;
-            return 0;
-        }
-        return words_[cursor_++];
-    }
-    std::uint32_t u32() { return static_cast<std::uint32_t>(u64()); }
-    bool flag() { return u64() != 0; }
+    template <typename... Fs> void operator()(Fs&... fs) { (get(fs), ...); }
 
-    std::pair<VertexId, VertexId> vid_pair()
-    {
-        std::uint64_t w = u64();
-        return {static_cast<VertexId>(w >> 32),
-                static_cast<VertexId>(w & 0xFFFFFFFFULL)};
-    }
-
-    EdgeKey edge_key()
-    {
-        EdgeKey k;
-        k.w = u64();
-        auto [a, b] = vid_pair();
-        k.a = a;
-        k.b = b;
-        return k;
-    }
-
+    bool ok() const { return ok_; }
     bool exhausted() const { return cursor_ == words_.size(); }
 
-    // False once any read ran past the end of the payload.
-    bool ok() const { return ok_; }
-
 private:
+    std::uint64_t next()
+    {
+        ok_ = ok_ && cursor_ < words_.size();
+        return ok_ ? words_[cursor_++] : 0;
+    }
+    void get(std::uint64_t& v) { v = next(); }
+    void get(bool& v) { v = next() != 0; }
+    void get(EdgeKey& k)
+    {
+        k.w = next();
+        const std::uint64_t ab = next();
+        k.a = static_cast<VertexId>(ab >> 32);
+        k.b = static_cast<VertexId>(ab & 0xFFFFFFFFULL);
+    }
+    template <std::size_t N>
+    void get(std::array<std::uint64_t, N>& a)
+    {
+        for (std::uint64_t& v : a)
+            get(v);
+    }
+
     const WordBuf& words_;
     std::size_t cursor_ = 0;
     bool ok_ = true;
@@ -112,101 +96,46 @@ private:
 
 // Builds a Message with `tag` and the payload's wire encoding.
 template <typename P>
-Message encode(std::uint32_t tag, const P& payload)
+Message encode(std::uint32_t tag, P payload)
 {
     Message m;
     m.tag = tag;
-    WordWriter w(m);
-    payload.write(w);
+    payload.fields(WordWriter(m));
     return m;
 }
 
-// Decodes the payload of `m`, asserting it is consumed exactly.
+// Decodes the payload of `m`; throws InvariantViolation unless the message
+// holds exactly the payload type's words.
 template <typename P>
 P decode(const Message& m)
 {
+    P payload;
     WordReader r(m);
-    P payload = P::read(r);
-    DMST_ASSERT_MSG(r.ok(), "codec: message shorter than its payload type");
-    DMST_ASSERT_MSG(r.exhausted(), "codec: message longer than its payload type");
+    payload.fields(r);
+    DMST_ASSERT_MSG(r.ok(), "codec: message shorter than its payload");
+    DMST_ASSERT_MSG(r.exhausted(), "codec: message longer than its payload");
     return payload;
-}
-
-// Outcome of a checked decode of untrusted bytes.
-enum class DecodeStatus : std::uint8_t {
-    Ok = 0,
-    Truncated,  // payload ended before the struct's last field
-    Overlong,   // trailing words after the struct's last field
-};
-
-inline const char* decode_status_name(DecodeStatus s)
-{
-    switch (s) {
-    case DecodeStatus::Ok:
-        return "ok";
-    case DecodeStatus::Truncated:
-        return "truncated";
-    case DecodeStatus::Overlong:
-        return "overlong";
-    }
-    return "?";
-}
-
-template <typename P>
-struct DecodeResult {
-    DecodeStatus status = DecodeStatus::Ok;
-    P payload{};
-
-    bool ok() const { return status == DecodeStatus::Ok; }
-};
-
-// Checked decode for bytes from outside the process: never asserts, never
-// throws, never reads out of bounds. On Truncated/Overlong the payload is
-// whatever the struct read before the mismatch (missing fields are 0) and
-// must not be acted on.
-template <typename P>
-DecodeResult<P> try_decode(const Message& m)
-{
-    DecodeResult<P> out;
-    WordReader r(m);
-    out.payload = P::read(r);
-    if (!r.ok())
-        out.status = DecodeStatus::Truncated;
-    else if (!r.exhausted())
-        out.status = DecodeStatus::Overlong;
-    return out;
 }
 
 // Word 0 of every phase-scheduled driver message is the phase index; the
 // drivers peek it to route stragglers before committing to a payload type.
-// Checked variant for untrusted input: false iff the message is empty.
-inline bool try_peek_phase(const Message& m, std::uint64_t& phase)
-{
-    if (m.words.empty())
-        return false;
-    phase = m.words[0];
-    return true;
-}
-
-// In-process peek: an empty message here is a protocol bug and aborts with
-// a codec-level diagnostic instead of an opaque .at(0) throw.
+// An empty message throws InvariantViolation.
 inline std::uint64_t peek_phase(const Message& m)
 {
-    std::uint64_t phase = 0;
-    DMST_ASSERT_MSG(try_peek_phase(m, phase), "codec: peek_phase on empty message");
-    return phase;
+    DMST_ASSERT_MSG(!m.words.empty(), "codec: peek_phase on empty message");
+    return m.words[0];
 }
 
 // ------------------------------------------------------- payload structs
 //
 // Grouped by layer. Several tags share a wire shape on purpose (e.g. every
 // "control ping carrying only the phase" is a PhaseOnlyMsg); the tag, not
-// the struct, identifies the message kind on the wire.
+// the struct, identifies the message kind on the wire. The field names
+// document each wire, so shape-identical structs stay apart.
 
 // Tagged signal with no payload (ACCEPT/REJECT, DONE, FINISH, MARK_CROSS).
 struct EmptyMsg {
-    void write(WordWriter&) const {}
-    static EmptyMsg read(WordReader&) { return {}; }
+    template <typename F> void fields(F&&) {}
 };
 
 // --- proto/bfs ---
@@ -215,8 +144,7 @@ struct EmptyMsg {
 struct BfsExploreMsg {
     std::uint64_t depth = 0;
 
-    void write(WordWriter& w) const { w.u64(depth); }
-    static BfsExploreMsg read(WordReader& r) { return {r.u64()}; }
+    template <typename F> void fields(F&& f) { f(depth); }
 };
 
 // ECHO: subtree size and height below the sender.
@@ -224,18 +152,7 @@ struct BfsEchoMsg {
     std::uint64_t subtree_size = 0;
     std::uint64_t height = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(subtree_size);
-        w.u64(height);
-    }
-    static BfsEchoMsg read(WordReader& r)
-    {
-        BfsEchoMsg m;
-        m.subtree_size = r.u64();
-        m.height = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(subtree_size, height); }
 };
 
 // --- proto/intervals ---
@@ -245,18 +162,7 @@ struct IntervalAssignMsg {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(lo);
-        w.u64(hi);
-    }
-    static IntervalAssignMsg read(WordReader& r)
-    {
-        IntervalAssignMsg m;
-        m.lo = r.u64();
-        m.hi = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(lo, hi); }
 };
 
 // --- proto/downcast ---
@@ -266,20 +172,7 @@ struct DownRecordMsg {
     std::uint64_t target = 0;
     std::array<std::uint64_t, 4> payload{};
 
-    void write(WordWriter& w) const
-    {
-        w.u64(target);
-        for (std::uint64_t p : payload)
-            w.u64(p);
-    }
-    static DownRecordMsg read(WordReader& r)
-    {
-        DownRecordMsg m;
-        m.target = r.u64();
-        for (std::uint64_t& p : m.payload)
-            p = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(target, payload); }
 };
 
 // --- proto/pipeline ---
@@ -291,22 +184,7 @@ struct PipeRecordMsg {
     std::uint64_t group2 = 0;
     std::uint64_t aux = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.edge_key(key);
-        w.u64(group);
-        w.u64(group2);
-        w.u64(aux);
-    }
-    static PipeRecordMsg read(WordReader& r)
-    {
-        PipeRecordMsg m;
-        m.key = r.edge_key();
-        m.group = r.u64();
-        m.group2 = r.u64();
-        m.aux = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(key, group, group2, aux); }
 };
 
 // --- core drivers (phase-scheduled) ---
@@ -318,8 +196,7 @@ struct PipeRecordMsg {
 struct PhaseOnlyMsg {
     std::uint64_t phase = 0;
 
-    void write(WordWriter& w) const { w.u64(phase); }
-    static PhaseOnlyMsg read(WordReader& r) { return {r.u64()}; }
+    template <typename F> void fields(F&& f) { f(phase); }
 };
 
 // Identity exchange across an edge: FID (GHS / Boruvka), CHAT (Elkin
@@ -330,20 +207,7 @@ struct FidMsg {
     std::uint64_t fid = 0;
     std::uint64_t vid = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(fid);
-        w.u64(vid);
-    }
-    static FidMsg read(WordReader& r)
-    {
-        FidMsg m;
-        m.phase = r.u64();
-        m.fid = r.u64();
-        m.vid = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, fid, vid); }
 };
 
 // Phase + one boolean: CAND_NBR, GATE_INFO.
@@ -351,18 +215,7 @@ struct PhaseFlagMsg {
     std::uint64_t phase = 0;
     bool value = false;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.flag(value);
-    }
-    static PhaseFlagMsg read(WordReader& r)
-    {
-        PhaseFlagMsg m;
-        m.phase = r.u64();
-        m.value = r.flag();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, value); }
 };
 
 // Phase + one value word: NEW_ID (fid), ANNOUNCE (packed edge),
@@ -371,18 +224,7 @@ struct PhaseValueMsg {
     std::uint64_t phase = 0;
     std::uint64_t value = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(value);
-    }
-    static PhaseValueMsg read(WordReader& r)
-    {
-        PhaseValueMsg m;
-        m.phase = r.u64();
-        m.value = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, value); }
 };
 
 // Cole–Vishkin color relay: COLOR_DOWN, COLOR_CROSS, COLOR_UP.
@@ -391,20 +233,7 @@ struct ColorMsg {
     std::uint64_t iter = 0;
     std::uint64_t color = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(iter);
-        w.u64(color);
-    }
-    static ColorMsg read(WordReader& r)
-    {
-        ColorMsg m;
-        m.phase = r.u64();
-        m.iter = r.u64();
-        m.color = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, iter, color); }
 };
 
 // Matching-step relays carrying (phase, MM step, one value): STATUS_DOWN
@@ -414,20 +243,7 @@ struct StepValueMsg {
     std::uint64_t step = 0;
     std::uint64_t value = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(step);
-        w.u64(value);
-    }
-    static StepValueMsg read(WordReader& r)
-    {
-        StepValueMsg m;
-        m.phase = r.u64();
-        m.step = r.u64();
-        m.value = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, step, value); }
 };
 
 // ACCEPT_CROSS: phase + MM step.
@@ -435,18 +251,7 @@ struct StepMsg {
     std::uint64_t phase = 0;
     std::uint64_t step = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(step);
-    }
-    static StepMsg read(WordReader& r)
-    {
-        StepMsg m;
-        m.phase = r.u64();
-        m.step = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, step); }
 };
 
 // STATUS_CROSS: the gate tells its foreign partner (phase, step, own fid,
@@ -457,22 +262,7 @@ struct StatusCrossMsg {
     std::uint64_t fid = 0;
     bool matched = false;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(step);
-        w.u64(fid);
-        w.flag(matched);
-    }
-    static StatusCrossMsg read(WordReader& r)
-    {
-        StatusCrossMsg m;
-        m.phase = r.u64();
-        m.step = r.u64();
-        m.fid = r.u64();
-        m.matched = r.flag();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, step, fid, matched); }
 };
 
 // MWOE convergecast report: best crossing edge + subtree height (GHS).
@@ -481,20 +271,7 @@ struct MwoeReportMsg {
     EdgeKey key;
     std::uint64_t height = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.edge_key(key);
-        w.u64(height);
-    }
-    static MwoeReportMsg read(WordReader& r)
-    {
-        MwoeReportMsg m;
-        m.phase = r.u64();
-        m.key = r.edge_key();
-        m.height = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, key, height); }
 };
 
 // Boruvka convergecast report: best crossing edge only.
@@ -502,18 +279,7 @@ struct EdgeReportMsg {
     std::uint64_t phase = 0;
     EdgeKey key;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.edge_key(key);
-    }
-    static EdgeReportMsg read(WordReader& r)
-    {
-        EdgeReportMsg m;
-        m.phase = r.u64();
-        m.key = r.edge_key();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, key); }
 };
 
 // Elkin fragment report: best crossing edge + the coarse id it leads to.
@@ -522,20 +288,7 @@ struct FragReportMsg {
     EdgeKey key;
     std::uint64_t other_coarse = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.edge_key(key);
-        w.u64(other_coarse);
-    }
-    static FragReportMsg read(WordReader& r)
-    {
-        FragReportMsg m;
-        m.phase = r.u64();
-        m.key = r.edge_key();
-        m.other_coarse = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, key, other_coarse); }
 };
 
 // ACK_PROP (Boruvka): was the proposal reciprocal, and the acker's fid.
@@ -544,20 +297,7 @@ struct AckPropMsg {
     bool reciprocal = false;
     std::uint64_t fid = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.flag(reciprocal);
-        w.u64(fid);
-    }
-    static AckPropMsg read(WordReader& r)
-    {
-        AckPropMsg m;
-        m.phase = r.u64();
-        m.reciprocal = r.flag();
-        m.fid = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, reciprocal, fid); }
 };
 
 // NEW_COARSE (Elkin): the fragment's new coarse id + the packed MST edge
@@ -567,20 +307,7 @@ struct NewCoarseMsg {
     std::uint64_t coarse = 0;
     std::uint64_t edge = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(phase);
-        w.u64(coarse);
-        w.u64(edge);
-    }
-    static NewCoarseMsg read(WordReader& r)
-    {
-        NewCoarseMsg m;
-        m.phase = r.u64();
-        m.coarse = r.u64();
-        m.edge = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(phase, coarse, edge); }
 };
 
 // START_GHS wave (Elkin / Pipeline): the k parameter and the global round
@@ -589,18 +316,7 @@ struct StartGhsMsg {
     std::uint64_t k = 0;
     std::uint64_t start_round = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(k);
-        w.u64(start_round);
-    }
-    static StartGhsMsg read(WordReader& r)
-    {
-        StartGhsMsg m;
-        m.k = r.u64();
-        m.start_round = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(k, start_round); }
 };
 
 // ID_EXCHANGE (Pipeline baseline): fragment id + vertex id, no phase.
@@ -608,26 +324,14 @@ struct IdExchangeMsg {
     std::uint64_t fid = 0;
     std::uint64_t vid = 0;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(fid);
-        w.u64(vid);
-    }
-    static IdExchangeMsg read(WordReader& r)
-    {
-        IdExchangeMsg m;
-        m.fid = r.u64();
-        m.vid = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(fid, vid); }
 };
 
 // Single bare word (EDGE_BCAST packed edge).
 struct WordMsg {
     std::uint64_t word = 0;
 
-    void write(WordWriter& w) const { w.u64(word); }
-    static WordMsg read(WordReader& r) { return {r.u64()}; }
+    template <typename F> void fields(F&& f) { f(word); }
 };
 
 // --- proto/verify + core/verify_mst ---
@@ -640,18 +344,7 @@ struct HelloMsg {
     std::uint64_t vid = 0;
     bool marked = false;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(vid);
-        w.flag(marked);
-    }
-    static HelloMsg read(WordReader& r)
-    {
-        HelloMsg m;
-        m.vid = r.u64();
-        m.marked = r.flag();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(vid, marked); }
 };
 
 // SNAPSHOT: per-subtree aggregate of the spanning check, convergecast over
@@ -663,22 +356,8 @@ struct VerifySnapshotMsg {
     EdgeKey asym = kInfiniteEdgeKey;
     EdgeKey cycle = kInfiniteEdgeKey;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(claimed_ports);
-        w.u64(nontree_ports);
-        w.edge_key(asym);
-        w.edge_key(cycle);
-    }
-    static VerifySnapshotMsg read(WordReader& r)
-    {
-        VerifySnapshotMsg m;
-        m.claimed_ports = r.u64();
-        m.nontree_ports = r.u64();
-        m.asym = r.edge_key();
-        m.cycle = r.edge_key();
-        return m;
-    }
+    template <typename F>
+    void fields(F&& f) { f(claimed_ports, nontree_ports, asym, cycle); }
 };
 
 // TOKEN: one half of a cycle-max query climbing the claimed tree. `pair`
@@ -690,20 +369,7 @@ struct PathTokenMsg {
     EdgeKey key;
     EdgeKey max_seen;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(pair);
-        w.edge_key(key);
-        w.edge_key(max_seen);
-    }
-    static PathTokenMsg read(WordReader& r)
-    {
-        PathTokenMsg m;
-        m.pair = r.u64();
-        m.key = r.edge_key();
-        m.max_seen = r.edge_key();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(pair, key, max_seen); }
 };
 
 // COUNT: monotone pair-completion counter convergecast over τ, carrying
@@ -714,20 +380,7 @@ struct VerifyCountMsg {
     EdgeKey witness = kInfiniteEdgeKey;
     EdgeKey offender = kInfiniteEdgeKey;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(pairs);
-        w.edge_key(witness);
-        w.edge_key(offender);
-    }
-    static VerifyCountMsg read(WordReader& r)
-    {
-        VerifyCountMsg m;
-        m.pairs = r.u64();
-        m.witness = r.edge_key();
-        m.offender = r.edge_key();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(pairs, witness, offender); }
 };
 
 // FINAL: the root's verdict broadcast (verdict enum as a word + witness
@@ -737,36 +390,21 @@ struct VerdictMsg {
     EdgeKey witness = kInfiniteEdgeKey;
     EdgeKey offender = kInfiniteEdgeKey;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(verdict);
-        w.edge_key(witness);
-        w.edge_key(offender);
-    }
-    static VerdictMsg read(WordReader& r)
-    {
-        VerdictMsg m;
-        m.verdict = r.u64();
-        m.witness = r.edge_key();
-        m.offender = r.edge_key();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(verdict, witness, offender); }
 };
 
 // Bare EdgeKey (CUT_REPORT: minimal crossing edge of the disconnection cut).
 struct EdgeKeyMsg {
     EdgeKey key;
 
-    void write(WordWriter& w) const { w.edge_key(key); }
-    static EdgeKeyMsg read(WordReader& r) { return {r.edge_key()}; }
+    template <typename F> void fields(F&& f) { f(key); }
 };
 
 // Single boolean (SIDE: which side of the disconnection cut the sender is on).
 struct FlagMsg {
     bool value = false;
 
-    void write(WordWriter& w) const { w.flag(value); }
-    static FlagMsg read(WordReader& r) { return {r.flag()}; }
+    template <typename F> void fields(F&& f) { f(value); }
 };
 
 // FLOOD (Elkin ablation E10b): a 4-word broadcast record
@@ -774,18 +412,7 @@ struct FlagMsg {
 struct FloodMsg {
     std::array<std::uint64_t, 4> rec{};
 
-    void write(WordWriter& w) const
-    {
-        for (std::uint64_t v : rec)
-            w.u64(v);
-    }
-    static FloodMsg read(WordReader& r)
-    {
-        FloodMsg m;
-        for (std::uint64_t& v : m.rec)
-            v = r.u64();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(rec); }
 };
 
 }  // namespace dmst

@@ -34,15 +34,13 @@ enum Tag : std::uint32_t {
 struct IdMsg {
     std::uint64_t id = 0;
 
-    void write(WordWriter& w) const { w.u64(id); }
-    static IdMsg read(WordReader& r) { return {r.u64()}; }
+    template <typename F> void fields(F&& f) { f(id); }
 };
 
 struct LevelMsg {
     std::uint64_t level = 0;
 
-    void write(WordWriter& w) const { w.u64(level); }
-    static LevelMsg read(WordReader& r) { return {r.u64()}; }
+    template <typename F> void fields(F&& f) { f(level); }
 };
 
 struct InitiateMsg {
@@ -50,45 +48,20 @@ struct InitiateMsg {
     EdgeKey fragment;
     bool find = false;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(level);
-        w.edge_key(fragment);
-        w.flag(find);
-    }
-    static InitiateMsg read(WordReader& r)
-    {
-        InitiateMsg m;
-        m.level = r.u64();
-        m.fragment = r.edge_key();
-        m.find = r.flag();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(level, fragment, find); }
 };
 
 struct TestMsg {
     std::uint64_t level = 0;
     EdgeKey fragment;
 
-    void write(WordWriter& w) const
-    {
-        w.u64(level);
-        w.edge_key(fragment);
-    }
-    static TestMsg read(WordReader& r)
-    {
-        TestMsg m;
-        m.level = r.u64();
-        m.fragment = r.edge_key();
-        return m;
-    }
+    template <typename F> void fields(F&& f) { f(level, fragment); }
 };
 
 struct ReportMsg {
     EdgeKey best;
 
-    void write(WordWriter& w) const { w.edge_key(best); }
-    static ReportMsg read(WordReader& r) { return {r.edge_key()}; }
+    template <typename F> void fields(F&& f) { f(best); }
 };
 
 // ---------------------------------------------------------------- process

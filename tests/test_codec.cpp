@@ -1,10 +1,15 @@
 // Typed codec layer (congest/codec.h): every payload struct must survive
 // an encode/decode round trip bit-exactly, at its documented word count —
 // the word-accounting invariant that keeps RunStats comparable across
-// revisions. Also covers the WordBuf inline/overflow payload storage that
-// backs Message.
+// revisions — in a pinned word layout, and decode must reject every
+// off-width message. Also covers the WordBuf inline/overflow payload
+// storage that backs Message.
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "dmst/congest/codec.h"
 #include "dmst/util/rng.h"
@@ -250,23 +255,148 @@ TEST(Codec, EdgeKeyPackingIsLossless)
     }
 }
 
-TEST(Codec, DecodeRejectsTrailingWords)
+// Every payload struct is a fixed word width, so decode has a closed-form
+// contract for any field values: it throws naming "shorter" below that
+// width, decodes at it, and throws naming "longer" above it. The reader
+// saturates, so the short cases never read out of bounds (the sanitizer
+// leg is the judge).
+template <typename P>
+void sweep_widths(const char* name)
 {
-    Message m = encode(1, PhaseOnlyMsg{5});
-    m.words.push_back(99);  // a stray extra word
-    EXPECT_THROW(decode<PhaseOnlyMsg>(m), InvariantViolation);
+    Rng rng(11);
+    const std::size_t width = encode(1, P{}).words.size();
+    for (std::size_t len = 0; len <= width + 3; ++len) {
+        SCOPED_TRACE(std::string(name) + " len=" + std::to_string(len) +
+                     " width=" + std::to_string(width));
+        for (int trial = 0; trial < 16; ++trial) {
+            Message m;
+            m.tag = 1;
+            for (std::size_t i = 0; i < len; ++i)
+                m.words.push_back(rng.next());
+            if (len == width) {
+                EXPECT_NO_THROW((void)decode<P>(m));
+                continue;
+            }
+            try {
+                (void)decode<P>(m);
+                ADD_FAILURE() << "off-width message decoded";
+            }
+            catch (const InvariantViolation& e) {
+                const char* expect = len < width ? "shorter" : "longer";
+                EXPECT_NE(std::string(e.what()).find(expect),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
-TEST(Codec, DecodeRejectsTruncatedMessage)
+TEST(Codec, DecodeRejectsEveryOffWidthPayload)
 {
-    Message m = encode(1, PhaseOnlyMsg{5});  // one payload word
-    EXPECT_THROW(decode<FidMsg>(m), InvariantViolation);  // needs three
+    sweep_widths<EmptyMsg>("EmptyMsg");
+    sweep_widths<BfsExploreMsg>("BfsExploreMsg");
+    sweep_widths<BfsEchoMsg>("BfsEchoMsg");
+    sweep_widths<IntervalAssignMsg>("IntervalAssignMsg");
+    sweep_widths<DownRecordMsg>("DownRecordMsg");
+    sweep_widths<PipeRecordMsg>("PipeRecordMsg");
+    sweep_widths<PhaseOnlyMsg>("PhaseOnlyMsg");
+    sweep_widths<FidMsg>("FidMsg");
+    sweep_widths<PhaseFlagMsg>("PhaseFlagMsg");
+    sweep_widths<PhaseValueMsg>("PhaseValueMsg");
+    sweep_widths<ColorMsg>("ColorMsg");
+    sweep_widths<StepValueMsg>("StepValueMsg");
+    sweep_widths<StepMsg>("StepMsg");
+    sweep_widths<StatusCrossMsg>("StatusCrossMsg");
+    sweep_widths<MwoeReportMsg>("MwoeReportMsg");
+    sweep_widths<EdgeReportMsg>("EdgeReportMsg");
+    sweep_widths<FragReportMsg>("FragReportMsg");
+    sweep_widths<AckPropMsg>("AckPropMsg");
+    sweep_widths<NewCoarseMsg>("NewCoarseMsg");
+    sweep_widths<StartGhsMsg>("StartGhsMsg");
+    sweep_widths<IdExchangeMsg>("IdExchangeMsg");
+    sweep_widths<WordMsg>("WordMsg");
+    sweep_widths<HelloMsg>("HelloMsg");
+    sweep_widths<VerifySnapshotMsg>("VerifySnapshotMsg");
+    sweep_widths<PathTokenMsg>("PathTokenMsg");
+    sweep_widths<VerifyCountMsg>("VerifyCountMsg");
+    sweep_widths<VerdictMsg>("VerdictMsg");
+    sweep_widths<EdgeKeyMsg>("EdgeKeyMsg");
+    sweep_widths<FlagMsg>("FlagMsg");
+    sweep_widths<FloodMsg>("FloodMsg");
 }
 
 TEST(Codec, PeekPhaseReadsWordZero)
 {
     Message m = encode(9, FidMsg{1234, 5, 6});
     EXPECT_EQ(peek_phase(m), 1234u);
+}
+
+TEST(Codec, PeekPhaseOnEmptyMessageThrows)
+{
+    EXPECT_THROW((void)peek_phase(Message{}), InvariantViolation);
+}
+
+// ------------------------------------------------------------ wire layout
+
+// Encodes `payload`, compares its exact words, and checks that decoding
+// those words and encoding again reproduces them. Every field carries a
+// distinct value, so a reordered field, a swapped endpoint or a changed
+// packing shows here even though write and read share one field list.
+template <typename P>
+void expect_wire(const char* name, const P& payload,
+                 const std::vector<std::uint64_t>& words)
+{
+    SCOPED_TRACE(name);
+    const Message m = encode(0, payload);
+    const std::vector<std::uint64_t> got(m.words.begin(), m.words.end());
+    EXPECT_EQ(got, words);
+    EXPECT_EQ(encode(0, decode<P>(m)).words, m.words);
+}
+
+TEST(Codec, WireLayoutPinned)
+{
+    // Distinct weights and distinct 32-bit halves; an EdgeKey is the
+    // weight word, then (a << 32) | b.
+    const EdgeKey k1{0x11, 0xA1, 0xB1};
+    const EdgeKey k2{0x22, 0xA2, 0xB2};
+    const std::uint64_t p1 = 0x000000A1000000B1ULL;
+    const std::uint64_t p2 = 0x000000A2000000B2ULL;
+
+    expect_wire("EmptyMsg", EmptyMsg{}, {});
+    expect_wire("BfsExploreMsg", BfsExploreMsg{2}, {2});
+    expect_wire("BfsEchoMsg", BfsEchoMsg{2, 3}, {2, 3});
+    expect_wire("IntervalAssignMsg", IntervalAssignMsg{2, 3}, {2, 3});
+    expect_wire("DownRecordMsg", DownRecordMsg{2, {3, 4, 5, 6}},
+                {2, 3, 4, 5, 6});
+    expect_wire("PipeRecordMsg", PipeRecordMsg{k1, 2, 3, 4},
+                {0x11, p1, 2, 3, 4});
+    expect_wire("PhaseOnlyMsg", PhaseOnlyMsg{2}, {2});
+    expect_wire("FidMsg", FidMsg{2, 3, 4}, {2, 3, 4});
+    expect_wire("PhaseFlagMsg", PhaseFlagMsg{2, true}, {2, 1});
+    expect_wire("PhaseValueMsg", PhaseValueMsg{2, 3}, {2, 3});
+    expect_wire("ColorMsg", ColorMsg{2, 3, 4}, {2, 3, 4});
+    expect_wire("StepValueMsg", StepValueMsg{2, 3, 4}, {2, 3, 4});
+    expect_wire("StepMsg", StepMsg{2, 3}, {2, 3});
+    expect_wire("StatusCrossMsg", StatusCrossMsg{2, 3, 4, true}, {2, 3, 4, 1});
+    expect_wire("MwoeReportMsg", MwoeReportMsg{2, k1, 3}, {2, 0x11, p1, 3});
+    expect_wire("EdgeReportMsg", EdgeReportMsg{2, k1}, {2, 0x11, p1});
+    expect_wire("FragReportMsg", FragReportMsg{2, k1, 3}, {2, 0x11, p1, 3});
+    expect_wire("AckPropMsg", AckPropMsg{2, true, 3}, {2, 1, 3});
+    expect_wire("NewCoarseMsg", NewCoarseMsg{2, 3, 4}, {2, 3, 4});
+    expect_wire("StartGhsMsg", StartGhsMsg{2, 3}, {2, 3});
+    expect_wire("IdExchangeMsg", IdExchangeMsg{2, 3}, {2, 3});
+    expect_wire("WordMsg", WordMsg{2}, {2});
+    expect_wire("HelloMsg", HelloMsg{2, true}, {2, 1});
+    expect_wire("VerifySnapshotMsg", VerifySnapshotMsg{2, 3, k1, k2},
+                {2, 3, 0x11, p1, 0x22, p2});
+    expect_wire("PathTokenMsg", PathTokenMsg{2, k1, k2},
+                {2, 0x11, p1, 0x22, p2});
+    expect_wire("VerifyCountMsg", VerifyCountMsg{2, k1, k2},
+                {2, 0x11, p1, 0x22, p2});
+    expect_wire("VerdictMsg", VerdictMsg{2, k1, k2}, {2, 0x11, p1, 0x22, p2});
+    expect_wire("EdgeKeyMsg", EdgeKeyMsg{k1}, {0x11, p1});
+    expect_wire("FlagMsg", FlagMsg{true}, {1});
+    expect_wire("FloodMsg", FloodMsg{{2, 3, 4, 5}}, {2, 3, 4, 5});
 }
 
 // ------------------------------------------------------------ WordBuf
