@@ -60,9 +60,9 @@
 //
 // Observability (obs/trace.h):
 //   --trace=PATH         write each cell's span trace to PATH (cell i > 0
-//                        appends '.i') and add a "phases" breakdown to the
-//                        cell JSON
-//   --trace_format=jsonl|chrome   span rows, or a Perfetto-loadable file
+//                        appends '.i') as Chrome-trace JSON (loads in
+//                        Perfetto; scripts/trace_report.py reads it) and
+//                        add a "phases" breakdown to the cell JSON
 //   --record_per_edge    per-edge message counts; each cell's JSON gains
 //                        its top-5 hottest edges
 
@@ -115,12 +115,9 @@ int main(int argc, char** argv)
     args.define("verify", "oracle", "oracle|model|none (bare --verify = model)");
     args.define("json", "-", "JSON Lines output: '-' = stdout, else a path");
     args.define("trace", "",
-                "write each cell's span trace to this path (cell i > 0 "
-                "appends '.i'); also adds the per-phase breakdown to the "
-                "cell JSON");
-    args.define("trace_format", "jsonl",
-                "trace export format: jsonl|chrome (chrome loads in "
-                "Perfetto / chrome://tracing)");
+                "write each cell's span trace to this path as Chrome-trace "
+                "JSON (cell i > 0 appends '.i'); also adds the per-phase "
+                "breakdown to the cell JSON");
     args.define("record_per_edge", "0",
                 "record per-edge message counts and report each cell's "
                 "top-5 hottest edges (bare flag = 1)");
@@ -221,13 +218,12 @@ int main(int argc, char** argv)
             throw std::invalid_argument("--burst_len must be >= 1");
         spec.ghs_k = static_cast<std::uint64_t>(args.get_int("ghs_k"));
         const std::string verify = args.get("verify");
-        // Legacy spellings from before the mode flag: true/false.
-        if (verify == "oracle" || verify == "true") {
+        if (verify == "oracle") {
             spec.verify = true;
         } else if (verify == "model") {
             spec.verify = true;
             spec.model_verify = true;
-        } else if (verify == "none" || verify == "false") {
+        } else if (verify == "none") {
             spec.verify = false;
         } else {
             throw std::invalid_argument("--verify must be oracle|model|none");
@@ -251,11 +247,6 @@ int main(int argc, char** argv)
     }
 
     const std::string trace_path = args.get("trace");
-    const std::string trace_format = args.get("trace_format");
-    if (trace_format != "jsonl" && trace_format != "chrome") {
-        std::cerr << "bad flag value: --trace_format must be jsonl|chrome\n";
-        return 1;
-    }
     spec.trace = !trace_path.empty();
 
     if (spec.model_verify && spec.algorithm == "ghs")
@@ -287,11 +278,7 @@ int main(int argc, char** argv)
                 std::string path = trace_path;
                 if (cells > 1)
                     path += "." + std::to_string(cells - 1);
-                const bool ok =
-                    trace_format == "chrome"
-                        ? write_chrome_trace_file(path, *cell.stats.trace)
-                        : write_trace_jsonl_file(path, *cell.stats.trace);
-                if (!ok) {
+                if (!write_chrome_trace_file(path, *cell.stats.trace)) {
                     trace_write_ok = false;
                     std::cerr << "cannot write trace file " << path << "\n";
                 }
@@ -320,6 +307,13 @@ int main(int argc, char** argv)
         std::cerr << "scenario sweep produced no cells: every grid point "
                      "was skipped as inapplicable to its engine\n";
         return 1;
+    }
+    if (file.is_open()) {
+        file.close();  // a failed flush shows only once the file is closed
+        if (!file) {
+            std::cerr << "cannot write " << json << "\n";
+            return 1;
+        }
     }
     if (!trace_write_ok)
         return 1;

@@ -38,9 +38,9 @@ def main():
     usage = help_text.split("\n\n")[0]
     accepted = set(FLAG_RE.findall(usage)) - {"--help"}
     documented = set(FLAG_RE.findall(docstring))
-    # The docstring also names scenario_runner's writer-side flags when
-    # explaining the format interaction; those are not this tool's flags.
-    documented -= {"--trace", "--trace_format"}
+    # The docstring also names scenario_runner's writer-side --trace flag;
+    # it is not this tool's flag.
+    documented -= {"--trace"}
 
     failures = []
     for flag in sorted(accepted - documented):
@@ -49,9 +49,6 @@ def main():
     for flag in sorted(documented - accepted):
         failures.append("docstring mentions %s but the parser does not "
                         "accept it" % flag)
-    if "--trace_format" not in docstring:
-        failures.append("docstring no longer explains the --trace_format "
-                        "(writer-side) interaction")
     if failures:
         for f in failures:
             print("check_trace_report_help: FAIL " + f, file=sys.stderr)

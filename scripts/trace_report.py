@@ -1,13 +1,10 @@
 #!/usr/bin/env python3
 """Span-trace report tool for the dmst observability subsystem (obs/).
 
-Reads a trace written by `scenario_runner --trace=PATH` (or any caller of
-obs/export.h) in either format:
-
-  jsonl   one JSON object per line: a "total" row, "span" rows, "tag" rows
-  chrome  Chrome-trace JSON (Perfetto-loadable); spans are "X" events,
-          phase names come from thread_name metadata, and the
-          "dmst_totals" instant event carries the RunStats totals
+Reads a Chrome-trace JSON file (Perfetto-loadable) written by
+`scenario_runner --trace=PATH` or any caller of obs/export.h: spans are
+"X" events, phase names come from thread_name metadata, and the
+"dmst_totals" instant event carries the RunStats totals.
 
 Modes:
 
@@ -24,14 +21,6 @@ Modes:
                                       multi-epoch drivers skew round
                                       numbering: use messages,words)
 
---format=auto|jsonl|chrome names the format the trace was *written* in —
-the same choice the writer made via `scenario_runner --trace_format=...`
-(obs/export.h callers pick it per file). The default `auto` sniffs: a
-first line that parses as a JSON object with a "type" key is jsonl, else
-chrome. Pass --format explicitly only when sniffing could mislead (e.g.
-a truncated file); it applies to both FILE and the --diff OTHER file, so
-diffing a jsonl trace against a chrome trace needs --format=auto.
-
 Exit status: 0 ok, 1 check/diff failure, 2 bad input.
 """
 
@@ -47,52 +36,14 @@ def die(msg):
     sys.exit(2)
 
 
-def sniff_format(path):
-    with open(path) as f:
-        head = f.readline().strip()
-    try:
-        row = json.loads(head)
-        if isinstance(row, dict) and "type" in row:
-            return "jsonl"
-    except json.JSONDecodeError:
-        pass
-    return "chrome"
-
-
-def load_jsonl(path):
+def load(path):
     """Returns (spans, totals): spans maps (phase, level) -> counter dict."""
-    spans = {}
-    totals = None
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as e:
-                die("%s:%d: bad JSON: %s" % (path, lineno, e))
-            kind = row.get("type")
-            if kind == "total":
-                totals = row
-            elif kind == "span":
-                spans[(row["phase"], row["level"])] = row
-            elif kind == "tag":
-                pass
-            else:
-                die("%s:%d: unknown row type %r" % (path, lineno, kind))
-    if totals is None:
-        die("%s: no total row" % path)
-    return spans, totals
-
-
-def load_chrome(path):
     with open(path) as f:
         try:
             doc = json.load(f)
         except json.JSONDecodeError as e:
             die("%s: bad JSON: %s" % (path, e))
-    events = doc.get("traceEvents")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if events is None:
         die("%s: no traceEvents (not a chrome trace?)" % path)
     tid_name = {}
@@ -123,14 +74,6 @@ def load_chrome(path):
     if totals is None:
         die("%s: no dmst_totals event" % path)
     return spans, totals
-
-
-def load(path, fmt):
-    if fmt == "auto":
-        fmt = sniff_format(path)
-    if fmt == "jsonl":
-        return load_jsonl(path)
-    return load_chrome(path)
 
 
 def summarize(path, spans, totals):
@@ -210,14 +153,13 @@ def diff(path_a, spans_a, path_b, spans_b, fields=PARITY_FIELDS):
 
 
 def main():
-    # Full module docstring as the --help epilog: the modes/format notes
-    # above are the documentation of record, and check_trace_report_help.py
+    # Full module docstring as the --help epilog: the mode notes above are the documentation of record, and check_trace_report_help.py
     # asserts --help and the accepted flags stay in sync.
     ap = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         epilog=__doc__.split("\n", 2)[2],
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("file", help="trace file (jsonl or chrome)")
+    ap.add_argument("file", help="chrome trace file")
     ap.add_argument("--check", action="store_true",
                     help="verify span/total conservation")
     ap.add_argument("--diff", metavar="OTHER",
@@ -226,16 +168,14 @@ def main():
                     help="comma list of span fields --diff compares "
                          "(multi-epoch drivers skew round numbering "
                          "across engines: use messages,words)")
-    ap.add_argument("--format", default="auto",
-                    choices=["auto", "jsonl", "chrome"])
     args = ap.parse_args()
 
-    spans, totals = load(args.file, args.format)
+    spans, totals = load(args.file)
     ok = True
     if args.check:
         ok = check(args.file, spans, totals) and ok
     if args.diff:
-        spans_b, _ = load(args.diff, args.format)
+        spans_b, _ = load(args.diff)
         fields = tuple(f for f in args.diff_fields.split(",") if f)
         ok = diff(args.file, spans, args.diff, spans_b, fields) and ok
     if not args.check and not args.diff:

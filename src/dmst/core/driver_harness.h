@@ -1,6 +1,7 @@
 #ifndef DMST_CORE_DRIVER_HARNESS_H
 #define DMST_CORE_DRIVER_HARNESS_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -50,6 +51,17 @@ struct DriverInput {
 };
 
 void check_driver_input(const WeightedGraph& g, const DriverInput& input);
+
+// A two-stage driver's phase split at a root milestone: the rounds from
+// `first` (1-based) to the end of the run and the messages sent in them,
+// summed from stats.messages_per_round (the driver sets record_per_round).
+// `first` = 0 means the run never reached the milestone: zeros.
+struct PhaseSplit {
+    std::uint64_t rounds = 0;
+    std::uint64_t messages = 0;
+};
+
+PhaseSplit phase_split(const RunStats& stats, std::uint64_t first);
 
 namespace harness_detail {
 

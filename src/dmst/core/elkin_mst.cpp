@@ -187,7 +187,7 @@ void ElkinProcess::on_round(Context& ctx)
     auto ctl = [&]() -> std::pair<TracePhase, std::int64_t> {
         if (phase_ >= 0)
             return {TracePhase::Boruvka, phase_};
-        if (registration_started_)
+        if (registration_round_ > 0)
             return {TracePhase::Registration, 0};
         return {TracePhase::Control, 0};
     };
@@ -228,10 +228,10 @@ void ElkinProcess::on_round(Context& ctx)
         start_ghs_from_wave(ctx, k_, ghs_start);
     }
 
-    if (ghs_ && ghs_->finished() && !registration_started_)
+    if (ghs_ && ghs_->finished() && registration_round_ == 0)
         begin_registration(ctx);
 
-    if (registration_started_ && phase_ < 0 && is_root_vertex() &&
+    if (registration_round_ > 0 && phase_ < 0 && is_root_vertex() &&
         !registration_done_root_ && upcast_ && upcast_->finished()) {
         root_finish_registration(ctx);
         if (finished_)
@@ -297,7 +297,7 @@ void ElkinProcess::start_ghs_from_wave(Context& ctx, std::uint64_t k,
 void ElkinProcess::begin_registration(Context& ctx)
 {
     TraceScope trace_span(ctx, TracePhase::Registration);
-    registration_started_ = true;
+    registration_round_ = ctx.round();
     DMST_ASSERT_MSG(labeler_.finished(), "interval labeling must precede GHS end");
 
     base_fid_ = ghs_->fragment_id();
@@ -548,10 +548,7 @@ void ElkinProcess::finish(Context& ctx)
 DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& opts)
 {
     NetConfig config = opts.to_net_config();
-    config.record_per_round = true;  // per-round trace for tests and sweeps
-    // The span trace drives the phase-1/phase-2 split; external callers can
-    // also request it for export, but the driver always needs it.
-    config.trace.enabled = true;
+    config.record_per_round = true;  // enables the phase-1/phase-2 split
     const std::uint64_t n = g.vertex_count();
     DriverHarness<ElkinProcess> h(
         g, config, {opts.root, true},
@@ -559,7 +556,6 @@ DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& o
     h.run();
     auto result = h.collect<DistributedMstResult>();
     h.harvest_edges(result);
-    const RunStats& stats = result.stats;
 
     if (const ElkinProcess* root = h.root_process(opts.root)) {
         result.k_used = root->k_used();
@@ -568,29 +564,14 @@ DistributedMstResult run_elkin_mst(const WeightedGraph& g, const ElkinOptions& o
         result.boruvka_phases = root->boruvka_phases() + 1;
         result.bfs_rounds = root->bfs_rounds();
         result.ghs_rounds = root->ghs_rounds();
+        // Phase 2 is everything from the round in which every vertex began
+        // registration: the Registration window, the Boruvka phases over
+        // base fragments and the FINISH wave.
+        const PhaseSplit split =
+            phase_split(result.stats, root->registration_round());
+        result.phase2_rounds = split.rounds;
+        result.phase2_messages = split.messages;
     }
-
-    // Phase split, derived from the span trace: phase 2 is everything the
-    // registration handoff triggers — the Registration window, the Boruvka
-    // phases over base fragments, and the FINISH wave. The first round any
-    // of those spans touched is the phase boundary.
-    DMST_ASSERT(stats.trace);
-    std::uint64_t phase2_first_round = ~std::uint64_t{0};
-    for (const TraceSpan& s : stats.trace->spans) {
-        switch (s.phase) {
-            case TracePhase::Registration:
-            case TracePhase::Boruvka:
-            case TracePhase::Finish:
-                result.phase2_messages += s.messages;
-                phase2_first_round = std::min(phase2_first_round, s.first_round);
-                break;
-            default:
-                break;
-        }
-    }
-    result.phase2_rounds = phase2_first_round == ~std::uint64_t{0}
-                               ? 0
-                               : stats.rounds - (phase2_first_round - 1);
     return result;
 }
 

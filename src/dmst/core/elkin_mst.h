@@ -48,9 +48,8 @@ namespace dmst {
 // MST output is invariant across engines, conditioners, and async delay
 // points; a sharded run (Engine::Socket) returns the local shard's view
 // (see DriverHarness) and root milestones only on the rank owning the
-// root. The driver enables the span trace unconditionally — it drives the
-// phase-1/phase-2 split — so the inherited `trace` is effectively always
-// on here; it also forces record_per_round.
+// root. The driver forces record_per_round: the phase-1/phase-2 split
+// sums it from the root's registration round.
 struct ElkinOptions : DriverOptions {
     VertexId root = 0;          // designated BFS root
     std::optional<std::uint64_t> k_override;  // force the base-forest k
@@ -73,8 +72,9 @@ struct DistributedMstResult : DriverMstResult {
     int boruvka_phases = 0;
     std::uint64_t bfs_rounds = 0;   // rounds until BFS echo completed
     std::uint64_t ghs_rounds = 0;   // rounds of the Controlled-GHS schedule
-    // Phase split: everything after the Controlled-GHS schedule ends
-    // (registration + Boruvka phases) — the part the paper redesigns.
+    // Phase split: everything from the round registration begins, when the
+    // Controlled-GHS schedule ends (registration + Boruvka phases + FINISH)
+    // — the part the paper redesigns.
     std::uint64_t phase2_rounds = 0;
     std::uint64_t phase2_messages = 0;
 };
@@ -104,6 +104,9 @@ public:
     {
         return ghs_ ? ghs_->schedule().total_rounds() : 0;
     }
+    // The round this vertex began registration (0 = not yet): the first
+    // round of phase 2, the same on every vertex.
+    std::uint64_t registration_round() const { return registration_round_; }
 
 private:
     enum Tag : std::uint32_t {
@@ -161,7 +164,7 @@ private:
     std::uint64_t bfs_done_round_ = 0;
     std::uint32_t ecc_ = 0;
     std::uint64_t k_ = 0;
-    bool registration_started_ = false;
+    std::uint64_t registration_round_ = 0;  // 0 until registration began
     bool registration_done_root_ = false;
 
     // --- fragment state -----------------------------------------------------

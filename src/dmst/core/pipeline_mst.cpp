@@ -200,14 +200,12 @@ PipelineMstResult run_pipeline_mst(const WeightedGraph& g,
     // The phase split derives from a root milestone, so a shard without the
     // root reports the defaults.
     if (const PipelineMstProcess* root = h.root_process(opts.root)) {
-        const RunStats& stats = result.stats;
         result.k_used = root->k_used();
         result.pipeline_edges = root->pipeline_edges();
-        std::uint64_t ghs_end =
-            std::min<std::uint64_t>(root->ghs_end_round(), stats.rounds);
-        result.phase2_rounds = stats.rounds - ghs_end;
-        for (std::uint64_t r = ghs_end; r < stats.messages_per_round.size(); ++r)
-            result.phase2_messages += stats.messages_per_round[r];
+        const PhaseSplit split =
+            phase_split(result.stats, root->ghs_end_round() + 1);
+        result.phase2_rounds = split.rounds;
+        result.phase2_messages = split.messages;
     }
     return result;
 }

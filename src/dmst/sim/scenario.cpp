@@ -415,10 +415,6 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                 .count();
                         cell.partial = run.partial;
                         cell.stats = std::move(run.stats);
-                        // Elkin records a trace unconditionally (its phase
-                        // split needs it); only surface it when asked.
-                        if (!spec.trace)
-                            cell.stats.trace.reset();
                         // A sharded rank harvests the edges incident to
                         // its vertex block; boundary edges appear on both
                         // ranks. An edge belongs to the rank owning its

@@ -89,8 +89,7 @@ struct ScenarioSpec {
     SocketConfig socket;
     // Record the per-phase span trace (obs/trace.h) of the construction
     // run; cells carry it in stats.trace and cell_json emits a per-phase
-    // breakdown. Elkin records it regardless (its phase split needs it);
-    // this flag adds the JSON breakdown and the other algorithms' traces.
+    // breakdown. When off, no driver records a trace.
     bool trace = false;
     // Record per-edge message counts; cell_json emits the top-5 hottest
     // edges of each cell.

@@ -433,9 +433,10 @@ TEST(Faults, TraceAttributesRetransmissionsAndConserves)
 {
     Rng rng(40);
     auto g = gen_erdos_renyi(16, 40, rng);
-    const DistributedMstResult r =
-        run_elkin_mst(g, on_async<ElkinOptions>(lossy(0.2, 41)));
-    ASSERT_TRUE(r.stats.trace);  // the driver always records its trace
+    ElkinOptions opts = on_async<ElkinOptions>(lossy(0.2, 41));
+    opts.trace = true;
+    const DistributedMstResult r = run_elkin_mst(g, opts);
+    ASSERT_TRUE(r.stats.trace);
 
     // finalize() already validated conservation; pin the totals and check
     // the per-phase attribution sums back up by hand.

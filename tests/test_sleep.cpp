@@ -262,11 +262,11 @@ TEST(SleepParity, ControlledGhsMatchesAlwaysAwakeReference)
 TEST(SleepParity, DriversMatchHostedReference)
 {
     for (const auto& [gname, g] : graphs()) {
-        const Driver elkin{true, {}, 8};
+        Driver elkin{true, {}, 8};
+        elkin.elkin.trace = true;
         const DistributedMstResult er = run_elkin_mst(g, elkin.elkin);
         NetConfig ec = elkin.elkin.to_net_config();
         ec.record_per_round = true;  // as run_elkin_mst configures it
-        ec.trace.enabled = true;
         expect_same(host(g, ec, kEngines[0], elkin, true),
                     Outcome{er.stats, er.mst_ports}, gname + "/elkin");
 
