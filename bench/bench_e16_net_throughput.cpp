@@ -31,6 +31,7 @@
 #include "dmst/core/sync_boruvka.h"
 #include "dmst/exp/workloads.h"
 #include "dmst/net/peer_table.h"
+#include "dmst/obs/export.h"
 #include "dmst/seq/mst.h"
 #include "dmst/sim/engine.h"
 #include "dmst/util/cli.h"
@@ -147,15 +148,10 @@ int main(int argc, char** argv)
                     << ",\"procs\":" << sc.procs
                     << ",\"rank\":" << sc.rank << ",\"repeat\":" << rep
                     << ",\"wall_ms\":" << wall_ms
-                    << ",\"rounds\":" << s.rounds
-                    << ",\"messages\":" << s.messages
-                    << ",\"words\":" << s.words
+                    << counter_members(s, CounterGroup::Every)
                     << ",\"msgs_per_sec\":"
                     << (secs > 0 ? s.messages / secs : 0)
-                    << ",\"net_packets_out\":" << s.net_packets_out
-                    << ",\"net_packets_in\":" << s.net_packets_in
-                    << ",\"net_bytes_out\":" << s.net_bytes_out
-                    << ",\"net_bytes_in\":" << s.net_bytes_in
+                    << counter_members(s, CounterGroup::Socket)
                     << ",\"packets_per_sec\":"
                     << (secs > 0
                             ? (s.net_packets_out + s.net_packets_in) / secs
@@ -163,7 +159,6 @@ int main(int argc, char** argv)
                     << ",\"bytes_per_sec\":"
                     << (secs > 0 ? (s.net_bytes_out + s.net_bytes_in) / secs
                                  : 0)
-                    << ",\"malformed_frames\":" << s.malformed_frames
                     << ",\"mst_weight\":" << weight
                     << ",\"ref_weight\":" << ref_weight
                     << ",\"verified\":" << (verified ? "true" : "false")

@@ -216,7 +216,14 @@ int main(int argc, char** argv)
                       << rank_files[static_cast<std::size_t>(r)] << ")\n";
             return 1;
         }
-        merged << in.rdbuf();
+        // Streaming an empty buffer would set failbit on `merged`.
+        if (in.peek() != std::ifstream::traits_type::eof())
+            merged << in.rdbuf();
+    }
+    merged.close();  // a failed flush shows only once the file is closed
+    if (!merged) {
+        std::cerr << "dmst_launcher: cannot write " << json << "\n";
+        return 1;
     }
     std::cerr << "dmst_launcher: " << procs << " ranks"
               << " (ports " << base_port << "-" << (base_port + procs - 1)

@@ -278,7 +278,7 @@ int main(int argc, char** argv)
                 std::string path = trace_path;
                 if (cells > 1)
                     path += "." + std::to_string(cells - 1);
-                if (!write_chrome_trace_file(path, *cell.stats.trace)) {
+                if (!write_chrome_trace_file(path, cell.stats)) {
                     trace_write_ok = false;
                     std::cerr << "cannot write trace file " << path << "\n";
                 }
@@ -308,12 +308,16 @@ int main(int argc, char** argv)
                      "was skipped as inapplicable to its engine\n";
         return 1;
     }
-    if (file.is_open()) {
-        file.close();  // a failed flush shows only once the file is closed
-        if (!file) {
-            std::cerr << "cannot write " << json << "\n";
-            return 1;
-        }
+    // A failed flush shows only once the file is closed (or stdout is
+    // flushed), e.g. on a full disk.
+    if (file.is_open())
+        file.close();
+    else
+        std::cout.flush();
+    if (!*out) {
+        std::cerr << "cannot write " << (json == "-" ? "stdout" : json)
+                  << "\n";
+        return 1;
     }
     if (!trace_write_ok)
         return 1;

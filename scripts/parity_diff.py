@@ -7,7 +7,9 @@ equivalence contracts:
 
   - lock-step engines (serial, parallel at every thread count) must be
     bit-identical per point: rounds, messages, words, activations,
-    mst_weight, the oracle verdict, and the in-model verification block;
+    mst_weight, the oracle verdict, the in-model verification block, and
+    on crash cells the crash-stop counters (crashed_vertices,
+    failed_sends, partial);
   - async-engine rows behind a synchronizer (sync alpha or beta; the
     "sync" field defaults to alpha when absent, for pre-sync-axis JSONL)
     must match the point's serial row on mst_weight, verdicts, and the
@@ -53,7 +55,8 @@ GROUP_KEYS = ("algorithm", "family", "n", "bandwidth",
 LOCKSTEP_COMPARE = ("rounds", "messages", "words", "activations",
                     "mst_weight", "verified",
                     "model_verified", "mutations_passed", "mutations_run",
-                    "verify_rounds", "verify_messages", "verify_words")
+                    "verify_rounds", "verify_messages", "verify_words",
+                    "crashed_vertices", "failed_sends", "partial")
 ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
                  "model_verified", "mutations_passed", "mutations_run",
                  "verify_messages", "verify_words")
@@ -61,6 +64,7 @@ ASYNC_COMPARE = ("messages", "words", "mst_weight", "verified",
 # are schedule-invariant; payload counters vary with the delay draw.
 NATIVE_COMPARE = ("mst_weight", "verified", "model_verified",
                   "mutations_passed", "mutations_run")
+NATIVE_ZERO = ("sync_messages", "sync_words")
 # Socket-rank merge: fields every rank must match the serial row on
 # exactly, and fields whose per-rank values must sum to the serial value.
 SOCKET_EQUAL = ("rounds", "verified", "model_verified", "mutations_passed",
@@ -181,7 +185,7 @@ def main(argv):
             async_rows += 1
             if row.get("sync", "alpha") == "none":
                 check(serial, row, NATIVE_COMPARE, "native")
-                for field in ("sync_messages", "sync_words"):
+                for field in NATIVE_ZERO:
                     if row.get(field, 0) != 0:
                         mismatches.append(
                             f"native {field}: expected 0, got "

@@ -125,6 +125,11 @@ struct NetConfig {
     TraceConfig trace{};
 };
 
+// The scenario JSONL row group that carries a counter (docs/SCENARIOS.md):
+// every row, async-engine rows, socket-engine rows, lossy rows
+// (drop_rate > 0) or crash rows (a crash schedule is set).
+enum class CounterGroup : std::uint8_t { Every, Async, Socket, Loss, Crash };
+
 // Counters for a completed (or in-progress) run.
 struct RunStats {
     // Synchronous rounds run. On the lock-step engines (serial, parallel,
@@ -204,6 +209,39 @@ struct RunStats {
     // cheaply copyable; a multi-epoch driver's stats always point at the
     // latest (cumulative) finalization.
     std::shared_ptr<const TraceTable> trace;
+
+    // Crash-stop degradation: the run stalled, or lost vertices; the
+    // drivers then harvest a partial forest.
+    bool partial() const { return stalled || crashed_vertices > 0; }
+
+    // The one list of scalar counters: f(key, value, group) once per
+    // counter, in scenario JSONL order, keyed by its JSONL name. The
+    // scenario JSONL, the Chrome trace's dmst_totals event, E16 and the
+    // tests' comparisons walk it; scripts/check_counter_fields.py checks
+    // docs/SCENARIOS.md and scripts/parity_diff.py against what it emits.
+    template <typename F> void fields(F&& f) const
+    {
+        f("rounds", rounds, CounterGroup::Every);
+        f("messages", messages, CounterGroup::Every);
+        f("words", words, CounterGroup::Every);
+        f("activations", activations, CounterGroup::Every);
+        f("events", events, CounterGroup::Async);
+        f("virtual_time", virtual_time, CounterGroup::Async);
+        f("sync_messages", sync_messages, CounterGroup::Async);
+        f("sync_words", sync_words, CounterGroup::Async);
+        f("malformed_frames", malformed_frames, CounterGroup::Socket);
+        f("net_packets_out", net_packets_out, CounterGroup::Socket);
+        f("net_packets_in", net_packets_in, CounterGroup::Socket);
+        f("net_bytes_out", net_bytes_out, CounterGroup::Socket);
+        f("net_bytes_in", net_bytes_in, CounterGroup::Socket);
+        f("drops", drops, CounterGroup::Loss);
+        f("retransmissions", retransmissions, CounterGroup::Loss);
+        f("acks", acks, CounterGroup::Loss);
+        f("timeouts", timeouts, CounterGroup::Loss);
+        f("crashed_vertices", crashed_vertices, CounterGroup::Crash);
+        f("failed_sends", failed_sends, CounterGroup::Crash);
+        f("partial", partial(), CounterGroup::Crash);
+    }
 };
 
 // Read-only view of one vertex's inbox: a contiguous span of the engine's

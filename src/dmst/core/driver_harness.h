@@ -140,7 +140,7 @@ public:
         constexpr bool kForest = harness_detail::kHasForest<Result>;
         Result r;
         r.stats = net_->stats();
-        r.partial = r.stats.stalled || r.stats.crashed_vertices > 0;
+        r.partial = r.stats.partial();
         const std::size_t n = g_.vertex_count();
         if constexpr (kPorts)
             r.mst_ports.resize(n);

@@ -4,12 +4,41 @@
 #include <cstdint>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <string_view>
 
 namespace dmst {
 
-void write_chrome_trace(std::ostream& out, const TraceTable& table)
+namespace {
+
+// The listed counters that keep(key, group) selects, as comma-led JSON
+// members in list order.
+template <typename Keep>
+std::string members(const RunStats& stats, Keep&& keep)
 {
+    std::ostringstream oss;
+    oss << std::boolalpha;
+    stats.fields([&](const char* key, auto value, CounterGroup group) {
+        if (keep(std::string_view(key), group))
+            oss << ",\"" << key << "\":" << value;
+    });
+    return oss.str();
+}
+
+}  // namespace
+
+std::string counter_members(const RunStats& stats, CounterGroup group)
+{
+    return members(stats, [group](std::string_view, CounterGroup g) {
+        return g == group;
+    });
+}
+
+void write_chrome_trace(std::ostream& out, const RunStats& stats)
+{
+    DMST_ASSERT(stats.trace);
+    const TraceTable& table = *stats.trace;
     // Timebase: 1 logical round = 1 µs of trace time; Perfetto renders the
     // dur of each (phase, level) span on its phase's track.
     out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -33,7 +62,7 @@ void write_chrome_trace(std::ostream& out, const TraceTable& table)
             << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
             << trace_phase_name(static_cast<TracePhase>(p)) << "\"}}";
     }
-    if (table.sync_messages > 0) {
+    if (stats.sync_messages > 0) {
         sep();
         out << "{\"ph\":\"M\",\"pid\":0,\"tid\":" << kSyncTid
             << ",\"name\":\"thread_name\",\"args\":{\"name\":"
@@ -58,36 +87,37 @@ void write_chrome_trace(std::ostream& out, const TraceTable& table)
             << ",\"last_vtime\":" << s.last_vtime << "}}";
     }
 
-    if (table.sync_messages > 0) {
+    if (stats.sync_messages > 0) {
+        // The synchronizer's own counters (sync_*) are its span's args.
+        const std::string sync = members(
+            stats, [](std::string_view key, CounterGroup) {
+                return key.substr(0, 5) == "sync_";
+            });
         sep();
         out << "{\"ph\":\"X\",\"pid\":0,\"tid\":" << kSyncTid
             << ",\"name\":\"sync\",\"ts\":0,\"dur\":"
-            << std::max<std::uint64_t>(table.total_rounds, 1)
-            << ",\"args\":{\"sync_messages\":" << table.sync_messages
-            << ",\"sync_words\":" << table.sync_words << "}}";
+            << std::max<std::uint64_t>(stats.rounds, 1) << ",\"args\":{"
+            << sync.substr(1) << "}}";
     }
 
-    // Totals ride along as a global instant event so trace_report.py can
-    // re-check conservation from the exported file alone.
+    // Every counter rides along as a global instant event so
+    // trace_report.py can re-check conservation from the file alone.
+    const std::string totals =
+        members(stats, [](std::string_view, CounterGroup) { return true; });
     sep();
     out << "{\"ph\":\"I\",\"pid\":0,\"ts\":0,\"s\":\"g\",\"name\":"
-           "\"dmst_totals\",\"args\":{\"messages\":"
-        << table.total_messages << ",\"words\":" << table.total_words
-        << ",\"rounds\":" << table.total_rounds
-        << ",\"sync_messages\":" << table.sync_messages
-        << ",\"sync_words\":" << table.sync_words
-        << ",\"retransmissions\":" << table.total_retransmissions
-        << ",\"drops\":" << table.total_drops << "}}";
+           "\"dmst_totals\",\"args\":{"
+        << totals.substr(1) << "}}";
 
     out << "\n]}\n";
 }
 
-bool write_chrome_trace_file(const std::string& path, const TraceTable& table)
+bool write_chrome_trace_file(const std::string& path, const RunStats& stats)
 {
     std::ofstream out(path);
     if (!out)
         return false;
-    write_chrome_trace(out, table);
+    write_chrome_trace(out, stats);
     out.close();
     return static_cast<bool>(out);
 }

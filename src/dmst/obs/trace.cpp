@@ -27,7 +27,7 @@ std::uint64_t TraceTable::phase_messages(TracePhase phase) const
     return sum;
 }
 
-void TraceTable::validate() const
+void TraceTable::validate(const RunStats& stats) const
 {
     std::uint64_t span_messages = 0, span_words = 0;
     std::uint64_t span_retrans = 0, span_drops = 0;
@@ -37,11 +37,11 @@ void TraceTable::validate() const
         span_retrans += s.retransmissions;
         span_drops += s.drops;
     }
-    if (span_retrans != total_retransmissions || span_drops != total_drops) {
+    if (span_retrans != stats.retransmissions || span_drops != stats.drops) {
         std::ostringstream oss;
         oss << "trace fault conservation violated: spans " << span_retrans
             << " retransmissions / " << span_drops << " drops, RunStats "
-            << total_retransmissions << " / " << total_drops;
+            << stats.retransmissions << " / " << stats.drops;
         throw InvariantViolation(oss.str());
     }
     std::uint64_t tag_messages = 0, tag_words = 0;
@@ -49,13 +49,13 @@ void TraceTable::validate() const
         tag_messages += t.messages;
         tag_words += t.words;
     }
-    if (span_messages != total_messages || span_words != total_words ||
-        tag_messages != total_messages || tag_words != total_words) {
+    if (span_messages != stats.messages || span_words != stats.words ||
+        tag_messages != stats.messages || tag_words != stats.words) {
         std::ostringstream oss;
         oss << "trace conservation violated: spans " << span_messages
             << " msg / " << span_words << " words, tags " << tag_messages
             << " msg / " << tag_words << " words, RunStats "
-            << total_messages << " msg / " << total_words << " words;";
+            << stats.messages << " msg / " << stats.words << " words;";
         for (const TraceSpan& s : spans)
             oss << " " << trace_phase_name(s.phase) << "/" << s.level << "="
                 << s.messages;
@@ -150,17 +150,9 @@ std::shared_ptr<const TraceTable> TraceRecorder::finalize(
             continue;
         table->tags.push_back(TagCount{t, tags.messages(t), tags.words(t)});
     }
-    table->total_messages = stats.messages;
-    table->total_words = stats.words;
-    table->total_rounds = stats.rounds;
-    table->sync_messages = stats.sync_messages;
-    table->sync_words = stats.sync_words;
-    table->total_retransmissions = stats.retransmissions;
-    table->total_drops = stats.drops;
-
     // Every traced run self-checks: attribution that does not conserve is
     // a bug in the instrumentation, not a report-time curiosity.
-    table->validate();
+    table->validate(stats);
     return table;
 }
 

@@ -74,26 +74,20 @@ struct TagCount {
 };
 
 // A finalized, immutable trace: spans sorted by (phase, level), tags
-// sorted by tag, totals snapshotted from the run's RunStats.
+// sorted by tag. The run's totals are its RunStats, which points at it.
 struct TraceTable {
     std::vector<TraceSpan> spans;
     std::vector<TagCount> tags;
-    std::uint64_t total_messages = 0;
-    std::uint64_t total_words = 0;
-    std::uint64_t total_rounds = 0;  // RunStats::rounds
-    std::uint64_t sync_messages = 0;  // α-synchronizer control traffic
-    std::uint64_t sync_words = 0;
-    std::uint64_t total_retransmissions = 0;  // fault shim (congest/faults.h)
-    std::uint64_t total_drops = 0;
 
     const TraceSpan* find(TracePhase phase, std::int64_t level) const;
     // Sum of span messages over every level of `phase`.
     std::uint64_t phase_messages(TracePhase phase) const;
 
     // Conservation self-check: span sums and tag sums must both equal the
-    // totals. Throws InvariantViolation with a per-phase breakdown on
+    // totals in `stats` (messages, words; retransmissions and drops for
+    // the spans). Throws InvariantViolation with a per-phase breakdown on
     // violation.
-    void validate() const;
+    void validate(const RunStats& stats) const;
 
     // Engine-invariant projection: one line per span with the
     // (phase, level, first_round, last_round, messages, words)
@@ -173,8 +167,8 @@ public:
         // No touch(): the accompanying on_send already stamped the clock.
     }
 
-    // Folds every shard's cells into a sorted immutable table, snapshots
-    // the totals from `stats`, and validates conservation. Repeatable: a
+    // Folds every shard's cells into a sorted immutable table and
+    // validates its conservation against `stats`. Repeatable: a
     // multi-epoch driver (sync_boruvka) finalizes after every run() and
     // keeps accumulating in between.
     std::shared_ptr<const TraceTable> finalize(const RunStats& stats) const;

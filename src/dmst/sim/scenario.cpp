@@ -17,7 +17,7 @@
 #include "dmst/core/sync_boruvka.h"
 #include "dmst/exp/workloads.h"
 #include "dmst/net/peer_table.h"
-#include "dmst/obs/trace.h"
+#include "dmst/obs/export.h"
 #include "dmst/seq/mst.h"
 #include "dmst/sim/engine.h"
 #include "dmst/sim/thread_pool.h"
@@ -543,44 +543,29 @@ std::string cell_json(const ScenarioCell& cell)
         << (cell.adversarial_order ? "true" : "false")
         << ",\"engine\":\"" << engine_name(cell.engine) << "\""
         << ",\"threads\":" << cell.threads
-        << ",\"rounds\":" << cell.stats.rounds
-        << ",\"messages\":" << cell.stats.messages
-        << ",\"words\":" << cell.stats.words
-        << ",\"activations\":" << cell.stats.activations
+        << counter_members(cell.stats, CounterGroup::Every)
         << ",\"wall_ms\":" << cell.wall_ms
         << ",\"mst_weight\":" << cell.mst_weight;
+    // Each row group's axis fields, then its counters from the list
+    // (RunStats::fields). A group appears only on the cells it applies to,
+    // so clean-grid JSONL carries no async, socket or fault fields.
     if (cell.engine == Engine::Async)
         oss << ",\"max_delay\":" << cell.max_delay
             << ",\"event_seed\":" << cell.event_seed
             << ",\"sync\":\"" << sync_name(cell.sync) << "\""
-            << ",\"events\":" << cell.stats.events
-            << ",\"virtual_time\":" << cell.stats.virtual_time
-            << ",\"sync_messages\":" << cell.stats.sync_messages
-            << ",\"sync_words\":" << cell.stats.sync_words;
-    // Socket fields only on socket cells, so the other engines' JSONL is
-    // unchanged. malformed_frames is an environment counter (stray
-    // connections from outside the run), reported but never compared.
+            << counter_members(cell.stats, CounterGroup::Async);
+    // malformed_frames is an environment counter (stray connections from
+    // outside the run), reported but never compared.
     if (cell.engine == Engine::Socket)
         oss << ",\"procs\":" << cell.procs << ",\"rank\":" << cell.rank
-            << ",\"malformed_frames\":" << cell.stats.malformed_frames
-            << ",\"net_packets_out\":" << cell.stats.net_packets_out
-            << ",\"net_packets_in\":" << cell.stats.net_packets_in
-            << ",\"net_bytes_out\":" << cell.stats.net_bytes_out
-            << ",\"net_bytes_in\":" << cell.stats.net_bytes_in;
-    // Fault fields appear only on cells where the axis is active, so
-    // clean-grid JSONL stays byte-identical to the pre-fault format.
+            << counter_members(cell.stats, CounterGroup::Socket);
     if (cell.drop_rate > 0)
         oss << ",\"drop_rate\":" << cell.drop_rate
             << ",\"loss_seed\":" << cell.loss_seed
-            << ",\"drops\":" << cell.stats.drops
-            << ",\"retransmissions\":" << cell.stats.retransmissions
-            << ",\"acks\":" << cell.stats.acks
-            << ",\"timeouts\":" << cell.stats.timeouts;
+            << counter_members(cell.stats, CounterGroup::Loss);
     if (!cell.crash.empty())
         oss << ",\"crash\":\"" << cell.crash << "\""
-            << ",\"crashed_vertices\":" << cell.stats.crashed_vertices
-            << ",\"failed_sends\":" << cell.stats.failed_sends
-            << ",\"partial\":" << (cell.partial ? "true" : "false");
+            << counter_members(cell.stats, CounterGroup::Crash);
     if (cell.verify_ran)
         oss << ",\"verified\":" << (cell.verified ? "true" : "false");
     if (cell.model_verify_ran)

@@ -63,26 +63,6 @@ std::int64_t Args::get_int(const std::string& name) const
     return result;
 }
 
-double Args::get_double(const std::string& name) const
-{
-    const std::string& v = flag(name).value;
-    std::size_t pos = 0;
-    double result = std::stod(v, &pos);
-    if (pos != v.size())
-        throw std::invalid_argument("flag --" + name + " is not a number: " + v);
-    return result;
-}
-
-bool Args::get_bool(const std::string& name) const
-{
-    const std::string& v = flag(name).value;
-    if (v == "true" || v == "1" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "no")
-        return false;
-    throw std::invalid_argument("flag --" + name + " is not a boolean: " + v);
-}
-
 std::string Args::help() const
 {
     std::ostringstream os;

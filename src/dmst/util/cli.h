@@ -22,8 +22,6 @@ public:
 
     std::string get(const std::string& name) const;
     std::int64_t get_int(const std::string& name) const;
-    double get_double(const std::string& name) const;
-    bool get_bool(const std::string& name) const;
 
     // One line per flag: name, default, help text.
     std::string help() const;

@@ -39,9 +39,4 @@ bool Dsu::unite(std::size_t a, std::size_t b)
     return true;
 }
 
-std::size_t Dsu::set_size(std::size_t x)
-{
-    return size_[find(x)];
-}
-
 }  // namespace dmst

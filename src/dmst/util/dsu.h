@@ -20,8 +20,6 @@ public:
 
     bool same(std::size_t a, std::size_t b) { return find(a) == find(b); }
 
-    std::size_t set_size(std::size_t x);
-
     std::size_t component_count() const { return components_; }
 
     std::size_t size() const { return parent_.size(); }

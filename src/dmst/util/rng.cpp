@@ -32,9 +32,4 @@ std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi)
     return lo + next_below(span);
 }
 
-double Rng::next_double()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 }  // namespace dmst

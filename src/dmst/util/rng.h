@@ -20,9 +20,6 @@ public:
     // Uniform value in [lo, hi] inclusive; requires lo <= hi.
     std::uint64_t next_in(std::uint64_t lo, std::uint64_t hi);
 
-    // Uniform double in [0, 1).
-    double next_double();
-
 private:
     std::uint64_t state_;
 };

@@ -20,6 +20,7 @@
 #include "dmst/sim/engine.h"
 #include "dmst/sim/scenario.h"
 #include "dmst/util/rng.h"
+#include "expect_counters.h"
 
 namespace dmst {
 namespace {
@@ -235,13 +236,7 @@ TEST(AsyncFuzz, SameSeedReplaysBitIdenticalRunStats)
                     const RunStats& a = again.stats;
                     const RunStats& f = first.stats;
                     EXPECT_EQ(again.mst_edges, first.mst_edges);
-                    EXPECT_EQ(a.rounds, f.rounds);
-                    EXPECT_EQ(a.messages, f.messages);
-                    EXPECT_EQ(a.words, f.words);
-                    EXPECT_EQ(a.events, f.events);
-                    EXPECT_EQ(a.virtual_time, f.virtual_time);
-                    EXPECT_EQ(a.sync_messages, f.sync_messages);
-                    EXPECT_EQ(a.sync_words, f.sync_words);
+                    expect_same_counters(f, a, "replay");
                     EXPECT_EQ(a.messages_per_round, f.messages_per_round);
                     EXPECT_EQ(a.messages_per_edge, f.messages_per_edge);
                 }

@@ -18,6 +18,7 @@
 #include "dmst/sim/engine.h"
 #include "dmst/util/assert.h"
 #include "dmst/util/rng.h"
+#include "expect_counters.h"
 
 namespace dmst {
 namespace {
@@ -438,11 +439,10 @@ TEST(Faults, TraceAttributesRetransmissionsAndConserves)
     const DistributedMstResult r = run_elkin_mst(g, opts);
     ASSERT_TRUE(r.stats.trace);
 
-    // finalize() already validated conservation; pin the totals and check
-    // the per-phase attribution sums back up by hand.
+    // finalize() already validated conservation; pin the exported totals
+    // and check the per-phase attribution sums back up by hand.
     const TraceTable& table = *r.stats.trace;
-    EXPECT_EQ(table.total_retransmissions, r.stats.retransmissions);
-    EXPECT_EQ(table.total_drops, r.stats.drops);
+    expect_exported_totals(r.stats, "lossy elkin");
     std::uint64_t span_retrans = 0, span_drops = 0;
     bool attributed_outside_init = false;
     for (const TraceSpan& s : table.spans) {

@@ -269,7 +269,7 @@ TEST(GhsNative, TraceConservationForHandlerSpans)
         auto r = run_ghs_native(g, opts);
         ASSERT_TRUE(r.stats.trace);
         const TraceTable& t = *r.stats.trace;
-        EXPECT_NO_THROW(t.validate());
+        EXPECT_NO_THROW(t.validate(r.stats));
 
         std::uint64_t span_messages = 0;
         std::set<TracePhase> phases;
