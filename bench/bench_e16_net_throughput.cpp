@@ -168,6 +168,17 @@ int main(int argc, char** argv)
         }
     }
 
+    // A failed flush shows only once the file is closed (or stdout is
+    // flushed), e.g. on a full disk: every row may be lost.
+    if (file.is_open())
+        file.close();
+    else
+        std::cout.flush();
+    if (!out) {
+        std::cerr << "bench_e16: cannot write "
+                  << (json_path == "-" ? "stdout" : json_path) << "\n";
+        return 1;
+    }
     if (!ok) {
         std::cerr << "bench_e16: throughput rows from unverified trees\n";
         return 2;

@@ -17,11 +17,12 @@ equivalence contracts:
     every max_delay x event_seed point. rounds are excluded: async pulse
     levels may exceed the serial count by the documented endgame skew,
     and the synchronizer metrics (events, virtual_time, sync_*) are
-    async-only. activations are engine-specific (the lock-step engines
-    skip sleeping vertices, the async engine pulses every vertex) and
-    compared only within an engine. Lossy async rows (drop_rate > 0; loss
-    is async-only) are compared against the same clean serial row: the
-    reliable-delivery shim never changes a payload;
+    async-only. activations are compared only within an engine: every
+    engine skips sleeping vertices, but a never-sleeping driver runs
+    every async pulse, so its count follows the pulse levels. Lossy
+    async rows (drop_rate > 0; loss is async-only) are compared against
+    the same clean serial row: the reliable-delivery shim never changes
+    a payload;
   - natively-dispatched rows (sync == "none": a message-driven driver,
     no synchronizer) must match the serial row on mst_weight and the
     verdict block and carry exactly zero synchronizer traffic

@@ -140,11 +140,12 @@ struct RunStats {
     std::uint64_t messages = 0;  // number of Message sends
     std::uint64_t words = 0;     // total 64-bit words sent (tags included)
     // Process activations: on_round() calls, or handler calls (on_start,
-    // on_message) under native async dispatch. Engine-specific:
-    // the lock-step engines skip sleeping vertices (Process::next_wakeup),
-    // the async engine pulses every vertex each pulse. Identical between
-    // serial and parallel at every thread count; summed over a socket
-    // run's ranks, equal to serial.
+    // on_message) under native async dispatch. Every engine skips sleeping
+    // vertices (Process::next_wakeup). Identical between serial and
+    // parallel at every thread count; summed over a socket run's ranks,
+    // equal to serial. Behind an async synchronizer, equal to serial for a
+    // driver that books no wakeup once done; a never-sleeping driver runs
+    // every pulse, so its count follows the pulse levels and differs.
     std::uint64_t activations = 0;
     std::vector<std::uint64_t> messages_per_round;  // only if record_per_round
     // Messages per edge (both directions summed), indexed by EdgeId; only
@@ -326,14 +327,14 @@ public:
     virtual void on_round(Context& ctx) = 0;
     virtual bool done() const = 0;
 
-    // The sleep contract. The lock-step engines (serial, parallel,
-    // socket) ask this after every on_round(): the logical round at which
-    // on_round() must run again even with an empty inbox, or kNever. A
-    // value at or below ctx.round() means the next round. Until then the
-    // vertex is stepped only in rounds whose inbox is non-empty, so a
-    // process may sleep only through rounds in which an on_round() with
-    // an empty inbox would be a no-op. The default never sleeps. The async
-    // engine's synchronizers pulse every vertex anyway and never ask.
+    // The sleep contract. Every engine asks this after every on_round():
+    // the logical round at which on_round() must run again even with an
+    // empty inbox, or kNever. A value at or below ctx.round() means the
+    // next round. Until then the vertex is stepped only in rounds whose
+    // inbox is non-empty, so a process may sleep only through rounds in
+    // which an on_round() with an empty inbox would be a no-op. The
+    // default never sleeps. Behind an async synchronizer the vertex still
+    // pulses every level; a sleeping pulse only skips on_round().
     virtual std::uint64_t next_wakeup(const Context& ctx) const
     {
         return ctx.round() + 1;
@@ -775,7 +776,8 @@ protected:
     // Sleep scheduler state per vertex (lock-step engines; only the lane
     // owning the vertex touches its entries): the booked wakeup round
     // (Process::kNever if none), and the last logical round the vertex was
-    // put on a run list (dedupes the lane's sources).
+    // put on a run list (dedupes the lane's sources). The async engine
+    // keeps only wake_, as the booked wakeup pulse level.
     std::vector<std::uint64_t> wake_;
     std::vector<std::uint64_t> stamp_;
 

@@ -196,7 +196,11 @@ void AsyncNetwork::apply(Event& ev)
             send_emits();
             break;
     }
-    touch(ev.target);
+    // Only events addressed to a vertex change its readiness, and it stays
+    // ready until it pulses: touching the ready targets alone pulses the
+    // same vertices as touching every target.
+    if (sync_->ready(ev.target))
+        touch(ev.target);
 }
 
 void AsyncNetwork::dispatch_native(Event& ev)
@@ -224,8 +228,6 @@ void AsyncNetwork::dispatch_native(Event& ev)
 void AsyncNetwork::execute_pulse(VertexId v)
 {
     const std::uint64_t level = sync_->pulse(v) + 1;
-    reset_round_words(v);
-    zero_row(send_seq_, v);
 
     // Canonical inbox: the consumed tag's payloads in (port, link order),
     // moved out of their pool slots.
@@ -243,17 +245,30 @@ void AsyncNetwork::execute_pulse(VertexId v)
     in_flight_ -= scratch_.size();
 
     vertex_level_[v] = level;  // Context::round() during this activation
-    // Trace clock: the round is the pulse level itself, and the virtual
-    // time is the clock at activation (sends within a pulse do not
-    // advance it). Pulse levels match the lock-step engines' rounds — the
-    // basis of tri-engine trace parity.
-    if (trace_)
-        trace_->set_now(level, now_);
     pulse_sends_ = 0;
-    ++stats_.activations;
-    Context ctx = context_for(v);
-    processes_[v]->on_round(ctx);
-    note_done(v, processes_[v]->done());
+    // The sleep contract (Process::next_wakeup), as the lock-step engines
+    // keep it: a pulse with an empty inbox before the booked wakeup would
+    // be a no-op, so on_round is skipped. The pulse itself still runs — the
+    // synchronizer must see it. A skipped pulse sends nothing, so the
+    // bandwidth ledger and send-order row are cleared lazily here.
+    if (!scratch_.empty() || level >= wake_[v]) {
+        reset_round_words(v);
+        zero_row(send_seq_, v);
+        // Trace clock: the round is the pulse level itself, and the
+        // virtual time is the clock at activation (sends within a pulse do
+        // not advance it). Pulse levels match the lock-step engines'
+        // rounds — the basis of tri-engine trace parity.
+        if (trace_)
+            trace_->set_now(level, now_);
+        ++stats_.activations;
+        Context ctx = context_for(v);
+        processes_[v]->on_round(ctx);
+        note_done(v, processes_[v]->done());
+        const std::uint64_t at = processes_[v]->next_wakeup(ctx);
+        booked_ += at != Process::kNever;
+        booked_ -= wake_[v] != Process::kNever;
+        wake_[v] = at;
+    }
 
     max_level_ = std::max(max_level_, level);
     // level_count_ is a sliding window anchored one past completed_levels_
@@ -331,6 +346,18 @@ void AsyncNetwork::end_batch()
     // change either count.
     if (!quiescent_ && not_done_ == 0 && in_flight_ == 0)
         quiescent_ = true;
+
+    // round_ feeds run()'s max_rounds guard: pulse levels in synchronized
+    // modes, the virtual clock in native mode (whose activation counts
+    // are per-vertex, not global).
+    round_ = native_ ? now_ : max_level_;
+    stats_.rounds = max_level_;
+    stats_.virtual_time = now_;
+
+    // The lock-step engines' sleep-deadlock fail-fast: with nothing in
+    // flight and no wakeup booked, only empty pulses could follow.
+    if (!quiescent_ && !native_)
+        check_sleep_deadlock(booked_);
 }
 
 void AsyncNetwork::start_epoch()
@@ -351,9 +378,12 @@ void AsyncNetwork::start_epoch()
         sync_->start_epoch(max_level_);
         completed_levels_ = max_level_;
         level_count_.clear();
-        // Every vertex fires the epoch's first pulse at the current
-        // virtual time, in id order — the async analogue of lock-step
-        // round base+1.
+        // Every vertex wakes for the epoch's first pulse, fired at the
+        // current virtual time in id order — the async analogue of
+        // lock-step round base+1. wake_ starts at kNever, and a process
+        // kicked back to not-done may have booked no wakeup either.
+        std::fill(wake_.begin(), wake_.end(), 0);
+        booked_ = graph_.vertex_count();
         for (VertexId v = 0; v < graph_.vertex_count(); ++v)
             execute_pulse(v);
     }
@@ -423,7 +453,8 @@ bool AsyncNetwork::step()
         for (Event& ev : due_)
             apply(ev);
         if (!quiescent_ && !native_) {
-            // Ascending id keeps the send order canonical; the while loop
+            // touched_ holds the vertices this batch made ready (apply);
+            // ascending id keeps the send order canonical. The while loop
             // covers a pulse whose immediate safety (no sends) re-enables
             // the next one against already-held SAFEs.
             std::sort(touched_.begin(), touched_.end());
@@ -435,13 +466,6 @@ bool AsyncNetwork::step()
         end_batch();
         advanced = true;
     }
-
-    // round_ feeds run()'s max_rounds guard: pulse levels in synchronized
-    // modes, the virtual clock in native mode (whose activation counts
-    // are per-vertex, not global).
-    round_ = native_ ? now_ : max_level_;
-    stats_.rounds = max_level_;
-    stats_.virtual_time = now_;
     return true;
 }
 

@@ -16,8 +16,8 @@ namespace dmst {
 // backend. There is no global lock-step round loop — a seeded event queue
 // drives execution, every message (protocol payload, synchronizer ACK,
 // synchronizer control) travels with an independent integer delay hashed
-// from [1, config.async.max_delay], and a vertex is activated exactly when
-// the configured pulse synchronizer (sim/synchronizer.h — α or β, per
+// from [1, config.async.max_delay], and a vertex pulses exactly when the
+// configured pulse synchronizer (sim/synchronizer.h — α or β, per
 // AsyncConfig::sync) says its next logical pulse may fire.
 //
 // Native mode (AsyncConfig::sync == SyncMode::None) drops the synchronizer
@@ -54,8 +54,9 @@ namespace dmst {
 //      synchronizer and send the link-level ACK, ACKs advance the safety
 //      state and send SAFE fans, SAFEs advance the readiness state (in
 //      native mode: dispatches each to its handler);
-//   2. pulses the vertices those events touched whose next pulse became
-//      ready, in ascending id;
+//   2. pulses the vertices those events made ready, in ascending id —
+//      a vertex's readiness changes only through events addressed to it,
+//      so only those targets are collected and sorted;
 //   3. advances the completed-level count and checks quiescence.
 //
 // Every event gets the next global seq the moment it is created and draws
@@ -82,6 +83,15 @@ namespace dmst {
 // deadlock and throws. Drivers that re-kick processes after quiescence
 // (sync Borůvka's phase oracle) resume the engine; each resume starts a
 // new synchronizer epoch re-aligned to a common base level.
+//
+// Sleeping. A pulse runs on_round only when its canonical inbox is
+// non-empty or its level reached the vertex's booked wakeup
+// (Process::next_wakeup, kept in wake_ as the lock-step engines keep it);
+// otherwise the pulse still advances the synchronizer but skips the
+// process. So RunStats::activations of a sleeping driver equals the serial
+// engine's, and every other counter is unaffected by the skip. As on the
+// lock-step engines, a batch that ends not quiescent with nothing in flight
+// and no wakeup booked is a sleep deadlock and throws at once.
 //
 // Caveats: the lock-step conditioner does not compose (make_network
 // rejects it — the seeded per-message delay is this repo's latency
@@ -163,7 +173,8 @@ private:
     std::uint64_t plan_fault_delivery(VertexId from, std::size_t port);
 
     void schedule(Event&& ev);
-    // End of a timestamp batch: level accounting and the quiescence latch.
+    // End of a timestamp batch: level accounting, the quiescence latch,
+    // the published clocks and the sleep-deadlock check.
     void end_batch();
     void start_epoch();
 
@@ -188,7 +199,7 @@ private:
     EventQueue<Event> queue_;
     PayloadPool payloads_;
     std::vector<Event> due_;            // pop_due batch of the current step
-    std::vector<VertexId> touched_;     // targets of this step's arrivals
+    std::vector<VertexId> touched_;     // vertices this step made ready
     std::vector<AsyncIncoming> scratch_;  // begin_pulse out-buffer
     std::vector<SyncEmit> emits_;       // synchronizer emit scratch
     std::uint64_t pulse_sends_ = 0;     // sends of the executing pulse
@@ -204,6 +215,7 @@ private:
     std::vector<std::size_t> level_count_;
     std::size_t not_done_ = 0;
     std::vector<std::uint8_t> done_cache_;  // per-vertex done flag
+    std::uint64_t booked_ = 0;  // vertices whose wake_ is not kNever
     bool started_ = false;
     bool native_started_ = false;  // native on_start fan ran (single-epoch)
     bool terminated_ = false;
@@ -211,7 +223,7 @@ private:
     // is in flight; pulses stop and the queue drains (see class docs).
     bool quiescent_ = false;
 
-    // Arrival dedup for the pulse phase: touch_stamp_[v] == step_stamp_
+    // Readiness dedup for the pulse phase: touch_stamp_[v] == step_stamp_
     // marks v as touched this step.
     std::vector<std::uint64_t> touch_stamp_;
     std::uint64_t step_stamp_ = 0;

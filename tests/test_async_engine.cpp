@@ -265,9 +265,9 @@ TEST(AsyncSchedule, PinnedCountersOfFixedCells)
         std::uint64_t drops;
     };
     const Cell cells[] = {
-        {"elkin", SyncMode::Alpha, 0.0, 263922, 3775, 257171, 653, 41740, 0, 0},
-        {"elkin", SyncMode::Beta, 0.0, 95780, 14204, 89029, 653, 41792, 0, 0},
-        {"elkin", SyncMode::Beta, 0.2, 95780, 15052, 89029, 653, 41792, 3752,
+        {"elkin", SyncMode::Alpha, 0.0, 263922, 3775, 257171, 653, 8175, 0, 0},
+        {"elkin", SyncMode::Beta, 0.0, 95780, 14204, 89029, 653, 8175, 0, 0},
+        {"elkin", SyncMode::Beta, 0.2, 95780, 15052, 89029, 653, 8175, 3752,
          3752},
         {"ghs_native", SyncMode::None, 0.0, 1469, 193, 0, 49, 1533, 0, 0},
         {"ghs_native", SyncMode::None, 0.2, 1468, 261, 0, 49, 1532, 865, 865},
