@@ -88,9 +88,12 @@ int main(int argc, char** argv)
     bool ok = true;
     for (const std::string& family : families) {
         for (std::size_t n : sizes) {
-            if (n < static_cast<std::size_t>(sc.procs)) {
+            SyncBoruvkaOptions opts;
+            opts.engine = Engine::Socket;
+            opts.socket = sc;
+            if (const char* why = composition_error(opts, n)) {
                 std::cerr << "bench_e16: skipping " << family << "/" << n
-                          << " (every rank needs a non-empty vertex block)\n";
+                          << ": " << why << "\n";
                 continue;
             }
             auto g = make_workload(family, n, seed);
@@ -110,9 +113,6 @@ int main(int argc, char** argv)
             }
 
             for (int rep = 0; rep < repeat; ++rep) {
-                SyncBoruvkaOptions opts;
-                opts.engine = Engine::Socket;
-                opts.socket = sc;
                 const auto t0 = std::chrono::steady_clock::now();
                 auto run = run_sync_boruvka(g, opts);
                 const auto t1 = std::chrono::steady_clock::now();

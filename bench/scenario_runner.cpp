@@ -6,36 +6,35 @@
 //   scenario_runner --algo=elkin --families=er,grid --sizes=256,1024
 //       --engines=serial,parallel --threads=1,2,8 --json=-
 //
-// Network-conditioner axes (comma lists, congest/conditioner.h), swept by
-// lock-step cells only:
+// Network-conditioner axes (comma lists, congest/conditioner.h):
 //   --hetero_b=0,1       per-link bandwidth caps hashed in [1, b]
 //   --adversarial_order=0,1   adversarial (seeded) inbox delivery order
 // Conditioned cells must produce the same MST (and verification verdicts)
 // as the ideal substrate; --verify enforces that per cell.
 //
 // Event-driven engine axes (comma lists, sim/async_network.h), swept by
-// async-engine cells only; lock-step cells run at the first point:
+// async-engine cells only; the other engines run at the first point:
 //   --max_delay=1,4      per-message delay bound in virtual-time units
 //   --event_seed=1,2,3   delay-stream seeds
 //   --sync=alpha,beta    synchronizer axis; `none` adds native per-event
 //                        dispatch cells (algo=ghs_native only — the
 //                        round-programmed algorithms are skipped there)
-// Async cells skip conditioned grid points (the conditioner is a
-// lock-step device) and must produce the same MST and verdicts as the
-// serial engine; --verify enforces that per cell. Only parallel cells
-// sweep --threads; every other engine runs one threads = 1 cell.
+// Async cells must produce the same MST and verdicts as the serial
+// engine; --verify enforces that per cell. Only parallel cells sweep
+// --threads; every other engine runs one threads = 1 cell.
 //
 // Fault-injection axes (comma lists, congest/faults.h):
-//   --drop_rate=0,0.05,0.2   per-link data/ACK drop probability (async)
+//   --drop_rate=0,0.05,0.2   per-link data/ACK drop probability
 //   --loss_seed=11,12,13     loss-stream seeds (collapsed at drop_rate 0)
 //   --crash=none,3@5+7@9     crash-stop schedules, "v@r[+v@r...]" or none
-//   --burst_len=N            drop-window burst length (scalar)
 // The reliable-delivery shim makes loss transparent: lossy cells must
 // produce the same MST and verdicts as their clean twins (--verify
-// enforces that). Lossy cells are async only (lock-step engines skip
-// them); crash cells are lock-step only (async skips them) and verify by
-// containment of the partial forest in the reference MST; model
-// verification is skipped on crash cells.
+// enforces that). Crash cells verify by containment of the partial forest
+// in the reference MST; model verification is skipped on crash cells.
+//
+// Which engine takes which device is one rule, make_network's
+// (composition_error in sim/engine.h; the composition table in
+// docs/SCENARIOS.md): the sweep skips exactly the cells it rejects.
 //
 // Socket-backend flags (scalars, not sweep axes; Engine::Socket cells
 // only — see src/dmst/net/ and docs/TRANSPORT.md):
@@ -97,7 +96,6 @@ int main(int argc, char** argv)
                 "comma list (0/1): hash per-link bandwidth caps in [1, b]");
     args.define("adversarial_order", "0",
                 "comma list (0/1): adversarial inbox delivery order");
-    args.define("cond_seed", "7", "conditioner assignment seed");
     args.define("max_delay", "4",
                 "comma list of async per-message delay bounds (>= 1)");
     args.define("event_seed", "1", "comma list of async delay-stream seeds");
@@ -105,12 +103,10 @@ int main(int argc, char** argv)
                 "comma list of async synchronizers: alpha,beta,none (none = "
                 "native message-driven dispatch, algo=ghs_native only)");
     args.define("drop_rate", "0",
-                "comma list of per-link drop probabilities in [0, 1) "
-                "(async cells only)");
+                "comma list of per-link drop probabilities in [0, 1)");
     args.define("loss_seed", "11", "comma list of loss-stream seeds");
     args.define("crash", "none",
                 "comma list of crash-stop schedules: v@r[+v@r...] or none");
-    args.define("burst_len", "1", "loss-shim drop-window burst length");
     args.define("ghs_k", "8", "Controlled-GHS k (algo=ghs only)");
     args.define("verify", "oracle", "oracle|model|none (bare --verify = model)");
     args.define("json", "-", "JSON Lines output: '-' = stdout, else a path");
@@ -177,8 +173,6 @@ int main(int argc, char** argv)
         spec.adversarial_orders.clear();
         for (std::int64_t a : split_int_list(args.get("adversarial_order")))
             spec.adversarial_orders.push_back(a != 0);
-        spec.conditioner_seed =
-            static_cast<std::uint64_t>(args.get_int("cond_seed"));
         spec.max_delays.clear();
         for (std::int64_t d : split_int_list(args.get("max_delay"))) {
             if (d < 1)
@@ -209,13 +203,8 @@ int main(int argc, char** argv)
         for (std::int64_t s : split_int_list(args.get("loss_seed")))
             spec.loss_seeds.push_back(static_cast<std::uint64_t>(s));
         spec.crash_specs.clear();
-        for (const std::string& c : split_list(args.get("crash"))) {
-            parse_crash_spec(c);  // validate up front: throws on bad specs
-            spec.crash_specs.push_back(c == "none" ? "" : c);
-        }
-        spec.fault_burst = static_cast<int>(args.get_int("burst_len"));
-        if (spec.fault_burst < 1)
-            throw std::invalid_argument("--burst_len must be >= 1");
+        for (const std::string& c : split_list(args.get("crash")))
+            spec.crash_specs.push_back(parse_crash_spec(c));
         spec.ghs_k = static_cast<std::uint64_t>(args.get_int("ghs_k"));
         const std::string verify = args.get("verify");
         if (verify == "oracle") {

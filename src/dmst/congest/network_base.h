@@ -103,22 +103,18 @@ struct NetConfig {
     int threads = 0;
     // Adversarial network conditioning (congest/conditioner.h): per-link
     // bandwidth caps and an adversarial inbox permutation. Disabled by
-    // default — the ideal lock-step substrate. A lock-step device: it
-    // does not compose with Engine::Async (make_network rejects that).
+    // default — the ideal lock-step substrate. Which engines take it and
+    // the fault devices below is composition_error's rule (sim/engine.h).
     ConditionerConfig conditioner{};
     // Deterministic fault injection (congest/faults.h): seeded per-link
-    // loss behind a reliable-delivery shim (Engine::Async only), and
-    // crash-stop vertices with graceful degradation (lock-step engines
-    // only); make_network rejects the other combinations. Under loss the
-    // async clock stretches with every retransmission wait, so callers
-    // scale their ideal budget with scaled_round_budget().
+    // loss behind a reliable-delivery shim, and crash-stop vertices with
+    // graceful degradation. Under loss the async clock stretches with
+    // every retransmission wait, so callers scale their ideal budget with
+    // scaled_round_budget().
     FaultConfig faults{};
     // Event-driven engine parameters; ignored by Serial and Parallel.
     AsyncConfig async{};
-    // Socket backend parameters; ignored by the in-process engines. The
-    // socket backend is a real transport: it rejects composition with the
-    // conditioner, the loss shim, and crash-stop (make_network enforces) —
-    // its links are made reliable by the kernel's TCP, not a simulated draw.
+    // Socket backend parameters; ignored by the in-process engines.
     SocketConfig socket{};
     // Span-based tracing (src/dmst/obs/): off by default, in which case
     // the send datapath pays one null-pointer test and nothing else.

@@ -256,10 +256,9 @@ struct MstForestResult {
     std::vector<std::uint64_t> fragment_id;   // per vertex
     std::vector<std::size_t> parent_port;     // per vertex; kNoPort at roots
     std::vector<std::vector<std::size_t>> mst_ports;  // per vertex
+    // On a crash-stop degraded run (stats.partial()) the per-vertex views
+    // hold the forest built so far.
     RunStats stats;
-    // Crash-stop graceful degradation: the schedule stalled before every
-    // vertex finished; the per-vertex views hold the forest built so far.
-    bool partial = false;
 
     std::size_t fragment_count() const;
 };

@@ -36,11 +36,10 @@ struct DriverMstResult {
     // The same edges as sorted global edge ids (see
     // DriverHarness::harvest_edges).
     std::vector<EdgeId> mst_edges;
+    // On a crash-stop degraded run (stats.partial()) mst_ports/mst_edges
+    // hold the partial forest built so far — a subset of the true MST by
+    // the cut property.
     RunStats stats;
-    // Crash-stop graceful degradation: the run stalled (or lost vertices)
-    // before completing, and mst_ports/mst_edges hold the partial forest
-    // built so far — a subset of the true MST by the cut property.
-    bool partial = false;
 };
 
 // What a driver demands of its input graph; the harness throws
@@ -83,7 +82,7 @@ constexpr bool kHasForest<R, std::void_t<decltype(&R::parent_port)>> = true;
 //
 //   DriverHarness<P> h(g, config, input, make);  // checks, make_network, init
 //   h.run();
-//   auto result = h.collect<Result>();           // stats, partial, per-vertex
+//   auto result = h.collect<Result>();           // stats, per-vertex output
 //   h.harvest_edges(result);                     // MST builders only
 //   if (const P* root = h.root_process(r)) ...   // root milestones
 //
@@ -122,12 +121,12 @@ public:
         return net_->owns(root) ? &process(root) : nullptr;
     }
 
-    // What every driver reports once the network is quiet: stats, the
-    // crash-stop `partial` flag (stalled, or any vertex crashed) and, in
+    // What every driver reports once the network is quiet: stats and, in
     // one pass over the local vertices, the per-vertex output Result
     // declares — mst_ports, and fragment_id/parent_port for forest
     // results. A complete run asserts done() on every local vertex and
-    // then calls check(process); a partial one skips both.
+    // then calls check(process); a partial one (stats.partial()) skips
+    // both.
     template <typename Result>
     Result collect() const
     {
@@ -140,7 +139,6 @@ public:
         constexpr bool kForest = harness_detail::kHasForest<Result>;
         Result r;
         r.stats = net_->stats();
-        r.partial = r.stats.partial();
         const std::size_t n = g_.vertex_count();
         if constexpr (kPorts)
             r.mst_ports.resize(n);
@@ -150,7 +148,7 @@ public:
         }
         for (VertexId v = net_->local_begin(); v < net_->local_end(); ++v) {
             const Proc& p = process(v);
-            if (!r.partial) {
+            if (!r.stats.partial()) {
                 DMST_ASSERT(p.done());
                 check(p);
             }
@@ -174,7 +172,7 @@ public:
     // (`spanning` false) names no edges.
     void harvest_edges(DriverMstResult& r, bool spanning = true) const
     {
-        if (r.partial || net_->rank_sharded())
+        if (r.stats.partial() || net_->rank_sharded())
             r.mst_edges = collect_claimed_edges(g_, r.mst_ports);
         else if (spanning)
             r.mst_edges = collect_mst_edges(g_, r.mst_ports);

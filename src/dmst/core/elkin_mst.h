@@ -62,8 +62,9 @@ struct ElkinOptions : DriverOptions {
     bool broadcast_downcast = false;
 };
 
-// DriverMstResult carries the ports, edges, stats and `partial`; on a
-// partial run the milestone fields below reflect progress at the stall.
+// DriverMstResult carries the ports, edges and stats; on a partial run
+// (stats.partial()) the milestone fields below reflect progress at the
+// stall.
 struct DistributedMstResult : DriverMstResult {
     // Milestones for the experiment harness.
     std::uint64_t k_used = 0;

@@ -436,7 +436,8 @@ VerifyMstResult run_verify_mst(
                         "verdict disagreement between vertices");
     });
     result.verdict = local.verdict();
-    result.accepted = !result.partial && result.verdict == VerifyVerdict::Accept;
+    result.accepted =
+        !result.stats.partial() && result.verdict == VerifyVerdict::Accept;
     result.witness = local.witness();
     result.offender = local.offender();
     if (const VerifyMstProcess* root = h.root_process(opts.root)) {

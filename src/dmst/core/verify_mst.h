@@ -76,8 +76,8 @@ const char* verify_verdict_name(VerifyVerdict verdict);
 // verdict and witness are invariant under conditioning, async delay
 // points, and loss. Crash-stop is NOT meaningfully supported here: a
 // verifier cannot produce a verdict about vertices that stopped
-// answering, so a crash-stalled run returns partial = true with accepted
-// = false and an unspecified verdict. On Engine::Socket the verdict is
+// answering, so a crash-stalled run (stats.partial()) returns accepted =
+// false and an unspecified verdict. On Engine::Socket the verdict is
 // flooded to every vertex, so a sharded run still reports it (read from a
 // local vertex); the root-only milestone fields are filled only on the
 // rank that owns the root.
@@ -91,9 +91,6 @@ struct VerifyMstResult {
     EdgeKey witness = kInfiniteEdgeKey;   // see the verdict comments above
     EdgeKey offender = kInfiniteEdgeKey;  // RejectNotMinimal only
     RunStats stats;
-    // Crash-stop stalled the protocol before a verdict; accepted is false
-    // and verdict/witness/offender are unspecified (see VerifyOptions).
-    bool partial = false;
 
     // Milestones for the bench budgets.
     std::uint64_t component_size = 0;  // of the root's claimed component

@@ -18,8 +18,8 @@ std::int64_t now_ms()
         .count();
 }
 
-// How far ahead of the last consumed epoch an incoming probe/reduce frame
-// may claim to be. Honest peers are at most one exchange ahead; anything
+// How far ahead of the last consumed epoch an incoming reduce frame may
+// claim to be. Honest peers are at most one exchange ahead; anything
 // further is forged or corrupt and must not grow the stash unboundedly.
 constexpr std::uint64_t kEpochWindow = 64;
 
@@ -32,22 +32,6 @@ SocketNetwork::SocketNetwork(const WeightedGraph& g, NetConfig config)
       rank_(config.socket.rank),
       table_(g.vertex_count(), config.socket.procs)
 {
-    if (procs_ < 1)
-        throw std::invalid_argument("socket engine: procs must be >= 1");
-    if (rank_ < 0 || rank_ >= procs_)
-        throw std::invalid_argument("socket engine: rank out of [0, procs)");
-    if (static_cast<std::size_t>(procs_) > g.vertex_count())
-        throw std::invalid_argument(
-            "socket engine: procs must not exceed the vertex count (every "
-            "rank needs a non-empty block; drivers read local state)");
-    if (config_.conditioner.enabled())
-        throw std::invalid_argument(
-            "socket engine: the link conditioner does not compose with a "
-            "real transport");
-    if (config_.faults.enabled())
-        throw std::invalid_argument(
-            "socket engine: fault injection does not compose with a real "
-            "transport (its loss is real loss)");
     lo_ = table_.block_begin(rank_);
     hi_ = table_.block_end(rank_);
     wake_range(active_, lo_, hi_);  // the lane hosts this rank's block only
@@ -258,46 +242,14 @@ void SocketNetwork::exchange_barrier()
 
 bool SocketNetwork::probe_quiescent()
 {
-    const bool local_done = block_done();
+    // Nothing can be in flight between run() epochs, so done is all there
+    // is to know: the run is quiescent when no rank reports "not done".
+    std::uint64_t not_done = block_done() ? 0 : 1;
+    allreduce_or(&not_done, 1);
     // A driver kick may have woken someone; the next barrier tells.
     global_asleep_ = false;
-    if (!transport_) {
-        // Nothing can be in flight between run() epochs; done is all there
-        // is to know.
-        global_quiescent_ = local_done;
-        global_state_valid_ = true;
-        return global_quiescent_;
-    }
-    const std::uint64_t epoch = ++probe_epoch_;
-    const std::uint64_t words[1] = {local_done ? 1u : 0u};
-    for (int p = 0; p < procs_; ++p) {
-        if (p != rank_)
-            send_single_frame(p, FrameKind::Probe, epoch, words, 1);
-    }
-    poll_until(
-        [this, epoch] {
-            const auto it = probe_stash_.find(epoch);
-            if (it == probe_stash_.end())
-                return false;
-            for (int p = 0; p < procs_; ++p) {
-                if (p != rank_ && it->second[static_cast<std::size_t>(p)] < 0)
-                    return false;
-            }
-            return true;
-        },
-        "quiescence probe");
-    bool all_done = local_done;
-    const auto& slots = probe_stash_[epoch];
-    for (int p = 0; p < procs_; ++p) {
-        if (p != rank_)
-            all_done = all_done && slots[static_cast<std::size_t>(p)] == 1;
-    }
-    probe_consumed_ = epoch;
-    probe_stash_.erase(probe_stash_.begin(),
-                       probe_stash_.upper_bound(epoch));
-    global_quiescent_ = all_done;
+    global_quiescent_ = not_done == 0;
     global_state_valid_ = true;
-    fold_transport_stats();
     return global_quiescent_;
 }
 
@@ -372,9 +324,6 @@ void SocketNetwork::on_packet(const PacketHeader& h,
         case FrameKind::Barrier:
             handle_barrier(src, f);
             break;
-        case FrameKind::Probe:
-            handle_probe(src, f);
-            break;
         case FrameKind::Reduce:
             handle_reduce(src, f);
             break;
@@ -448,25 +397,6 @@ void SocketNetwork::handle_barrier(int src, const WireFrame& f)
     slot->peer_done = (f.word(1) & kBarrierFlagDone) != 0;
     slot->peer_awake = (f.word(1) & kBarrierFlagAwake) != 0;
     slot->peer_staged = f.word(2);
-}
-
-void SocketNetwork::handle_probe(int src, const WireFrame& f)
-{
-    const std::uint64_t epoch = f.round;
-    if (f.nwords != 1 || epoch <= probe_consumed_ ||
-        epoch > probe_consumed_ + kEpochWindow) {
-        ++frame_malformed_;
-        return;
-    }
-    auto& slots = probe_stash_[epoch];
-    if (slots.empty())
-        slots.assign(static_cast<std::size_t>(procs_), -1);
-    int& slot = slots[static_cast<std::size_t>(src)];
-    if (slot >= 0) {
-        ++frame_malformed_;
-        return;
-    }
-    slot = static_cast<int>(f.word(0) & 1);
 }
 
 void SocketNetwork::handle_reduce(int src, const WireFrame& f)

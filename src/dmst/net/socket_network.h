@@ -43,12 +43,13 @@ namespace dmst {
 //
 // Quiescence and collectives. run() epochs are separated by driver kicks
 // the network cannot see, so entering step() with the global state unknown
-// (or last known quiescent) triggers a probe exchange: every rank reports
-// its local done flag and the round only proceeds if someone has work.
-// allreduce_or() is the matching epoch-numbered reduce exchange for
-// drivers that branch on global state between runs. Both are collectives:
-// deterministic symmetric drivers guarantee every rank issues them in the
-// same order, which is what lets an epoch number identify an exchange.
+// (or last known quiescent) triggers a quiescence probe: an allreduce_or()
+// of every rank's "not done" bit, and the round only proceeds if someone
+// has work. allreduce_or() is the one epoch-numbered exchange, also for
+// drivers that branch on global state between runs. It is a collective:
+// deterministic symmetric drivers guarantee every rank issues probes and
+// reduces in the same order, which is what lets an epoch number identify
+// an exchange.
 //
 // Peers can run at most one round (or collective epoch) ahead — they need
 // our barrier or contribution to advance further — so frames for round
@@ -57,8 +58,9 @@ namespace dmst {
 // RunStats::malformed_frames, the same counter the hardened receive path
 // uses for structurally invalid frames.
 //
-// Composition: rejects the conditioner, the loss shim and crash-stop —
-// this backend's links are real links, made reliable by the kernel's TCP.
+// Built by make_network, which validates the config and decides which
+// devices compose (composition_error in sim/engine.h): this backend's
+// links are real links, made reliable by the kernel's TCP.
 class SocketNetwork : public Network {
 public:
     SocketNetwork(const WeightedGraph& g, NetConfig config);
@@ -116,7 +118,6 @@ private:
                    std::size_t len);
     void handle_data(int src, const WireFrame& f);
     void handle_barrier(int src, const WireFrame& f);
-    void handle_probe(int src, const WireFrame& f);
     void handle_reduce(int src, const WireFrame& f);
 
     template <typename Pred>
@@ -145,11 +146,8 @@ private:
     std::vector<PeerRound> peer_next_;
 
     // Collective exchanges, keyed by epoch (see class comment).
-    std::uint64_t probe_epoch_ = 0;     // last epoch issued
-    std::uint64_t probe_consumed_ = 0;  // last epoch completed
-    std::map<std::uint64_t, std::vector<int>> probe_stash_;
-    std::uint64_t reduce_epoch_ = 0;
-    std::uint64_t reduce_consumed_ = 0;
+    std::uint64_t reduce_epoch_ = 0;     // last epoch issued
+    std::uint64_t reduce_consumed_ = 0;  // last epoch completed
     std::map<std::uint64_t, std::vector<ReduceSlot>> reduce_stash_;
 
     // True while the barrier exchange collects round_'s arrivals.

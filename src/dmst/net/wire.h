@@ -28,7 +28,7 @@ namespace dmst {
 // ------------------------------------------------------------- constants
 
 constexpr std::uint32_t kWireMagic = 0x54534D44u;  // "DMST" little-endian
-constexpr std::uint8_t kWireVersion = 2;
+constexpr std::uint8_t kWireVersion = 3;
 constexpr std::size_t kPacketHeaderBytes = 24;
 constexpr std::size_t kFrameHeaderBytes = 24;
 // Structural sanity cap on one frame's payload words; the receive path
@@ -51,8 +51,7 @@ enum class PacketKind : std::uint8_t {
 enum class FrameKind : std::uint8_t {
     Data = 1,     // one protocol message for (dst_vertex, port) in `round`
     Barrier = 2,  // end-of-round marker: [frames sent to you, flags, staged]
-    Probe = 3,    // quiescence probe (round = probe epoch): [done flag]
-    Reduce = 4,   // allreduce contribution (round = reduce epoch): words
+    Reduce = 3,   // allreduce contribution (round = reduce epoch): words
 };
 
 // Barrier payload layout (nwords == 3). words[1] holds the flags; a

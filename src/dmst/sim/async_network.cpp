@@ -45,15 +45,6 @@ AsyncNetwork::AsyncNetwork(const WeightedGraph& g, NetConfig config)
             native_ = true;
             break;
     }
-    DMST_ASSERT_MSG(!config_.conditioner.enabled(),
-                    "the lock-step conditioner does not compose with the "
-                    "async engine (its delay model subsumes the latency axis)");
-    if (config_.faults.crash_enabled())
-        throw std::invalid_argument(
-            "crash-stop faults do not compose with the async engine "
-            "(stall detection is a lock-step device); use --engine=serial "
-            "or --engine=parallel for crash scenarios");
-
     loss_on_ = faults_.loss_enabled();
     if (loss_on_)
         fault_attempts_.assign(2 * graph_.edge_count(), 0);

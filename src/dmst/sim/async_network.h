@@ -93,12 +93,12 @@ namespace dmst {
 // lock-step engines, a batch that ends not quiescent with nothing in flight
 // and no wakeup booked is a sleep deadlock and throws at once.
 //
-// Caveats: the lock-step conditioner does not compose (make_network
-// rejects it — the seeded per-message delay is this repo's latency
-// model), and RunStats::rounds counts executed pulse levels, which can
-// exceed the serial round count by the endgame skew (trailing pulses of
-// already-done processes). messages_per_round is indexed by logical level
-// and matches the serial trace exactly. config.threads is ignored.
+// Caveats: which devices compose is make_network's rule
+// (composition_error in sim/engine.h), and RunStats::rounds counts
+// executed pulse levels, which can exceed the serial round count by the
+// endgame skew (trailing pulses of already-done processes).
+// messages_per_round is indexed by logical level and matches the serial
+// trace exactly. config.threads is ignored.
 class AsyncNetwork : public NetworkBase {
 public:
     AsyncNetwork(const WeightedGraph& g, NetConfig config);

@@ -17,52 +17,67 @@ std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
         throw std::invalid_argument("bandwidth must be >= 1");
     if (config.threads < 0)
         throw std::invalid_argument("threads must be >= 0");
-    const bool lock_step =
-        config.engine == Engine::Serial || config.engine == Engine::Parallel;
-    if (lock_step && config.faults.loss_enabled())
-        throw std::invalid_argument(
-            "message loss does not compose with the lock-step engines "
-            "(a synchronous round has no time for a retransmission to "
-            "cost); use --engine=async");
+    if (config.engine == Engine::Socket) {
+        const SocketConfig& sc = config.socket;
+        if (sc.procs < 1)
+            throw std::invalid_argument("--procs must be >= 1");
+        if (sc.rank < 0 || sc.rank >= sc.procs)
+            throw std::invalid_argument("--rank must be in [0, procs)");
+        if (sc.procs > 1 &&
+            (sc.base_port < 1024 || sc.base_port + sc.procs > 65536))
+            throw std::invalid_argument(
+                "--base_port must leave [base_port, base_port + procs) "
+                "within [1024, 65536)");
+    }
+    if (const char* reason = composition_error(config, g.vertex_count()))
+        throw std::invalid_argument(reason);
     switch (config.engine) {
         case Engine::Serial:
             return std::make_unique<Network>(g, config);
         case Engine::Parallel:
             return std::make_unique<ParallelNetwork>(g, config);
         case Engine::Async:
-            if (config.conditioner.enabled())
-                throw std::invalid_argument(
-                    "the lock-step conditioner does not compose with "
-                    "--engine=async (its per-message delay is the latency "
-                    "model)");
-            if (config.faults.crash_enabled())
-                throw std::invalid_argument(
-                    "crash-stop faults do not compose with --engine=async "
-                    "(stall detection is a lock-step device)");
             return std::make_unique<AsyncNetwork>(g, config);
         case Engine::Socket:
-            if (config.conditioner.enabled())
-                throw std::invalid_argument(
-                    "the link conditioner does not compose with "
-                    "--engine=socket (a real transport has real links)");
-            if (config.faults.enabled())
-                throw std::invalid_argument(
-                    "fault injection does not compose with --engine=socket "
-                    "(its loss is real loss, handled by retransmission)");
-            if (config.socket.procs < 1)
-                throw std::invalid_argument("--procs must be >= 1");
-            if (config.socket.rank < 0 ||
-                config.socket.rank >= config.socket.procs)
-                throw std::invalid_argument("--rank must be in [0, procs)");
-            if (config.socket.procs > 1 &&
-                (config.socket.base_port < 1024 ||
-                 config.socket.base_port + config.socket.procs > 65536))
-                throw std::invalid_argument(
-                    "--base_port must leave [base_port, base_port + procs) "
-                    "within [1024, 65536)");
             return std::make_unique<SocketNetwork>(g, config);
     }
     throw std::invalid_argument("make_network: unknown engine");
+}
+
+const char* composition_error(const NetConfig& config, std::size_t n)
+{
+    switch (config.engine) {
+        case Engine::Serial:
+        case Engine::Parallel:
+            if (config.faults.loss_enabled())
+                return "message loss does not compose with the lock-step "
+                       "engines (a synchronous round has no time for a "
+                       "retransmission to cost); use --engine=async";
+            return nullptr;
+        case Engine::Async:
+            if (config.conditioner.enabled())
+                return "the lock-step conditioner does not compose with "
+                       "--engine=async (its per-message delay is the "
+                       "latency model)";
+            if (config.faults.crash_enabled())
+                return "crash-stop faults do not compose with --engine=async "
+                       "(crash rounds and stall detection need the lock-step "
+                       "round barrier)";
+            return nullptr;
+        case Engine::Socket:
+            if (config.conditioner.enabled())
+                return "the link conditioner does not compose with "
+                       "--engine=socket (a real transport has real links)";
+            if (config.faults.enabled())
+                return "fault injection does not compose with --engine=socket "
+                       "(its loss is real loss, handled by retransmission)";
+            if (static_cast<std::size_t>(config.socket.procs) > n)
+                return "--procs must not exceed the vertex count on "
+                       "--engine=socket (every rank needs a non-empty vertex "
+                       "block)";
+            return nullptr;
+    }
+    return nullptr;
 }
 
 Engine parse_engine(const std::string& name)

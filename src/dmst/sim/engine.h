@@ -1,6 +1,7 @@
 #ifndef DMST_SIM_ENGINE_H
 #define DMST_SIM_ENGINE_H
 
+#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -15,16 +16,18 @@ namespace dmst {
 // src/dmst/net/). All honor the NetworkBase contract and produce
 // bit-identical protocol outputs; serial and parallel are additionally
 // bit-identical in RunStats. Only the parallel engine reads
-// config.threads. Throws std::invalid_argument for bandwidth < 1 or
-// threads < 0 on every engine; for Engine::Serial and Engine::Parallel
-// combined with message loss (drop_rate > 0 — loss lives on the async
-// engine); for Engine::Async combined with an enabled lock-step
-// conditioner or a crash-stop fault schedule; for Engine::Socket combined
-// with the conditioner or any fault injection (a real transport has real
-// links and real loss); and for an invalid NetConfig::faults or
-// NetConfig::socket.
+// config.threads. Throws std::invalid_argument first for a bad value
+// (bandwidth < 1 or threads < 0 on every engine, an invalid
+// NetConfig::socket on Engine::Socket), then with composition_error's
+// reason.
 std::unique_ptr<NetworkBase> make_network(const WeightedGraph& g,
                                           const NetConfig& config);
+
+// The one engine × device rule, on a graph of n vertices: why
+// config.engine does not take the devices config turns on, or null when it
+// does. docs/SCENARIOS.md's composition table states it; make_network
+// throws with the reason and run_scenarios skips exactly these cells.
+const char* composition_error(const NetConfig& config, std::size_t n);
 
 // "serial" | "parallel" | "async" | "socket" (case-sensitive); throws
 // std::invalid_argument on anything else. The inverse of engine_name,

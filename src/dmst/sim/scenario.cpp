@@ -124,12 +124,11 @@ AlgorithmRun run_algorithm(const std::string& algorithm, const WeightedGraph& g,
                            const NetConfig& config, std::uint64_t ghs_k)
 {
     auto tree = [](DriverMstResult&& r) {
-        return AlgorithmRun{std::move(r.mst_edges), std::move(r.stats),
-                            r.partial};
+        return AlgorithmRun{std::move(r.mst_edges), std::move(r.stats)};
     };
     auto forest = [&](MstForestResult&& r) {
         return AlgorithmRun{collect_claimed_edges(g, r.mst_ports),
-                            std::move(r.stats), r.partial};
+                            std::move(r.stats)};
     };
     if (algorithm == "elkin")
         return tree(run_elkin_mst(g, driver_options<ElkinOptions>(config)));
@@ -311,7 +310,7 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                 // would duplicate the clean cell.
                 if (drop_rate == 0.0 && loss_seed != spec.loss_seeds.front())
                     continue;
-            for (const std::string& crash_spec : spec.crash_specs) {
+            for (const std::vector<CrashPoint>& crashes : spec.crash_specs) {
                 // The cell's substrate point; the engine loop fills in
                 // engine and threads, and the same NetConfig then feeds
                 // the driver and the verifier.
@@ -319,37 +318,23 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                 point.bandwidth = bandwidth;
                 point.conditioner.hetero_bandwidth = hetero != 0;
                 point.conditioner.adversarial_order = adversarial != 0;
-                point.conditioner.seed = spec.conditioner_seed;
                 point.async.max_delay = max_delay;
                 point.async.event_seed = event_seed;
                 point.async.sync = sync;
                 point.faults.drop_rate = drop_rate;
                 point.faults.loss_seed = loss_seed;
-                point.faults.burst_len = spec.fault_burst;
-                point.faults.crashes = parse_crash_spec(crash_spec);
+                point.faults.crashes = crashes;
                 point.socket = spec.socket;
                 point.trace = spec.trace;
                 point.record_per_edge = spec.record_per_edge;
-                const FaultConfig& fc = point.faults;
-                const bool ideal_conditioner = !point.conditioner.enabled();
                 const bool first_async_point =
                     max_delay == spec.max_delays.front() &&
                     event_seed == spec.event_seeds.front() &&
                     sync == spec.syncs.front();
                 for (Engine engine : spec.engines) {
                     const bool is_async = engine == Engine::Async;
-                    const bool is_socket = engine == Engine::Socket;
-                    // Skip axis points that do not apply to the engine,
-                    // so each configuration runs exactly once: lock-step
-                    // engines do not read the async axes; the async
-                    // engine rejects the lock-step conditioner.
-                    if (is_async ? !ideal_conditioner : !first_async_point)
-                        continue;
-                    // Loss lives on the async engine (make_network
-                    // rejects it on serial and parallel).
-                    const bool lock_step = engine == Engine::Serial ||
-                                           engine == Engine::Parallel;
-                    if (lock_step && fc.loss_enabled())
+                    // Only the async engine reads the async axes.
+                    if (!is_async && !first_async_point)
                         continue;
                     // The no-synchronizer path hosts message-driven
                     // drivers only; round-programmed algorithms have no
@@ -357,18 +342,9 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                     if (is_async && sync == SyncMode::None &&
                         spec.algorithm != "ghs_native")
                         continue;
-                    // Crash-stop is a lock-step device (the α-synchronizer
-                    // has no global round barrier to crash at).
-                    if (is_async && fc.crash_enabled())
-                        continue;
-                    // The socket backend is a real transport: it rejects
-                    // the simulated conditioner and fault shims outright
-                    // (see make_network), and every rank needs a
-                    // non-empty vertex block.
-                    if (is_socket &&
-                        (!ideal_conditioner || fc.enabled() ||
-                         static_cast<std::size_t>(spec.socket.procs) >
-                             g.vertex_count()))
+                    NetConfig config = point;
+                    config.engine = engine;
+                    if (composition_error(config, g.vertex_count()))
                         continue;
                     // Only the parallel engine has workers to sweep.
                     const std::vector<int> single_run = {1};
@@ -381,39 +357,18 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                         cell.family = family;
                         cell.n = g.vertex_count();
                         cell.m = g.edge_count();
-                        cell.bandwidth = bandwidth;
-                        cell.hetero_b = hetero != 0;
-                        cell.adversarial_order = adversarial != 0;
-                        if (is_async) {
-                            cell.max_delay = max_delay;
-                            cell.event_seed = event_seed;
-                            cell.sync = sync;
-                        }
-                        cell.drop_rate = drop_rate;
-                        if (drop_rate > 0)
-                            cell.loss_seed = loss_seed;
-                        cell.crash = crash_spec;
-                        cell.engine = engine;
-                        cell.threads =
-                            threaded_engine ? resolve_threads(threads) : 1;
+                        cell.config = config;
+                        cell.config.threads = resolve_threads(threads);
                         const bool sharded =
-                            is_socket && spec.socket.procs > 1;
-                        if (is_socket) {
-                            cell.procs = spec.socket.procs;
-                            cell.rank = spec.socket.rank;
-                        }
+                            engine == Engine::Socket && spec.socket.procs > 1;
 
-                        NetConfig config = point;
-                        config.engine = engine;
-                        config.threads = threads;
                         auto t0 = std::chrono::steady_clock::now();
-                        AlgorithmRun run = run_algorithm(spec.algorithm, g,
-                                                         config, spec.ghs_k);
+                        AlgorithmRun run = run_algorithm(
+                            spec.algorithm, g, cell.config, spec.ghs_k);
                         auto t1 = std::chrono::steady_clock::now();
                         cell.wall_ms =
                             std::chrono::duration<double, std::milli>(t1 - t0)
                                 .count();
-                        cell.partial = run.partial;
                         cell.stats = std::move(run.stats);
                         // A sharded rank harvests the edges incident to
                         // its vertex block; boundary edges appear on both
@@ -438,8 +393,8 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
 
                         if (spec.verify) {
                             cell.verify_ran = true;
-                            if (spec.algorithm == "ghs" || run.partial ||
-                                sharded) {
+                            if (spec.algorithm == "ghs" ||
+                                cell.stats.partial() || sharded) {
                                 // A Controlled-GHS forest — and any
                                 // crash-degraded partial forest — is a
                                 // subforest of the unique MST (cut
@@ -453,7 +408,7 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                         return reference_set.count(e) > 0;
                                     });
                                 if (sharded && spec.algorithm != "ghs" &&
-                                    !run.partial) {
+                                    !cell.stats.partial()) {
                                     std::vector<EdgeId> ref_owned;
                                     std::copy_if(reference.edges.begin(),
                                                  reference.edges.end(),
@@ -476,14 +431,15 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                         }
 
                         if (spec.model_verify && spec.algorithm != "ghs" &&
-                            !fc.crash_enabled() && !run.partial &&
+                            crashes.empty() && !cell.stats.partial() &&
                             (!sharded || spec.verify)) {
                             // Self-check inside the model: the constructed
                             // forest must be accepted, every mutation of it
                             // rejected with a correct witness — under the
                             // cell's own conditioner.
                             cell.model_verify_ran = true;
-                            auto vo = driver_options<VerifyOptions>(config);
+                            auto vo =
+                                driver_options<VerifyOptions>(cell.config);
                             // The verification protocol is round-programmed;
                             // on a native (sync = none) cell it still needs
                             // a synchronizer to host it.
@@ -533,39 +489,42 @@ std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
 
 std::string cell_json(const ScenarioCell& cell)
 {
+    const NetConfig& c = cell.config;
     std::ostringstream oss;
     oss << "{\"algorithm\":\"" << cell.algorithm << "\""
         << ",\"family\":\"" << cell.family << "\""
         << ",\"n\":" << cell.n << ",\"m\":" << cell.m
-        << ",\"bandwidth\":" << cell.bandwidth
-        << ",\"hetero_b\":" << (cell.hetero_b ? "true" : "false")
+        << ",\"bandwidth\":" << c.bandwidth
+        << ",\"hetero_b\":"
+        << (c.conditioner.hetero_bandwidth ? "true" : "false")
         << ",\"adversarial_order\":"
-        << (cell.adversarial_order ? "true" : "false")
-        << ",\"engine\":\"" << engine_name(cell.engine) << "\""
-        << ",\"threads\":" << cell.threads
+        << (c.conditioner.adversarial_order ? "true" : "false")
+        << ",\"engine\":\"" << engine_name(c.engine) << "\""
+        << ",\"threads\":" << c.threads
         << counter_members(cell.stats, CounterGroup::Every)
         << ",\"wall_ms\":" << cell.wall_ms
         << ",\"mst_weight\":" << cell.mst_weight;
     // Each row group's axis fields, then its counters from the list
     // (RunStats::fields). A group appears only on the cells it applies to,
     // so clean-grid JSONL carries no async, socket or fault fields.
-    if (cell.engine == Engine::Async)
-        oss << ",\"max_delay\":" << cell.max_delay
-            << ",\"event_seed\":" << cell.event_seed
-            << ",\"sync\":\"" << sync_name(cell.sync) << "\""
+    if (c.engine == Engine::Async)
+        oss << ",\"max_delay\":" << c.async.max_delay
+            << ",\"event_seed\":" << c.async.event_seed
+            << ",\"sync\":\"" << sync_name(c.async.sync) << "\""
             << counter_members(cell.stats, CounterGroup::Async);
     // malformed_frames is an environment counter (stray connections from
     // outside the run), reported but never compared.
-    if (cell.engine == Engine::Socket)
-        oss << ",\"procs\":" << cell.procs << ",\"rank\":" << cell.rank
+    if (c.engine == Engine::Socket)
+        oss << ",\"procs\":" << c.socket.procs
+            << ",\"rank\":" << c.socket.rank
             << counter_members(cell.stats, CounterGroup::Socket);
-    if (cell.drop_rate > 0)
-        oss << ",\"drop_rate\":" << cell.drop_rate
-            << ",\"loss_seed\":" << cell.loss_seed
+    if (c.faults.loss_enabled())
+        oss << ",\"drop_rate\":" << c.faults.drop_rate
+            << ",\"loss_seed\":" << c.faults.loss_seed
             << counter_members(cell.stats, CounterGroup::Loss);
-    if (!cell.crash.empty())
-        oss << ",\"crash\":\"" << cell.crash << "\""
-            << counter_members(cell.stats, CounterGroup::Crash);
+    if (c.faults.crash_enabled())
+        oss << ",\"crash\":\"" << crash_spec_string(c.faults.crashes)
+            << "\"" << counter_members(cell.stats, CounterGroup::Crash);
     if (cell.verify_ran)
         oss << ",\"verified\":" << (cell.verified ? "true" : "false");
     if (cell.model_verify_ran)

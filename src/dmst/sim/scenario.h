@@ -31,38 +31,32 @@ struct ScenarioSpec {
     std::vector<int> thread_counts = {0};
     // Network-conditioner axes (congest/conditioner.h): per-link bandwidth
     // caps (0/1) and adversarial delivery order (0/1). The default grid is
-    // the ideal substrate. The conditioner is a lock-step device:
-    // async-engine cells run only at the ideal conditioner point (both
-    // axes zero) and are skipped elsewhere.
+    // the ideal substrate.
     std::vector<int> hetero_bs = {0};
     std::vector<int> adversarial_orders = {0};
-    std::uint64_t conditioner_seed = 7;
     // Event-driven engine axes (sim/async_network.h): per-message delay
     // bound and delay-stream seed. Only async-engine cells sweep them;
-    // lock-step engines run at the first point of each axis only.
+    // the other engines run at the first point of each axis only.
     std::vector<int> max_delays = {4};
     std::vector<std::uint64_t> event_seeds = {1};
     // Synchronizer axis of the async engine (SyncMode): alpha and beta
     // host every driver and must be bit-identical in payload counters;
     // none (native per-event dispatch) requires a message-driven driver,
     // so such cells run only for algorithm "ghs_native" and are skipped
-    // for the round-programmed algorithms. Lock-step engines have no
+    // for the round-programmed algorithms. The other engines have no
     // synchronizer and run at the first point of this axis only.
     std::vector<SyncMode> syncs = {SyncMode::Alpha};
     // Fault-injection axes (congest/faults.h): per-link drop probability,
-    // loss-stream seed, and crash-stop schedule (parse_crash_spec grammar,
-    // "" = none). Loss is async-only (lock-step cells skip drop_rate > 0)
-    // and transparent — every lossy cell must verify exactly like its
-    // clean twin — so the loss_seed axis collapses to its first point at
-    // drop_rate 0. Crash schedules are lock-step only (async cells skip
-    // them); a crash cell verifies by containment of the partial forest in
-    // the reference MST and skips model_verify (the verifier's input
-    // contract is a spanning forest).
+    // loss-stream seed, and crash-stop schedule (parse_crash_spec; empty
+    // = none), each schedule parsed once by the caller. Loss is
+    // transparent — every lossy cell must verify exactly like its clean
+    // twin — so the loss_seed axis collapses to its first point at
+    // drop_rate 0. A crash cell verifies by containment of the partial
+    // forest in the reference MST and skips model_verify (the verifier's
+    // input contract is a spanning forest).
     std::vector<double> drop_rates = {0.0};
     std::vector<std::uint64_t> loss_seeds = {11};
-    std::vector<std::string> crash_specs = {""};
-    // Burst length of the loss shim's drop windows (scalar, not swept).
-    int fault_burst = 1;
+    std::vector<std::vector<CrashPoint>> crash_specs = {{}};
     std::uint64_t seed = 1;
     // Cross-check the distributed output against sequential Kruskal. For
     // ghs (a partial forest, not a full MST) the check is containment of
@@ -79,13 +73,11 @@ struct ScenarioSpec {
     std::uint64_t ghs_k = 8;
     // Socket backend parameters (Engine::Socket cells only). Not a sweep
     // axis: one scenario_runner process is one rank of one launch, and
-    // dmst_launcher fills procs/rank per child. Socket cells run only at
-    // the ideal conditioner point with clean faults and a single thread;
-    // they are skipped elsewhere (a real transport has real links and
-    // real loss). With procs > 1 each rank reports the cell slice it
-    // owns: mst_weight counts an edge on the rank owning its lower
-    // endpoint (so the ranks' weights sum exactly to the serial cell),
-    // and verification checks the owned slice against the reference MST.
+    // dmst_launcher fills procs/rank per child. With procs > 1 each rank
+    // reports the cell slice it owns: mst_weight counts an edge on the
+    // rank owning its lower endpoint (so the ranks' weights sum exactly
+    // to the serial cell), and verification checks the owned slice
+    // against the reference MST.
     SocketConfig socket;
     // Record the per-phase span trace (obs/trace.h) of the construction
     // run; cells carry it in stats.trace and cell_json emits a per-phase
@@ -109,33 +101,12 @@ struct ScenarioCell {
     std::string family;
     std::size_t n = 0;
     std::size_t m = 0;
-    int bandwidth = 1;
-    // The cell's conditioner point on the (hetero_b, adversarial_order)
-    // axes; both false on the ideal substrate.
-    bool hetero_b = false;
-    bool adversarial_order = false;
-    // The cell's async-axes point; meaningful only for async-engine cells
-    // (zero otherwise, and absent from their JSON). `sync` names the
-    // synchronizer behind the cell (emitted as "sync" in the JSON).
-    int max_delay = 0;
-    std::uint64_t event_seed = 0;
-    SyncMode sync = SyncMode::Alpha;
-    // The cell's fault point: loss-shim drop rate and seed (loss_seed is
-    // meaningful only when drop_rate > 0) and the crash schedule ("" =
-    // none). `partial` reports crash-stop degradation (stats.stalled or
-    // crashed vertices); always false on loss-only and clean cells.
-    double drop_rate = 0;
-    std::uint64_t loss_seed = 0;
-    std::string crash;
-    bool partial = false;
-    Engine engine = Engine::Serial;
-    int threads = 1;
-    // Socket-engine cells: the launch shape this rank ran in (procs = 1,
-    // rank = 0 on every other engine). stats carries the receive-path
-    // hardening and transport counters (malformed_frames, net_packets_*,
-    // net_bytes_*).
-    int procs = 1;
-    int rank = 0;
+    // The substrate the cell ran on: its grid point, engine, and resolved
+    // worker count (threads). cell_json emits only the fields that apply
+    // to the engine and the active devices.
+    NetConfig config;
+    // stats.partial() reports crash-stop degradation; socket cells carry
+    // the receive-path hardening and transport counters here too.
     RunStats stats;
     double wall_ms = 0;          // wall-clock of the simulated run
     bool verify_ran = false;
@@ -167,8 +138,7 @@ struct AlgorithmRun {
     // unconverged boruvka); the claimed forest edges for ghs and
     // ghs_native.
     std::vector<EdgeId> edges;
-    RunStats stats;
-    bool partial = false;  // crash-stop degraded the run to a subforest
+    RunStats stats;  // stats.partial(): crash-stop degraded to a subforest
 };
 
 // The one name → driver dispatch: runs `algorithm` (one of
@@ -231,17 +201,14 @@ using ScenarioCallback = std::function<void(const ScenarioCell&)>;
 // algorithm, family, or empty dimension. Cells are produced in
 // (family, n, bandwidth, hetero_b, adversarial_order, max_delay,
 // event_seed, sync, drop_rate, loss_seed, crash, engine, threads)
-// lexicographic grid order. Cells whose axes do not apply to their engine
-// are skipped rather than duplicated: lock-step engines run only at the
-// first (max_delay, event_seed, sync) point and never on lossy cells, the
-// async engine only at the ideal conditioner point and never on crash
-// cells; sync = none cells run only for algorithm "ghs_native" (the
-// message-driven driver); loss seeds beyond the first are skipped at
-// drop_rate 0; only the parallel engine sweeps the thread axis (the
-// others run a single threads = 1 cell). The socket engine runs at the
-// ideal conditioner, first async point and clean fault point only, and
-// skips sizes smaller than its process count (every rank needs a
-// non-empty vertex block).
+// lexicographic grid order. A cell is skipped when composition_error
+// (sim/engine.h; the table in docs/SCENARIOS.md) rejects its NetConfig,
+// and an axis point is skipped rather than duplicated where it cannot
+// change the run: only async cells sweep the (max_delay, event_seed,
+// sync) points, loss seeds beyond the first are skipped at drop_rate 0,
+// only the parallel engine sweeps the thread axis (the others run a
+// single threads = 1 cell), and sync = none cells run only for algorithm
+// "ghs_native" (the message-driven driver).
 std::vector<ScenarioCell> run_scenarios(const ScenarioSpec& spec,
                                         const ScenarioCallback& on_cell = {});
 

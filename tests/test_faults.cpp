@@ -310,7 +310,7 @@ TEST(Faults, LossPreservesMstAndReplaysExactly)
             const DistributedMstResult a = run_elkin_mst(g, opts);
             EXPECT_EQ(a.mst_edges, oracle.edges)
                 << "rate=" << rate << " seed=" << seed;
-            EXPECT_FALSE(a.partial);
+            EXPECT_FALSE(a.stats.partial());
             EXPECT_GT(a.stats.retransmissions, 0u);
             EXPECT_EQ(a.stats.timeouts, a.stats.retransmissions);
             EXPECT_GE(a.stats.acks, a.stats.messages);
@@ -388,7 +388,7 @@ TEST(Faults, CrashStopYieldsPartialSubforest)
         opts.engine = engine;
         opts.faults.crashes = parse_crash_spec("4@3+9@6");
         const DistributedMstResult r = run_elkin_mst(g, opts);
-        EXPECT_TRUE(r.partial);
+        EXPECT_TRUE(r.stats.partial());
         EXPECT_TRUE(r.stats.stalled);
         EXPECT_EQ(r.stats.crashed_vertices, 2u);
         EXPECT_LT(r.mst_edges.size(), g.vertex_count() - 1);

@@ -86,7 +86,7 @@ TEST(GhsNative, ExactMstOnSerialEngine)
                    gen_grid(5, 7, rng), gen_erdos_renyi(48, 160, rng),
                    gen_complete(12, rng)}) {
         auto r = run_ghs_native(g, GhsNativeOptions{});
-        EXPECT_FALSE(r.partial);
+        EXPECT_FALSE(r.stats.partial());
         EXPECT_EQ(r.fragment_count(), 1u);
         EXPECT_EQ(marked_edges(g, r), reference_mst(g));
         check_forest(g, r);
@@ -122,7 +122,7 @@ TEST(GhsNative, ForestOnDisconnectedGraph)
                                            {4, 5, 5},
                                            {3, 5, 6}});
     auto r = run_ghs_native(g, GhsNativeOptions{});
-    EXPECT_FALSE(r.partial);
+    EXPECT_FALSE(r.stats.partial());
     EXPECT_EQ(r.fragment_count(), 3u);
     check_forest(g, r);
     // Each triangle drops its heaviest edge.
@@ -167,7 +167,7 @@ TEST(GhsNative, IdenticalMstAcrossAllEnginePaths)
     const auto rn = run_ghs_native(g, native);
 
     for (const auto* r : {&rs, &rp, &ra, &rb, &rn}) {
-        EXPECT_FALSE(r->partial);
+        EXPECT_FALSE(r->stats.partial());
         EXPECT_EQ(marked_edges(g, *r), want);
         check_forest(g, *r);
     }
@@ -200,7 +200,7 @@ TEST(GhsNative, NativeScheduleInvarianceFuzz)
         for (int max_delay : {1, 2, 5, 16}) {
             for (std::uint64_t seed : {1ull, 2ull, 3ull, 99ull}) {
                 auto r = run_ghs_native(g, native_async(max_delay, seed));
-                ASSERT_FALSE(r.partial);
+                ASSERT_FALSE(r.stats.partial());
                 EXPECT_EQ(marked_edges(g, r), want)
                     << "max_delay=" << max_delay << " seed=" << seed;
                 check_forest(g, r);

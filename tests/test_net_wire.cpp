@@ -96,7 +96,7 @@ std::vector<std::uint8_t> sample_packet(std::uint16_t frame_count)
         append_frame(buf, FrameKind::Barrier, 0, 12, 101, 0, words,
                      kBarrierWords);
     if (frame_count >= 3)
-        append_frame(buf, FrameKind::Probe, 0, 2, 0, 0, words, 1);
+        append_frame(buf, FrameKind::Reduce, 0, 2, 0, 0, words, 1);
     return buf;
 }
 
@@ -122,13 +122,13 @@ TEST(Wire, HeaderRoundTrip)
     }
 }
 
-TEST(Wire, HeaderLayoutIsVersion2)
+TEST(Wire, HeaderLayoutIsVersion3)
 {
     EXPECT_EQ(kPacketHeaderBytes, 24u);
-    EXPECT_EQ(kWireVersion, 2);
+    EXPECT_EQ(kWireVersion, 3);
     std::vector<std::uint8_t> buf = sample_packet(0);
     EXPECT_EQ(buf.size(), kPacketHeaderBytes);
-    EXPECT_EQ(buf[4], 2);  // version byte
+    EXPECT_EQ(buf[4], 3);  // version byte
     EXPECT_EQ(buf[5], static_cast<std::uint8_t>(PacketKind::Frames));
     EXPECT_EQ(buf[16], 0x88);  // session, little-endian, last field
     EXPECT_EQ(buf[23], 0x11);
@@ -196,7 +196,7 @@ TEST(Wire, FrameWalkRoundTrip)
     EXPECT_EQ(f.kind, FrameKind::Barrier);
     EXPECT_EQ(f.nwords, kBarrierWords);
     ASSERT_EQ(next_frame(c, f), WireError::Ok);
-    EXPECT_EQ(f.kind, FrameKind::Probe);
+    EXPECT_EQ(f.kind, FrameKind::Reduce);
     EXPECT_TRUE(c.done());
     EXPECT_EQ(finish_frames(c), WireError::Ok);
 }
@@ -240,7 +240,7 @@ TEST(Wire, RejectsOversizedFrame)
 TEST(Wire, BadFrameKindRejected)
 {
     std::vector<std::uint8_t> buf = sample_packet(1);
-    for (int kind : {0, 5, 250}) {
+    for (int kind : {0, 4, 250}) {
         std::vector<std::uint8_t> bad = buf;
         bad[kPacketHeaderBytes] = static_cast<std::uint8_t>(kind);
         EXPECT_EQ(walk_packet(bad.data(), bad.size()), WireError::BadFrameKind);

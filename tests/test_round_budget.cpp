@@ -142,6 +142,17 @@ TEST(DriverValidation, BandwidthBelowOneIsRejectedOnEveryEngine)
     socket.engine = Engine::Socket;
     socket.threads = -2;
     EXPECT_THROW(make_network(g, socket), std::invalid_argument);
+
+    // Every rank needs a non-empty vertex block: more ranks than vertices
+    // is rejected before a transport is built.
+    socket.threads = 0;
+    socket.socket.procs = static_cast<int>(g.vertex_count()) + 1;
+    socket.socket.base_port = 20000;
+    EXPECT_NE(composition_error(socket, g.vertex_count()), nullptr);
+    EXPECT_THROW(make_network(g, socket), std::invalid_argument);
+    socket.socket.procs = 1;
+    EXPECT_EQ(composition_error(socket, g.vertex_count()), nullptr);
+    EXPECT_NE(make_network(g, socket), nullptr);
 }
 
 // The harness's input preconditions, one row per driver: every rooted

@@ -4,6 +4,7 @@
 
 #include "dmst/exp/workloads.h"
 #include "dmst/seq/mst.h"
+#include "dmst/sim/engine.h"
 #include "dmst/sim/scenario.h"
 #include "dmst/util/cli.h"
 #include "expect_counters.h"
@@ -151,9 +152,9 @@ TEST(Scenario, CellJsonContainsEveryField)
     cell.family = "grid";
     cell.n = 100;
     cell.m = 180;
-    cell.bandwidth = 2;
-    cell.engine = Engine::Parallel;
-    cell.threads = 8;
+    cell.config.bandwidth = 2;
+    cell.config.engine = Engine::Parallel;
+    cell.config.threads = 8;
     cell.stats.rounds = 42;
     cell.stats.messages = 1234;
     cell.stats.words = 5678;
@@ -249,11 +250,11 @@ TEST(Scenario, AsyncAxesSweepInvariantCellsAtIdealConditionerOnly)
         EXPECT_TRUE(cell.model_verified);
         EXPECT_EQ(cell.mutations_passed, cell.mutations_run);
         EXPECT_EQ(cell.mst_weight, ideal_weight);
-        if (cell.engine != Engine::Async)
+        if (cell.config.engine != Engine::Async)
             continue;
         ++async_cells;
-        EXPECT_FALSE(cell.adversarial_order);
-        EXPECT_EQ(cell.threads, 1);
+        EXPECT_FALSE(cell.config.conditioner.adversarial_order);
+        EXPECT_EQ(cell.config.threads, 1);
         EXPECT_EQ(cell.stats.messages, cells[0].stats.messages);
         EXPECT_EQ(cell.stats.words, cells[0].stats.words);
         EXPECT_GT(cell.stats.events, 0u);
@@ -263,7 +264,9 @@ TEST(Scenario, AsyncAxesSweepInvariantCellsAtIdealConditionerOnly)
 
     const auto last_async = std::find_if(
         cells.rbegin(), cells.rend(),
-        [](const ScenarioCell& c) { return c.engine == Engine::Async; });
+        [](const ScenarioCell& c) {
+            return c.config.engine == Engine::Async;
+        });
     ASSERT_NE(last_async, cells.rend());
     const std::string json = cell_json(*last_async);
     for (const char* token :
@@ -294,9 +297,9 @@ TEST(Scenario, SyncAxisSweepsSynchronizersAndNativeDispatch)
     const auto& alpha = cells[1];
     const auto& beta = cells[2];
     const auto& native = cells[3];
-    EXPECT_EQ(alpha.sync, SyncMode::Alpha);
-    EXPECT_EQ(beta.sync, SyncMode::Beta);
-    EXPECT_EQ(native.sync, SyncMode::None);
+    EXPECT_EQ(alpha.config.async.sync, SyncMode::Alpha);
+    EXPECT_EQ(beta.config.async.sync, SyncMode::Beta);
+    EXPECT_EQ(native.config.async.sync, SyncMode::None);
     for (const auto& cell : cells) {
         EXPECT_TRUE(cell.verified);
         EXPECT_TRUE(cell.model_verified);
@@ -337,7 +340,7 @@ TEST(Scenario, NativeSyncCellsSkippedForRoundProgrammedDrivers)
     // A round-programmed driver cannot run without a synchronizer: the
     // sync = none point is skipped, not an error.
     ASSERT_EQ(cells.size(), 1u);
-    EXPECT_EQ(cells[0].sync, SyncMode::Alpha);
+    EXPECT_EQ(cells[0].config.async.sync, SyncMode::Alpha);
     EXPECT_TRUE(cells[0].verified);
 }
 
@@ -351,7 +354,7 @@ TEST(Scenario, FaultAxesSweepLossAndCrashCells)
     spec.thread_counts = {1, 2};
     spec.drop_rates = {0.0, 0.1};
     spec.loss_seeds = {11, 12};
-    spec.crash_specs = {"", "5@3"};
+    spec.crash_specs = {{}, parse_crash_spec("5@3")};
 
     auto cells = run_scenarios(spec);
     // Fault grid: (drop 0, first seed) + 2 lossy seeds = 3 loss points,
@@ -362,29 +365,28 @@ TEST(Scenario, FaultAxesSweepLossAndCrashCells)
     // async (2).
     ASSERT_EQ(cells.size(), 4u + 3 + 2);
     for (const auto& cell : cells) {
+        const FaultConfig& faults = cell.config.faults;
         EXPECT_TRUE(cell.verified)
             << cell_json(cell);  // loss exact, crash containment
         // Loss never changes the MST (crash cells are partial forests).
-        if (cell.crash.empty()) {
+        if (!faults.crash_enabled()) {
             EXPECT_EQ(cell.mst_weight, cells[0].mst_weight);
         }
-        if (cell.engine == Engine::Async) {
-            EXPECT_TRUE(cell.crash.empty());
+        if (cell.config.engine == Engine::Async) {
+            EXPECT_FALSE(faults.crash_enabled());
         } else {
-            EXPECT_EQ(cell.drop_rate, 0.0);
+            EXPECT_EQ(faults.drop_rate, 0.0);
         }
-        if (cell.drop_rate == 0.0) {
+        if (faults.drop_rate == 0.0) {
             EXPECT_EQ(cell.stats.drops, 0u);
             EXPECT_EQ(cell.stats.retransmissions, 0u);
             EXPECT_EQ(cell.stats.acks, 0u);
         } else {
             EXPECT_GT(cell.stats.acks, 0u);
         }
-        if (!cell.crash.empty()) {
-            EXPECT_TRUE(cell.partial);
+        EXPECT_EQ(cell.stats.partial(), faults.crash_enabled());
+        if (faults.crash_enabled()) {
             EXPECT_GT(cell.stats.crashed_vertices, 0u);
-        } else {
-            EXPECT_FALSE(cell.partial);
         }
     }
     // Grid order is (drop_rate, loss_seed, crash, engine, threads):
@@ -392,18 +394,19 @@ TEST(Scenario, FaultAxesSweepLossAndCrashCells)
     // counter for counter, crash cells on the same partial forest.
     std::size_t compared = 0;
     for (std::size_t i = 1; i < cells.size(); ++i) {
-        const auto& prev = cells[i - 1];
-        const auto& cell = cells[i];
-        if (cell.drop_rate != prev.drop_rate ||
-            cell.loss_seed != prev.loss_seed || cell.crash != prev.crash)
+        const auto& prev = cells[i - 1].config.faults;
+        const auto& cur = cells[i].config.faults;
+        if (cur.drop_rate != prev.drop_rate ||
+            cur.loss_seed != prev.loss_seed ||
+            cur.crashes.size() != prev.crashes.size())
             continue;
         // The clock and the activation count are engine-specific, and
         // the last clean pair crosses from parallel to async.
-        expect_same_counters(prev.stats, cell.stats, cell_json(cell),
+        expect_same_counters(cells[i - 1].stats, cells[i].stats,
+                             cell_json(cells[i]),
                              {"rounds", "activations", "events",
                               "virtual_time", "sync_messages", "sync_words"});
-        EXPECT_EQ(cell.mst_weight, prev.mst_weight);
-        EXPECT_EQ(cell.partial, prev.partial);
+        EXPECT_EQ(cells[i].mst_weight, cells[i - 1].mst_weight);
         ++compared;
     }
     // 3 clean pairs + 2 crash pairs; each lossy point is a single cell.
@@ -418,26 +421,116 @@ TEST(Scenario, CellJsonEmitsFaultFieldsOnlyWhenActive)
     spec.sizes = {48};
     spec.engines = {Engine::Serial, Engine::Async};
     spec.drop_rates = {0.0, 0.1};
-    spec.crash_specs = {"", "5@3"};
+    spec.crash_specs = {{}, parse_crash_spec("5@3")};
     auto cells = run_scenarios(spec);
     // Clean on both engines, crash on serial, loss on async.
     ASSERT_EQ(cells.size(), 4u);
     for (const auto& cell : cells) {
         const std::string json = cell_json(cell);
-        EXPECT_EQ(json.find("\"drop_rate\"") != std::string::npos,
-                  cell.drop_rate > 0)
+        const bool lossy = cell.config.faults.loss_enabled();
+        const bool crash = cell.config.faults.crash_enabled();
+        EXPECT_EQ(json.find("\"drop_rate\"") != std::string::npos, lossy)
             << json;
-        EXPECT_EQ(json.find("\"loss_seed\"") != std::string::npos,
-                  cell.drop_rate > 0);
+        EXPECT_EQ(json.find("\"loss_seed\"") != std::string::npos, lossy);
         EXPECT_EQ(json.find("\"retransmissions\"") != std::string::npos,
-                  cell.drop_rate > 0);
-        EXPECT_EQ(json.find("\"crash\"") != std::string::npos,
-                  !cell.crash.empty());
-        EXPECT_EQ(json.find("\"partial\"") != std::string::npos,
-                  !cell.crash.empty());
+                  lossy);
+        EXPECT_EQ(json.find("\"crash\":\"5@3\"") != std::string::npos,
+                  crash);
+        EXPECT_EQ(json.find("\"partial\"") != std::string::npos, crash);
         EXPECT_EQ(json.find("\"crashed_vertices\"") != std::string::npos,
-                  !cell.crash.empty());
+                  crash);
     }
+}
+
+// The sweep's composition rule is make_network's: over every engine ×
+// conditioner point × fault point, plus socket ranks beyond the vertex
+// count, run_scenarios emits a cell exactly when make_network accepts
+// that NetConfig, and the cell carries it.
+TEST(Scenario, EmitsACellExactlyWhenMakeNetworkAccepts)
+{
+    const std::size_t n = 16;
+    const WeightedGraph g = make_workload("er", n, 1);
+    struct Conditioner {
+        int hetero, adversarial;
+    };
+    struct Fault {
+        double drop_rate;
+        const char* crash;
+    };
+    std::size_t emitted = 0;
+    std::size_t rejected = 0;
+    for (Engine engine :
+         {Engine::Serial, Engine::Parallel, Engine::Async, Engine::Socket}) {
+        for (Conditioner c : {Conditioner{0, 0}, Conditioner{1, 0},
+                              Conditioner{0, 1}}) {
+            for (Fault f : {Fault{0.0, "none"}, Fault{0.1, "none"},
+                            Fault{0.0, "5@3"}}) {
+                for (int procs : {1, static_cast<int>(n) + 1}) {
+                    if (procs > 1 && engine != Engine::Socket)
+                        continue;
+                    ScenarioSpec spec;
+                    spec.algorithm = "boruvka";
+                    spec.sizes = {n};
+                    spec.engines = {engine};
+                    spec.thread_counts = {2};
+                    spec.bandwidths = {2};
+                    spec.hetero_bs = {c.hetero};
+                    spec.adversarial_orders = {c.adversarial};
+                    spec.drop_rates = {f.drop_rate};
+                    spec.crash_specs = {parse_crash_spec(f.crash)};
+                    spec.socket.procs = procs;
+                    spec.socket.base_port = 20000;  // never dialled
+
+                    NetConfig config;
+                    config.engine = engine;
+                    config.bandwidth = 2;
+                    config.threads = 2;
+                    config.conditioner.hetero_bandwidth = c.hetero != 0;
+                    config.conditioner.adversarial_order = c.adversarial != 0;
+                    config.faults.drop_rate = f.drop_rate;
+                    config.faults.crashes = parse_crash_spec(f.crash);
+                    config.socket = spec.socket;
+                    bool accepted = true;
+                    try {
+                        make_network(g, config);
+                    } catch (const std::invalid_argument&) {
+                        accepted = false;
+                    }
+
+                    const auto cells = run_scenarios(spec);
+                    SCOPED_TRACE(std::string(engine_name(engine)) +
+                                 " hetero " + std::to_string(c.hetero) +
+                                 " adversarial " +
+                                 std::to_string(c.adversarial) + " drop " +
+                                 std::to_string(f.drop_rate) + " crash " +
+                                 f.crash + " procs " + std::to_string(procs));
+                    ASSERT_EQ(cells.size(), accepted ? 1u : 0u);
+                    if (!accepted) {
+                        ++rejected;
+                        continue;
+                    }
+                    ++emitted;
+                    const NetConfig& ran = cells[0].config;
+                    EXPECT_EQ(ran.engine, engine);
+                    EXPECT_EQ(ran.conditioner.hetero_bandwidth,
+                              config.conditioner.hetero_bandwidth);
+                    EXPECT_EQ(ran.conditioner.adversarial_order,
+                              config.conditioner.adversarial_order);
+                    EXPECT_EQ(ran.faults.drop_rate, f.drop_rate);
+                    EXPECT_EQ(ran.faults.crashes.size(),
+                              config.faults.crashes.size());
+                    EXPECT_EQ(ran.threads,
+                              engine == Engine::Parallel ? 2 : 1);
+                    EXPECT_TRUE(cells[0].verified);
+                }
+            }
+        }
+    }
+    // Serial and parallel take every point but loss (3 × 2 each), async
+    // only the ideal conditioner without a crash (2), socket only the
+    // clean ideal point with one rank (1).
+    EXPECT_EQ(emitted, 6u + 6 + 2 + 1);
+    EXPECT_EQ(rejected, 3u + 3 + 7 + 17);
 }
 
 TEST(Scenario, SplitListParsesFlagValues)

@@ -464,9 +464,10 @@ TEST(TcpHardening, BarrierWithUnknownFlagIsDroppedAndCounted)
               WireError::Ok);
     send_all(fd, record(PacketKind::Hello, 0, h.session));
 
-    // Rank 0's side of the run: not done at the opening probe, a forged
-    // round-1 barrier (taken, it would keep rank 1 waiting for a round 2),
-    // then the valid one, done at the closing probe, and goodbye.
+    // Rank 0's side of the run: "not done" at the opening quiescence
+    // probe (a reduce), a forged round-1 barrier (taken, it would keep
+    // rank 1 waiting for a round 2), then the valid one, done at the
+    // closing probe, and goodbye.
     auto frame = [](FrameKind kind, std::uint64_t round,
                     std::vector<std::uint64_t> words) {
         std::vector<std::uint8_t> f;
@@ -475,10 +476,10 @@ TEST(TcpHardening, BarrierWithUnknownFlagIsDroppedAndCounted)
     };
     const std::uint64_t unknown_flag = 4;
     for (const auto& f :
-         {frame(FrameKind::Probe, 1, {0}),
+         {frame(FrameKind::Reduce, 1, {1}),
           frame(FrameKind::Barrier, 1, {0, unknown_flag, 0}),
           frame(FrameKind::Barrier, 1, {0, kBarrierFlagDone, 0}),
-          frame(FrameKind::Probe, 2, {1})})
+          frame(FrameKind::Reduce, 2, {0})})
         send_all(fd, record(PacketKind::Frames, 0, h.session, f, 1));
     send_all(fd, record(PacketKind::Bye, 0, h.session));
 
