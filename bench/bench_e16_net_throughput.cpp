@@ -86,86 +86,93 @@ int main(int argc, char** argv)
     std::ostream& out = json_path == "-" ? std::cout : file;
 
     bool ok = true;
-    for (const std::string& family : families) {
-        for (std::size_t n : sizes) {
-            SyncBoruvkaOptions opts;
-            opts.engine = Engine::Socket;
-            opts.socket = sc;
-            if (const char* why = composition_error(opts, n)) {
-                std::cerr << "bench_e16: skipping " << family << "/" << n
-                          << ": " << why << "\n";
-                continue;
-            }
-            auto g = make_workload(family, n, seed);
-            const auto reference = mst_kruskal(g);
-
-            // The rank's reference slice: MST edges whose lower endpoint
-            // falls in this rank's vertex block.
-            PeerTable table(g.vertex_count(), sc.procs);
-            std::vector<EdgeId> ref_owned;
-            std::uint64_t ref_weight = 0;
-            for (EdgeId e : reference.edges) {
-                VertexId lo = std::min(g.edge(e).u, g.edge(e).v);
-                if (table.owner(lo) != sc.rank)
+    // A size the generator rejects (or a failed socket mesh) ends the
+    // sweep with exit 1, like the flag errors above.
+    try {
+        for (const std::string& family : families) {
+            for (std::size_t n : sizes) {
+                SyncBoruvkaOptions opts;
+                opts.engine = Engine::Socket;
+                opts.socket = sc;
+                if (const char* why = composition_error(opts, n)) {
+                    std::cerr << "bench_e16: skipping " << family << "/" << n
+                              << ": " << why << "\n";
                     continue;
-                ref_owned.push_back(e);
-                ref_weight += g.edge(e).w;
-            }
+                }
+                auto g = make_workload(family, n, seed);
+                const auto reference = mst_kruskal(g);
 
-            for (int rep = 0; rep < repeat; ++rep) {
-                const auto t0 = std::chrono::steady_clock::now();
-                auto run = run_sync_boruvka(g, opts);
-                const auto t1 = std::chrono::steady_clock::now();
-                const double wall_ms =
-                    std::chrono::duration<double, std::milli>(t1 - t0)
-                        .count();
-                const double secs = wall_ms / 1000.0;
-
-                std::vector<EdgeId> owned;
-                std::uint64_t weight = 0;
-                for (EdgeId e : run.mst_edges) {
+                // The rank's reference slice: MST edges whose lower endpoint
+                // falls in this rank's vertex block.
+                PeerTable table(g.vertex_count(), sc.procs);
+                std::vector<EdgeId> ref_owned;
+                std::uint64_t ref_weight = 0;
+                for (EdgeId e : reference.edges) {
                     VertexId lo = std::min(g.edge(e).u, g.edge(e).v);
                     if (table.owner(lo) != sc.rank)
                         continue;
-                    owned.push_back(e);
-                    weight += g.edge(e).w;
-                }
-                std::sort(owned.begin(), owned.end());
-                const bool verified = owned == ref_owned;
-                if (!verified) {
-                    std::cerr << "bench_e16: rank " << sc.rank
-                              << " MST slice differs from the reference ("
-                              << family << "/" << n << " rep " << rep
-                              << ")\n";
-                    ok = false;
+                    ref_owned.push_back(e);
+                    ref_weight += g.edge(e).w;
                 }
 
-                const auto& s = run.stats;
-                out << "{\"bench\":\"e16_net_throughput\""
-                    << ",\"family\":\"" << family << "\""
-                    << ",\"n\":" << n << ",\"m\":" << g.edge_count()
-                    << ",\"algorithm\":\"boruvka\""
-                    << ",\"procs\":" << sc.procs
-                    << ",\"rank\":" << sc.rank << ",\"repeat\":" << rep
-                    << ",\"wall_ms\":" << wall_ms
-                    << counter_members(s, CounterGroup::Every)
-                    << ",\"msgs_per_sec\":"
-                    << (secs > 0 ? s.messages / secs : 0)
-                    << counter_members(s, CounterGroup::Socket)
-                    << ",\"packets_per_sec\":"
-                    << (secs > 0
-                            ? (s.net_packets_out + s.net_packets_in) / secs
-                            : 0)
-                    << ",\"bytes_per_sec\":"
-                    << (secs > 0 ? (s.net_bytes_out + s.net_bytes_in) / secs
-                                 : 0)
-                    << ",\"mst_weight\":" << weight
-                    << ",\"ref_weight\":" << ref_weight
-                    << ",\"verified\":" << (verified ? "true" : "false")
-                    << "}\n";
-                out.flush();
+                for (int rep = 0; rep < repeat; ++rep) {
+                    const auto t0 = std::chrono::steady_clock::now();
+                    auto run = run_sync_boruvka(g, opts);
+                    const auto t1 = std::chrono::steady_clock::now();
+                    const double wall_ms =
+                        std::chrono::duration<double, std::milli>(t1 - t0)
+                            .count();
+                    const double secs = wall_ms / 1000.0;
+
+                    std::vector<EdgeId> owned;
+                    std::uint64_t weight = 0;
+                    for (EdgeId e : run.mst_edges) {
+                        VertexId lo = std::min(g.edge(e).u, g.edge(e).v);
+                        if (table.owner(lo) != sc.rank)
+                            continue;
+                        owned.push_back(e);
+                        weight += g.edge(e).w;
+                    }
+                    std::sort(owned.begin(), owned.end());
+                    const bool verified = owned == ref_owned;
+                    if (!verified) {
+                        std::cerr << "bench_e16: rank " << sc.rank
+                                  << " MST slice differs from the reference ("
+                                  << family << "/" << n << " rep " << rep
+                                  << ")\n";
+                        ok = false;
+                    }
+
+                    const auto& s = run.stats;
+                    out << "{\"bench\":\"e16_net_throughput\""
+                        << ",\"family\":\"" << family << "\""
+                        << ",\"n\":" << n << ",\"m\":" << g.edge_count()
+                        << ",\"algorithm\":\"boruvka\""
+                        << ",\"procs\":" << sc.procs
+                        << ",\"rank\":" << sc.rank << ",\"repeat\":" << rep
+                        << ",\"wall_ms\":" << wall_ms
+                        << counter_members(s, CounterGroup::Every)
+                        << ",\"msgs_per_sec\":"
+                        << (secs > 0 ? s.messages / secs : 0)
+                        << counter_members(s, CounterGroup::Socket)
+                        << ",\"packets_per_sec\":"
+                        << (secs > 0
+                                ? (s.net_packets_out + s.net_packets_in) / secs
+                                : 0)
+                        << ",\"bytes_per_sec\":"
+                        << (secs > 0 ? (s.net_bytes_out + s.net_bytes_in) / secs
+                                     : 0)
+                        << ",\"mst_weight\":" << weight
+                        << ",\"ref_weight\":" << ref_weight
+                        << ",\"verified\":" << (verified ? "true" : "false")
+                        << "}\n";
+                    out.flush();
+                }
             }
         }
+    } catch (const std::exception& e) {
+        std::cerr << "bench_e16: " << e.what() << "\n";
+        return 1;
     }
 
     // A failed flush shows only once the file is closed (or stdout is

@@ -25,7 +25,10 @@ namespace dmst {
 //
 // Layout: a u64 or bool field is one word (a bool is 1 or 0; any nonzero
 // word reads as true); an EdgeKey is two, the weight and then (a << 32) | b;
-// a std::array<std::uint64_t, N> is N.
+// a std::array<std::uint64_t, N> is N. payload_words<P>() counts a
+// payload's words from its field types at compile time, and encode()
+// static_asserts that it fits WordBuf's inline array: a payload that would
+// make a send allocate does not compile.
 
 // ----------------------------------------------------------- reader/writer
 
@@ -92,12 +95,44 @@ private:
     bool ok_ = true;
 };
 
+// Field visitor that sums the fields' word widths, by type alone.
+class WordCounter {
+public:
+    template <typename... Fs>
+    constexpr void operator()(const Fs&... fs) { ((words_ += width(fs)), ...); }
+
+    constexpr std::size_t words() const { return words_; }
+
+private:
+    static constexpr std::size_t width(std::uint64_t) { return 1; }  // or bool
+    static constexpr std::size_t width(const EdgeKey&) { return 2; }
+    template <std::size_t N>
+    static constexpr std::size_t width(const std::array<std::uint64_t, N>&)
+    {
+        return N;
+    }
+
+    std::size_t words_ = 0;
+};
+
 // ----------------------------------------------------------- entry points
+
+// The payload's wire width in words (tag excluded), at compile time.
+template <typename P>
+constexpr std::size_t payload_words()
+{
+    P payload{};
+    WordCounter count;
+    payload.fields(count);
+    return count.words();
+}
 
 // Builds a Message with `tag` and the payload's wire encoding.
 template <typename P>
 Message encode(std::uint32_t tag, P payload)
 {
+    static_assert(payload_words<P>() <= WordBuf::kInlineCapacity,
+                  "codec: payload wider than WordBuf's inline capacity");
     Message m;
     m.tag = tag;
     payload.fields(WordWriter(m));
@@ -135,7 +170,7 @@ inline std::uint64_t peek_phase(const Message& m)
 
 // Tagged signal with no payload (ACCEPT/REJECT, DONE, FINISH, MARK_CROSS).
 struct EmptyMsg {
-    template <typename F> void fields(F&&) {}
+    template <typename F> constexpr void fields(F&&) {}
 };
 
 // --- proto/bfs ---
@@ -144,7 +179,7 @@ struct EmptyMsg {
 struct BfsExploreMsg {
     std::uint64_t depth = 0;
 
-    template <typename F> void fields(F&& f) { f(depth); }
+    template <typename F> constexpr void fields(F&& f) { f(depth); }
 };
 
 // ECHO: subtree size and height below the sender.
@@ -152,7 +187,8 @@ struct BfsEchoMsg {
     std::uint64_t subtree_size = 0;
     std::uint64_t height = 0;
 
-    template <typename F> void fields(F&& f) { f(subtree_size, height); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(subtree_size, height); }
 };
 
 // --- proto/intervals ---
@@ -162,7 +198,7 @@ struct IntervalAssignMsg {
     std::uint64_t lo = 0;
     std::uint64_t hi = 0;
 
-    template <typename F> void fields(F&& f) { f(lo, hi); }
+    template <typename F> constexpr void fields(F&& f) { f(lo, hi); }
 };
 
 // --- proto/downcast ---
@@ -172,7 +208,7 @@ struct DownRecordMsg {
     std::uint64_t target = 0;
     std::array<std::uint64_t, 4> payload{};
 
-    template <typename F> void fields(F&& f) { f(target, payload); }
+    template <typename F> constexpr void fields(F&& f) { f(target, payload); }
 };
 
 // --- proto/pipeline ---
@@ -184,7 +220,8 @@ struct PipeRecordMsg {
     std::uint64_t group2 = 0;
     std::uint64_t aux = 0;
 
-    template <typename F> void fields(F&& f) { f(key, group, group2, aux); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(key, group, group2, aux); }
 };
 
 // --- core drivers (phase-scheduled) ---
@@ -196,7 +233,7 @@ struct PipeRecordMsg {
 struct PhaseOnlyMsg {
     std::uint64_t phase = 0;
 
-    template <typename F> void fields(F&& f) { f(phase); }
+    template <typename F> constexpr void fields(F&& f) { f(phase); }
 };
 
 // Identity exchange across an edge: FID (GHS / Boruvka), CHAT (Elkin
@@ -207,7 +244,7 @@ struct FidMsg {
     std::uint64_t fid = 0;
     std::uint64_t vid = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, fid, vid); }
+    template <typename F> constexpr void fields(F&& f) { f(phase, fid, vid); }
 };
 
 // Phase + one boolean: CAND_NBR, GATE_INFO.
@@ -215,7 +252,7 @@ struct PhaseFlagMsg {
     std::uint64_t phase = 0;
     bool value = false;
 
-    template <typename F> void fields(F&& f) { f(phase, value); }
+    template <typename F> constexpr void fields(F&& f) { f(phase, value); }
 };
 
 // Phase + one value word: NEW_ID (fid), ANNOUNCE (packed edge),
@@ -224,7 +261,7 @@ struct PhaseValueMsg {
     std::uint64_t phase = 0;
     std::uint64_t value = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, value); }
+    template <typename F> constexpr void fields(F&& f) { f(phase, value); }
 };
 
 // Cole–Vishkin color relay: COLOR_DOWN, COLOR_CROSS, COLOR_UP.
@@ -233,7 +270,8 @@ struct ColorMsg {
     std::uint64_t iter = 0;
     std::uint64_t color = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, iter, color); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, iter, color); }
 };
 
 // Matching-step relays carrying (phase, MM step, one value): STATUS_DOWN
@@ -243,7 +281,8 @@ struct StepValueMsg {
     std::uint64_t step = 0;
     std::uint64_t value = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, step, value); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, step, value); }
 };
 
 // ACCEPT_CROSS: phase + MM step.
@@ -251,7 +290,7 @@ struct StepMsg {
     std::uint64_t phase = 0;
     std::uint64_t step = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, step); }
+    template <typename F> constexpr void fields(F&& f) { f(phase, step); }
 };
 
 // STATUS_CROSS: the gate tells its foreign partner (phase, step, own fid,
@@ -262,7 +301,8 @@ struct StatusCrossMsg {
     std::uint64_t fid = 0;
     bool matched = false;
 
-    template <typename F> void fields(F&& f) { f(phase, step, fid, matched); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, step, fid, matched); }
 };
 
 // MWOE convergecast report: best crossing edge + subtree height (GHS).
@@ -271,7 +311,8 @@ struct MwoeReportMsg {
     EdgeKey key;
     std::uint64_t height = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, key, height); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, key, height); }
 };
 
 // Boruvka convergecast report: best crossing edge only.
@@ -279,7 +320,7 @@ struct EdgeReportMsg {
     std::uint64_t phase = 0;
     EdgeKey key;
 
-    template <typename F> void fields(F&& f) { f(phase, key); }
+    template <typename F> constexpr void fields(F&& f) { f(phase, key); }
 };
 
 // Elkin fragment report: best crossing edge + the coarse id it leads to.
@@ -288,7 +329,8 @@ struct FragReportMsg {
     EdgeKey key;
     std::uint64_t other_coarse = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, key, other_coarse); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, key, other_coarse); }
 };
 
 // ACK_PROP (Boruvka): was the proposal reciprocal, and the acker's fid.
@@ -297,7 +339,8 @@ struct AckPropMsg {
     bool reciprocal = false;
     std::uint64_t fid = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, reciprocal, fid); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, reciprocal, fid); }
 };
 
 // NEW_COARSE (Elkin): the fragment's new coarse id + the packed MST edge
@@ -307,7 +350,8 @@ struct NewCoarseMsg {
     std::uint64_t coarse = 0;
     std::uint64_t edge = 0;
 
-    template <typename F> void fields(F&& f) { f(phase, coarse, edge); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(phase, coarse, edge); }
 };
 
 // START_GHS wave (Elkin / Pipeline): the k parameter and the global round
@@ -316,7 +360,7 @@ struct StartGhsMsg {
     std::uint64_t k = 0;
     std::uint64_t start_round = 0;
 
-    template <typename F> void fields(F&& f) { f(k, start_round); }
+    template <typename F> constexpr void fields(F&& f) { f(k, start_round); }
 };
 
 // ID_EXCHANGE (Pipeline baseline): fragment id + vertex id, no phase.
@@ -324,14 +368,14 @@ struct IdExchangeMsg {
     std::uint64_t fid = 0;
     std::uint64_t vid = 0;
 
-    template <typename F> void fields(F&& f) { f(fid, vid); }
+    template <typename F> constexpr void fields(F&& f) { f(fid, vid); }
 };
 
 // Single bare word (EDGE_BCAST packed edge).
 struct WordMsg {
     std::uint64_t word = 0;
 
-    template <typename F> void fields(F&& f) { f(word); }
+    template <typename F> constexpr void fields(F&& f) { f(word); }
 };
 
 // --- proto/verify + core/verify_mst ---
@@ -344,7 +388,7 @@ struct HelloMsg {
     std::uint64_t vid = 0;
     bool marked = false;
 
-    template <typename F> void fields(F&& f) { f(vid, marked); }
+    template <typename F> constexpr void fields(F&& f) { f(vid, marked); }
 };
 
 // SNAPSHOT: per-subtree aggregate of the spanning check, convergecast over
@@ -357,7 +401,10 @@ struct VerifySnapshotMsg {
     EdgeKey cycle = kInfiniteEdgeKey;
 
     template <typename F>
-    void fields(F&& f) { f(claimed_ports, nontree_ports, asym, cycle); }
+    constexpr void fields(F&& f)
+    {
+        f(claimed_ports, nontree_ports, asym, cycle);
+    }
 };
 
 // TOKEN: one half of a cycle-max query climbing the claimed tree. `pair`
@@ -369,7 +416,8 @@ struct PathTokenMsg {
     EdgeKey key;
     EdgeKey max_seen;
 
-    template <typename F> void fields(F&& f) { f(pair, key, max_seen); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(pair, key, max_seen); }
 };
 
 // COUNT: monotone pair-completion counter convergecast over τ, carrying
@@ -380,7 +428,8 @@ struct VerifyCountMsg {
     EdgeKey witness = kInfiniteEdgeKey;
     EdgeKey offender = kInfiniteEdgeKey;
 
-    template <typename F> void fields(F&& f) { f(pairs, witness, offender); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(pairs, witness, offender); }
 };
 
 // FINAL: the root's verdict broadcast (verdict enum as a word + witness
@@ -390,21 +439,22 @@ struct VerdictMsg {
     EdgeKey witness = kInfiniteEdgeKey;
     EdgeKey offender = kInfiniteEdgeKey;
 
-    template <typename F> void fields(F&& f) { f(verdict, witness, offender); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(verdict, witness, offender); }
 };
 
 // Bare EdgeKey (CUT_REPORT: minimal crossing edge of the disconnection cut).
 struct EdgeKeyMsg {
     EdgeKey key;
 
-    template <typename F> void fields(F&& f) { f(key); }
+    template <typename F> constexpr void fields(F&& f) { f(key); }
 };
 
 // Single boolean (SIDE: which side of the disconnection cut the sender is on).
 struct FlagMsg {
     bool value = false;
 
-    template <typename F> void fields(F&& f) { f(value); }
+    template <typename F> constexpr void fields(F&& f) { f(value); }
 };
 
 // FLOOD (Elkin ablation E10b): a 4-word broadcast record
@@ -412,7 +462,7 @@ struct FlagMsg {
 struct FloodMsg {
     std::array<std::uint64_t, 4> rec{};
 
-    template <typename F> void fields(F&& f) { f(rec); }
+    template <typename F> constexpr void fields(F&& f) { f(rec); }
 };
 
 }  // namespace dmst

@@ -9,24 +9,27 @@
 
 namespace dmst {
 
-// Words per bandwidth unit (the "O(log n) bits" of the standard model).
+// Words per bandwidth unit (the "O(log n) bits" of the standard model): the
+// per-edge budget the engines charge, not a storage size (see WordBuf).
 constexpr std::size_t kWordsPerUnit = 16;
 
-// Fixed-capacity inline payload buffer for CONGEST messages.
+// Small-buffer payload storage for CONGEST messages.
 //
-// The common case — every message of every protocol in this library — fits
-// in the inline array: at bandwidth b=1 the per-edge budget is kWordsPerUnit
-// words including the tag, so a legal payload is at most kWordsPerUnit - 1
-// words and a send is a memcpy, never a malloc. Payloads beyond the inline
-// capacity (possible only under bandwidth > 1, e.g. a future wide pipelined
-// record) take an explicit heap overflow path; correctness is identical,
-// only the zero-allocation property is waived for those messages.
+// kInlineCapacity is a storage size, not a bandwidth: it is the width of the
+// widest codec payload (VerifySnapshotMsg, 6 words), and codec.h's encode()
+// static_asserts that every payload fits. So every message of every
+// protocol in this library is stored inline and a send is a fixed-size
+// copy, never a malloc; with the size and capacity words a Message is one
+// 64-byte cache line. Wider payloads (only raw messages, possible under
+// bandwidth > 1) take an explicit heap overflow path: the inline array's
+// bytes then hold the heap pointer. Correctness is identical; only the
+// zero-allocation property is waived for those messages.
 //
 // The interface is the subset of std::vector the protocols use: size/empty,
 // at (bounds-checked), operator[], data, begin/end, push_back, clear.
 class WordBuf {
 public:
-    static constexpr std::size_t kInlineCapacity = kWordsPerUnit;
+    static constexpr std::size_t kInlineCapacity = 6;
 
     WordBuf() = default;
 
@@ -63,10 +66,13 @@ public:
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     std::size_t capacity() const { return cap_; }
-    bool overflowed() const { return heap_ != nullptr; }
+    bool overflowed() const { return cap_ > kInlineCapacity; }
 
-    const std::uint64_t* data() const { return heap_ ? heap_ : inline_; }
-    std::uint64_t* data() { return heap_ ? heap_ : inline_; }
+    const std::uint64_t* data() const
+    {
+        return overflowed() ? store_.heap : store_.words;
+    }
+    std::uint64_t* data() { return overflowed() ? store_.heap : store_.words; }
 
     const std::uint64_t* begin() const { return data(); }
     const std::uint64_t* end() const { return data() + size_; }
@@ -98,54 +104,57 @@ public:
     friend bool operator!=(const WordBuf& x, const WordBuf& y) { return !(x == y); }
 
 private:
+    // An inline copy takes the whole fixed-size array, so it compiles to a
+    // few register moves instead of a length-dependent memcpy.
     void copy_from(const WordBuf& other)
     {
         size_ = other.size_;
-        if (other.heap_) {
-            cap_ = other.cap_;
-            heap_ = new std::uint64_t[cap_];
-            std::memcpy(heap_, other.heap_, size_ * sizeof(std::uint64_t));
+        cap_ = other.cap_;
+        if (other.overflowed()) {
+            store_.heap = new std::uint64_t[cap_];
+            std::memcpy(store_.heap, other.store_.heap,
+                        size_ * sizeof(std::uint64_t));
         } else {
-            cap_ = kInlineCapacity;
-            heap_ = nullptr;
-            std::memcpy(inline_, other.inline_, size_ * sizeof(std::uint64_t));
+            store_ = other.store_;
         }
     }
 
+    // Takes the inline words or the heap pointer with one union copy.
     void steal_from(WordBuf& other) noexcept
     {
         size_ = other.size_;
         cap_ = other.cap_;
-        heap_ = other.heap_;
-        if (!heap_)
-            std::memcpy(inline_, other.inline_, size_ * sizeof(std::uint64_t));
-        other.heap_ = nullptr;
+        store_ = other.store_;
         other.size_ = 0;
         other.cap_ = kInlineCapacity;
     }
 
     void release() noexcept
     {
-        delete[] heap_;
-        heap_ = nullptr;
+        if (overflowed())
+            delete[] store_.heap;
         size_ = 0;
         cap_ = kInlineCapacity;
     }
 
     // Overflow path: spills to a doubled heap buffer. Reached only by
-    // payloads wider than the b=1 per-edge budget.
+    // payloads wider than every codec payload.
     void grow()
     {
         std::size_t new_cap = cap_ * 2;
         auto* grown = new std::uint64_t[new_cap];
         std::memcpy(grown, data(), size_ * sizeof(std::uint64_t));
-        delete[] heap_;
-        heap_ = grown;
-        cap_ = new_cap;
+        if (overflowed())
+            delete[] store_.heap;
+        store_.heap = grown;
+        cap_ = static_cast<std::uint32_t>(new_cap);
     }
 
-    std::uint64_t inline_[kInlineCapacity];  // uninitialized past size_
-    std::uint64_t* heap_ = nullptr;          // overflow storage, usually null
+    union Store {
+        std::uint64_t words[kInlineCapacity];  // uninitialized past size_
+        std::uint64_t* heap;                   // when cap_ > kInlineCapacity
+    };
+    Store store_;
     std::uint32_t size_ = 0;
     std::uint32_t cap_ = kInlineCapacity;
 };
@@ -178,6 +187,8 @@ struct Incoming {
     std::size_t port = 0;
     Message msg;
 };
+
+static_assert(sizeof(Message) == 64, "a Message is one cache line");
 
 }  // namespace dmst
 

@@ -34,13 +34,13 @@ enum Tag : std::uint32_t {
 struct IdMsg {
     std::uint64_t id = 0;
 
-    template <typename F> void fields(F&& f) { f(id); }
+    template <typename F> constexpr void fields(F&& f) { f(id); }
 };
 
 struct LevelMsg {
     std::uint64_t level = 0;
 
-    template <typename F> void fields(F&& f) { f(level); }
+    template <typename F> constexpr void fields(F&& f) { f(level); }
 };
 
 struct InitiateMsg {
@@ -48,20 +48,21 @@ struct InitiateMsg {
     EdgeKey fragment;
     bool find = false;
 
-    template <typename F> void fields(F&& f) { f(level, fragment, find); }
+    template <typename F>
+    constexpr void fields(F&& f) { f(level, fragment, find); }
 };
 
 struct TestMsg {
     std::uint64_t level = 0;
     EdgeKey fragment;
 
-    template <typename F> void fields(F&& f) { f(level, fragment); }
+    template <typename F> constexpr void fields(F&& f) { f(level, fragment); }
 };
 
 struct ReportMsg {
     EdgeKey best;
 
-    template <typename F> void fields(F&& f) { f(best); }
+    template <typename F> constexpr void fields(F&& f) { f(best); }
 };
 
 // ---------------------------------------------------------------- process

@@ -1,5 +1,8 @@
 #include "dmst/util/cli.h"
 
+#include <cstdlib>
+#include <cstring>
+#include <iostream>
 #include <sstream>
 #include <stdexcept>
 
@@ -16,6 +19,13 @@ void Args::define(const std::string& name, const std::string& default_value,
 
 void Args::parse(int argc, const char* const* argv)
 {
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--help") == 0) {
+            std::cout << "usage: " << argv[0] << " [--flag=value ...]\n"
+                      << help() << std::flush;
+            std::exit(0);
+        }
+    }
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg.rfind("--", 0) != 0)

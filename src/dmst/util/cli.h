@@ -17,7 +17,8 @@ public:
                 const std::string& help);
 
     // Parses argv; accepts "--name=value" and "--name value".
-    // Throws std::invalid_argument on unknown or malformed flags.
+    // Throws std::invalid_argument on unknown or malformed flags. A
+    // "--help" anywhere prints the usage and help() to stdout and exits 0.
     void parse(int argc, const char* const* argv);
 
     std::string get(const std::string& name) const;

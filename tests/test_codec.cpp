@@ -23,14 +23,16 @@ EdgeKey random_key(Rng& rng)
                    static_cast<VertexId>(rng.next())};
 }
 
-// Encodes, checks the wire size, decodes, returns the round-tripped value.
+// Encodes, checks the wire size (and that the compile-time width agrees),
+// decodes, returns the round-tripped value.
 template <typename P>
-P round_trip(const P& payload, std::uint32_t tag, std::size_t payload_words)
+P round_trip(const P& payload, std::uint32_t tag, std::size_t words)
 {
     Message m = encode(tag, payload);
     EXPECT_EQ(m.tag, tag);
-    EXPECT_EQ(m.words.size(), payload_words);
-    EXPECT_EQ(m.size_words(), payload_words + 1);  // tag counts as one word
+    EXPECT_EQ(m.words.size(), words);
+    EXPECT_EQ(payload_words<P>(), words);
+    EXPECT_EQ(m.size_words(), words + 1);  // tag counts as one word
     return decode<P>(m);
 }
 
@@ -422,37 +424,82 @@ TEST(WordBuf, StaysInlineUpToCapacity)
 
 TEST(WordBuf, OverflowPathPreservesContents)
 {
-    WordBuf b;
-    const std::size_t n = 3 * WordBuf::kInlineCapacity + 1;
-    for (std::size_t i = 0; i < n; ++i)
-        b.push_back(i * 7);
-    EXPECT_TRUE(b.overflowed());
-    ASSERT_EQ(b.size(), n);
-    for (std::size_t i = 0; i < n; ++i)
-        EXPECT_EQ(b[i], i * 7);
+    for (std::size_t n : {WordBuf::kInlineCapacity + 1,
+                          3 * WordBuf::kInlineCapacity + 1}) {
+        WordBuf b;
+        for (std::size_t i = 0; i < n; ++i)
+            b.push_back(i * 7);
+        EXPECT_TRUE(b.overflowed());
+        ASSERT_EQ(b.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(b[i], i * 7);
+    }
 }
 
-TEST(WordBuf, CopyAndMoveBothStorageModes)
+// The three storage states a copy or move can meet.
+enum class Storage { Inline, Overflowed, RefilledInline };
+
+WordBuf make_buf(Storage s, std::uint64_t base)
 {
-    for (std::size_t n : {std::size_t{3}, 2 * WordBuf::kInlineCapacity}) {
-        WordBuf src;
-        for (std::size_t i = 0; i < n; ++i)
-            src.push_back(i + 1);
+    WordBuf b;
+    if (s != Storage::Inline) {
+        for (std::size_t i = 0; i < 2 * WordBuf::kInlineCapacity + 1; ++i)
+            b.push_back(base + i);
+    }
+    if (s != Storage::Overflowed) {
+        b.clear();  // an overflowed buffer keeps its heap block
+        for (std::uint64_t i = 0; i < 3; ++i)
+            b.push_back(base + 50 + i);
+    }
+    return b;
+}
+
+// A moved-from buffer is empty, inline and reusable.
+void expect_reset(WordBuf& b)
+{
+    EXPECT_TRUE(b.empty());
+    EXPECT_FALSE(b.overflowed());
+    b.push_back(7);
+    EXPECT_EQ(b, (WordBuf{7}));
+}
+
+TEST(WordBuf, CopyAndMoveAcrossStorageModes)
+{
+    const Storage all[] = {Storage::Inline, Storage::Overflowed,
+                           Storage::RefilledInline};
+    for (Storage from : all) {
+        SCOPED_TRACE(static_cast<int>(from));
+        const WordBuf src = make_buf(from, 1000);
+        const bool heap = from != Storage::Inline;
 
         WordBuf copied(src);
         EXPECT_EQ(copied, src);
-
-        WordBuf assigned;
-        assigned = src;
-        EXPECT_EQ(assigned, src);
-
+        EXPECT_EQ(copied.overflowed(), heap);
         WordBuf moved(std::move(copied));
         EXPECT_EQ(moved, src);
+        EXPECT_EQ(moved.overflowed(), heap);
+        expect_reset(copied);
 
-        WordBuf move_assigned{9, 9, 9};
-        move_assigned = std::move(moved);
-        EXPECT_EQ(move_assigned, src);
+        for (Storage to : all) {
+            SCOPED_TRACE(static_cast<int>(to));
+            WordBuf assigned = make_buf(to, 1);
+            assigned = src;
+            EXPECT_EQ(assigned, src);
+            EXPECT_EQ(assigned.overflowed(), heap);
+
+            WordBuf donor = src;
+            WordBuf move_assigned = make_buf(to, 1);
+            move_assigned = std::move(donor);
+            EXPECT_EQ(move_assigned, src);
+            EXPECT_EQ(move_assigned.overflowed(), heap);
+            expect_reset(donor);
+        }
     }
+}
+
+TEST(WordBuf, MessageIsOneCacheLine)
+{
+    EXPECT_EQ(sizeof(Message), 64u);
 }
 
 TEST(WordBuf, EqualityComparesContents)

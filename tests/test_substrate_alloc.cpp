@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "dmst/congest/codec.h"
 #include "dmst/congest/network.h"
 #include "dmst/graph/generators.h"
 #include "dmst/obs/trace.h"
@@ -89,6 +90,28 @@ public:
             checksum_ += in.msg.words[0] + in.port;
         for (std::size_t p = 0; p < ctx.degree(); ++p)
             ctx.send(p, Message{1, {ctx.round(), 7}});
+    }
+
+    bool done() const override { return false; }  // stepped manually
+
+    std::uint64_t checksum_ = 0;
+};
+
+// Like SteadyChatter, but every send carries the codec's widest payload,
+// which must still fit WordBuf's inline array.
+class WideChatter : public Process {
+public:
+    static_assert(payload_words<VerifySnapshotMsg>() ==
+                  WordBuf::kInlineCapacity);
+
+    void on_round(Context& ctx) override
+    {
+        for (const Incoming& in : ctx.inbox())
+            checksum_ += decode<VerifySnapshotMsg>(in.msg).claimed_ports;
+        for (std::size_t p = 0; p < ctx.degree(); ++p)
+            ctx.send(p, encode(1, VerifySnapshotMsg{ctx.round(), p,
+                                                    kInfiniteEdgeKey,
+                                                    kInfiniteEdgeKey}));
     }
 
     bool done() const override { return false; }  // stepped manually
@@ -207,6 +230,19 @@ TEST(SubstrateAlloc, AsyncSteadyStateIsAllocationFree)
     // Warmup is longer than the lock-step engines': pool, wheel, and
     // synchronizer buffers only fill as the delay-spread traffic arrives.
     EXPECT_EQ(measure_steady_state_allocs(net, 10, 8), 0u);
+}
+
+TEST(SubstrateAlloc, AsyncWidestPayloadSteadyStateIsAllocationFree)
+{
+    // A 6-word VerifySnapshotMsg on every port: payload pool slots and
+    // inboxes hold it inline, so the warm async run allocates nothing.
+    Rng rng(38);
+    auto g = gen_erdos_renyi(200, 800, rng);
+    NetConfig config;
+    config.async.max_delay = 4;
+    AsyncNetwork net(g, config);
+    auto factory = [](VertexId) { return std::make_unique<WideChatter>(); };
+    EXPECT_EQ(measure_steady_state_allocs(net, factory, 10, 8), 0u);
 }
 
 TEST(SubstrateAlloc, AsyncHeapFallbackSteadyStateIsAllocationFree)

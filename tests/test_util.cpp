@@ -278,5 +278,13 @@ TEST(Cli, HelpListsFlags)
     EXPECT_NE(args.help().find("vertex count"), std::string::npos);
 }
 
+TEST(Cli, HelpFlagExitsZero)
+{
+    Args args;
+    args.define("n", "100", "vertex count");
+    const char* argv[] = {"prog", "--n=3", "--help"};
+    EXPECT_EXIT(args.parse(3, argv), ::testing::ExitedWithCode(0), "");
+}
+
 }  // namespace
 }  // namespace dmst
